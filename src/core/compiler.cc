@@ -1,13 +1,11 @@
 #include "core/compiler.h"
 
+#include <optional>
 #include <sstream>
 
 #include "ir/printer.h"
 #include "obs/explain.h"
-#include "ratmath/linalg.h"
 #include "verify/verify.h"
-#include "xform/basis.h"
-#include "xform/legal.h"
 #include "xform/stride.h"
 
 namespace anc::core {
@@ -52,102 +50,79 @@ conservativeDepMatrix(size_t n)
     return d;
 }
 
+/** What a recoverable stage failure does. */
+enum class OnFailure
+{
+    Rethrow, //!< compile(): the original exception escapes
+    Degrade, //!< compileResilient(): record it and drop one rung
+};
+
+Stage
+stageOf(xform::NormalizeStep s)
+{
+    switch (s) {
+    case xform::NormalizeStep::Basis:
+        return Stage::Normalize;
+    case xform::NormalizeStep::LegalBasis:
+    case xform::NormalizeStep::LegalInvertible:
+    case xform::NormalizeStep::Padding:
+        return Stage::Legality;
+    case xform::NormalizeStep::Apply:
+        return Stage::Transform;
+    }
+    return Stage::Normalize;
+}
+
 /**
- * One tier of the normalization pipeline, with stage provenance: the
+ * A restructuring rung (Full or Unimodular), with stage provenance: the
  * caller's `stage` always names the stage that is executing, so a catch
  * site knows exactly where a throw came from.
  */
 xform::NormalizeResult
-normalizeAtTier(const ir::Program &prog,
-                const xform::AccessMatrixInfo &access,
-                const deps::DependenceInfo &dinfo,
-                const xform::NormalizeOptions &nopts, bool unimodular_only,
-                Stage &stage, obs::PhaseClock &pc, CancelToken *cancel)
+normalizeRung(const ir::Program &prog, const xform::AccessMatrixInfo &access,
+              const deps::DependenceInfo &dinfo,
+              const xform::NormalizeOptions &nopts, bool unimodular,
+              Stage &stage, obs::PhaseClock &pc, CancelToken *cancel)
+{
+    std::optional<obs::PhaseClock::Scope> span;
+    return xform::normalize(prog, access, dinfo, nopts, unimodular,
+                            [&](xform::NormalizeStep s) {
+                                span.reset();
+                                stage = stageOf(s);
+                                tick(cancel);
+                                span.emplace(pc, xform::stepName(s));
+                            });
+}
+
+/**
+ * The identity rung: the original nest, round-robin outer distribution.
+ * It needs neither analysis; a missing dependence analysis is replaced
+ * by the conservative outer-carried matrix.
+ */
+xform::NormalizeResult
+identityRung(const ir::Program &prog,
+             const std::optional<xform::AccessMatrixInfo> &access,
+             const std::optional<deps::DependenceInfo> &dinfo,
+             Stage &stage, obs::PhaseClock &pc, CancelToken *cancel)
 {
     size_t n = prog.nest.depth();
-    xform::NormalizeResult r;
-    r.access = access;
-    r.depMatrix = dinfo.matrix(n);
-    r.depsImprecise = dinfo.imprecise;
-
-    stage = Stage::Normalize;
-    tick(cancel);
-    {
-        auto s = pc.phase("basis-matrix");
-        xform::BasisResult basis = xform::basisMatrix(r.access.matrix);
-        r.basis = basis.basis;
-        r.basisKeptRows = basis.keptRows;
-    }
-
-    stage = Stage::Legality;
-    tick(cancel);
-    if (nopts.enforceLegality) {
-        {
-            auto s = pc.phase("legal-basis");
-            r.legal = xform::legalBasis(r.basis, r.depMatrix,
-                                        &r.legalTrail);
-        }
-        tick(cancel);
-        auto s = pc.phase("legal-invertible");
-        r.transform =
-            unimodular_only
-                ? xform::unimodularLegalInvertible(r.legal, r.depMatrix, n,
-                                                   &r.unimodularDropped,
-                                                   &r.projectionRows)
-                : xform::legalInvertible(r.legal, r.depMatrix,
-                                         &r.projectionRows);
-        if (!deps::isLegalTransformation(r.transform, r.depMatrix))
-            throw InternalError("normalization produced illegal transform");
-        if (dinfo.imprecise &&
-            !deps::preservesLexSign(r.transform, dinfo.families)) {
-            r.transform = IntMatrix::identity(n);
-            r.conservativeFallback = true;
-            r.projectionRows = 0;
-        }
-    } else {
-        auto s = pc.phase("padding");
-        r.legal = r.basis;
-        if (unimodular_only) {
-            r.transform = IntMatrix::identity(n);
-            r.unimodularDropped = r.basis.rows();
-            for (size_t keep = r.basis.rows() + 1; keep-- > 0;) {
-                IntMatrix prefix(0, n);
-                for (size_t i = 0; i < keep; ++i)
-                    prefix.appendRow(r.basis.row(i));
-                try {
-                    IntMatrix t = xform::padToInvertible(prefix);
-                    if (isUnimodular(t)) {
-                        r.transform = t;
-                        r.unimodularDropped = r.basis.rows() - keep;
-                        break;
-                    }
-                } catch (const Error &) {
-                    // Try a shorter prefix.
-                }
-            }
-        } else {
-            r.transform = xform::padToInvertible(r.basis);
-        }
-    }
-
     stage = Stage::Transform;
     tick(cancel);
-    auto s = pc.phase("apply-transform");
-    r.unimodular = isUnimodular(r.transform);
-    for (size_t l = 0; l < n; ++l) {
-        IntVec row = r.transform.row(l);
-        IntVec neg_row = row;
-        for (Int &v : neg_row)
-            v = checkedNeg(v);
-        for (size_t a = 0; a < r.access.rows.size(); ++a) {
-            if (r.access.rows[a].coeffs == row ||
-                r.access.rows[a].coeffs == neg_row) {
-                r.normalized.push_back({l, a, r.access.rows[a].distDim});
-                ++r.rowsRetained;
-                break;
-            }
-        }
+    xform::NormalizeResult r;
+    if (access)
+        r.access = *access;
+    if (dinfo) {
+        r.depMatrix = dinfo->matrix(n);
+        r.depsImprecise = dinfo->imprecise;
+    } else {
+        r.depMatrix = conservativeDepMatrix(n);
+        r.depsImprecise = true;
     }
+    r.transform = IntMatrix::identity(n);
+    r.basis = r.transform;
+    r.legal = r.transform;
+    r.unimodular = true;
+    auto s = pc.phase("apply-transform");
     r.nest = xform::applyTransform(prog, r.transform);
     return r;
 }
@@ -163,8 +138,8 @@ void
 runPlanSearch(Compilation &c, const CompileOptions &opts,
               obs::PhaseClock &pc)
 {
-    if (!opts.search.enabled || opts.identityTransform ||
-        c.normalization.conservativeFallback || !c.normalization.nest)
+    if (!opts.search.enabled || c.normalization.conservativeFallback ||
+        !c.normalization.nest)
         return;
     tick(opts.cancel);
     auto s = pc.phase("plan-search");
@@ -173,33 +148,8 @@ runPlanSearch(Compilation &c, const CompileOptions &opts,
                                      opts.search, opts.cancel);
         if (!c.search.ran || !c.search.improved || !c.search.nest)
             return;
-        // Re-derive the record fields tied to T (Definition 4.1 hits,
-        // unimodularity) before committing to the winner.
-        xform::NormalizeResult &r = c.normalization;
-        std::vector<xform::NormalizedLoop> normalized;
-        size_t retained = 0;
-        size_t n = c.program.nest.depth();
-        for (size_t l = 0; l < n; ++l) {
-            IntVec row = c.search.transform.row(l);
-            IntVec neg_row = row;
-            for (Int &v : neg_row)
-                v = checkedNeg(v);
-            for (size_t a = 0; a < r.access.rows.size(); ++a) {
-                if (r.access.rows[a].coeffs == row ||
-                    r.access.rows[a].coeffs == neg_row) {
-                    normalized.push_back(
-                        {l, a, r.access.rows[a].distDim});
-                    ++retained;
-                    break;
-                }
-            }
-        }
-        bool unimodular = isUnimodular(c.search.transform);
-        r.transform = c.search.transform;
-        r.nest = c.search.nest;
-        r.normalized = std::move(normalized);
-        r.rowsRetained = retained;
-        r.unimodular = unimodular;
+        xform::adoptTransform(c.normalization, c.search.transform);
+        c.normalization.nest = c.search.nest;
         c.plan = c.search.plan;
         double winner_total = 0, heur_total = 0;
         for (double v : c.search.winnerTimesUs)
@@ -222,15 +172,17 @@ runPlanSearch(Compilation &c, const CompileOptions &opts,
     }
 }
 
-/** Plan, optionally strength-reduce, and emit for the current nest. */
+/**
+ * Plan, search and strength-reduce (Full rung only), and emit for the
+ * current nest.
+ */
 void
-planAndEmit(Compilation &c, bool with_access, bool with_strength,
-            const CompileOptions &opts, bool with_search, Stage &stage,
-            obs::PhaseClock &pc, CancelToken *cancel)
+planAndEmit(Compilation &c, bool with_access, bool full,
+            const CompileOptions &opts, Stage &stage, obs::PhaseClock &pc)
 {
     c.search = xform::SearchResult{}; // no stale record across rungs
     stage = Stage::Plan;
-    tick(cancel);
+    tick(opts.cancel);
     {
         auto s = pc.phase("plan");
         c.plan = codegen::planCodegen(c.program, *c.normalization.nest,
@@ -238,344 +190,137 @@ planAndEmit(Compilation &c, bool with_access, bool with_strength,
                                       with_access ? &c.normalization.access
                                                   : nullptr);
     }
-    if (with_search)
+    if (full)
         runPlanSearch(c, opts, pc);
     c.strengthReduction.clear();
-    if (with_strength) {
+    if (full) {
         stage = Stage::StrengthReduce;
-        tick(cancel);
+        tick(opts.cancel);
         auto s = pc.phase("strength-reduce");
         c.strengthReduction =
             codegen::planStrengthReduction(*c.normalization.nest);
     }
     stage = Stage::Emit;
-    tick(cancel);
+    tick(opts.cancel);
     auto s = pc.phase("emit");
     c.nodeProgram = codegen::emitNodeProgram(
         c.program, *c.normalization.nest, c.plan,
         c.strengthReduction.empty() ? nullptr : &c.strengthReduction);
 }
 
-/** Outcome of one differential verification attempt. */
-struct DiffOutcome
-{
-    bool ran = false;
-    bool passed = false;
-    std::string note;
-};
-
 /**
- * Run the original program and the compiled nest on a small parameter
- * binding and compare every array bit-for-bit. Bindings that do not fit
- * (non-positive extents, out-of-range subscripts, arrays over the cap)
- * are skipped; any other interpreter failure counts as a check failure.
+ * The one compile pipeline: program validation, the shared analyses,
+ * then the ladder rungs (Full -> Unimodular -> Identity), each running
+ * normalize -> plan -> search -> strength-reduce -> emit -> validate.
+ * Under Rethrow only the first rung runs and any failure escapes with
+ * its original type; under Degrade every stage sits in a recovery
+ * boundary, a failure drops one rung, and every degraded result is
+ * translation-validated whether or not the caller asked.
  */
-DiffOutcome
-differentialCheck(const Compilation &c, const ResilientOptions &ropts)
-{
-    const ir::Program &prog = c.program;
-    std::vector<Int> candidates = ropts.differentialParamCandidates;
-    if (prog.params.empty())
-        candidates = {0}; // one attempt; the value is unused
-    for (Int v : candidates) {
-        IntVec params(prog.params.size(), v);
-        try {
-            // Size everything up BEFORE allocating: huge-coefficient
-            // programs can have subscript ranges far beyond what any
-            // binding could feasibly materialize.
-            bool feasible = true, too_big = false;
-            for (const ir::ArrayDecl &a : prog.arrays) {
-                double total = 1;
-                for (Int e : a.evalExtents(params)) {
-                    if (e <= 0)
-                        feasible = false;
-                    total *= double(e);
-                }
-                too_big = too_big ||
-                          total > double(ropts.differentialMaxElements);
-            }
-            if (!feasible || too_big)
-                continue; // try the next candidate binding
-            ir::ArrayStorage seq(prog, params);
-            ir::ArrayStorage par(prog, params);
-            seq.fillDeterministic(1);
-            par.fillDeterministic(1);
-            ir::Bindings binds{
-                params, std::vector<double>(prog.scalars.size(), 1.0)};
-            ir::run(prog, binds, seq);
-            c.nest().run(binds, par);
-            for (size_t a = 0; a < seq.numArrays(); ++a) {
-                if (seq.data(a) != par.data(a))
-                    return {true, false,
-                            "array '" + prog.arrays[a].name +
-                                "' differs from the sequential result"};
-            }
-            std::string note = "all arrays bit-identical";
-            if (!prog.params.empty())
-                note += " (parameters bound to " + std::to_string(v) + ")";
-            return {true, true, note};
-        } catch (const UserError &e) {
-            // This binding is infeasible for the program (bad extent or
-            // out-of-range subscript); try the next one.
-        } catch (const Error &e) {
-            return {true, false,
-                    std::string("interpreter failed: ") + e.what()};
-        }
-    }
-    return {false, false, "no feasible small parameter binding"};
-}
-
-} // namespace
-
 Compilation
-compile(ir::Program prog, const CompileOptions &opts)
+runPipeline(ir::Program prog, const CompileOptions &opts, OnFailure policy)
 {
-    tick(opts.cancel);
-    prog.validate();
-    Compilation c;
-    c.program = std::move(prog);
-    obs::PhaseClock pc(&c.phaseTimes, opts.trace, opts.tracePid);
-    pc.setTier(tierName(opts.identityTransform ? CompileTier::Identity
-                                               : CompileTier::Full));
-
-    if (opts.identityTransform) {
-        // Baseline: keep the nest, distribute the original outer loop.
-        size_t n = c.program.nest.depth();
-        xform::NormalizeResult r;
-        tick(opts.cancel);
-        {
-            auto s = pc.phase("access-matrix");
-            r.access = xform::buildAccessMatrix(c.program);
-        }
-        deps::DependenceInfo dinfo;
-        tick(opts.cancel);
-        {
-            auto s = pc.phase("dependence");
-            dinfo = deps::analyzeDependences(
-                c.program, opts.normalize.includeInputDeps);
-        }
-        r.depMatrix = dinfo.matrix(n);
-        r.depsImprecise = dinfo.imprecise;
-        r.transform = IntMatrix::identity(n);
-        r.basis = r.transform;
-        r.legal = r.transform;
-        r.unimodular = true;
-        tick(opts.cancel);
-        {
-            auto s = pc.phase("apply-transform");
-            r.nest = xform::applyTransform(c.program, r.transform);
-        }
-        c.normalization = std::move(r);
-        c.tier = CompileTier::Identity;
-    } else {
-        tick(opts.cancel);
-        auto s = pc.phase("normalize");
-        c.normalization = xform::accessNormalize(c.program, opts.normalize);
-        if (c.normalization.conservativeFallback)
-            c.diagnostics.warning(
-                Stage::Legality,
-                "imprecise dependence family rejected the candidate "
-                "transformation; compiled the original nest instead");
-    }
-
-    tick(opts.cancel);
-    {
-        auto s = pc.phase("plan");
-        c.plan = codegen::planCodegen(c.program, *c.normalization.nest,
-                                      c.normalization.depMatrix,
-                                      &c.normalization.access);
-    }
-    runPlanSearch(c, opts, pc);
-    tick(opts.cancel);
-    {
-        auto s = pc.phase("strength-reduce");
-        c.strengthReduction =
-            codegen::planStrengthReduction(*c.normalization.nest);
-    }
-    tick(opts.cancel);
-    {
-        auto s = pc.phase("emit");
-        c.nodeProgram = codegen::emitNodeProgram(
-            c.program, *c.normalization.nest, c.plan,
-            c.strengthReduction.empty() ? nullptr : &c.strengthReduction);
-    }
-    if (opts.validate) {
-        tick(opts.cancel);
-        auto s = pc.phase("translation-validate");
-        verify::ValidateOptions vopts;
-        vopts.cancel = opts.cancel;
-        c.validation = verify::validate(c.program, c.nest(),
-                                        c.normalization.depMatrix, vopts);
-        c.validated = c.validation.passed();
-        if (!c.validation.passed())
-            throw InternalError("translation validation failed: " +
-                                c.validation.firstFailure());
-    }
-    return c;
-}
-
-Compilation
-compileResilient(ir::Program prog, const ResilientOptions &ropts)
-{
+    const bool degrade = policy == OnFailure::Degrade;
     Compilation c;
     c.program = std::move(prog);
     Diagnostics &diags = c.diagnostics;
-    obs::PhaseClock pc(&c.phaseTimes, ropts.base.trace,
-                       ropts.base.tracePid);
-    CancelToken *cancel = ropts.base.cancel;
-    tick(cancel);
-    try {
-        auto s = pc.phase("validate");
-        c.program.validate();
-    } catch (const UserError &) {
-        throw; // structurally invalid: the caller's to fix
-    } catch (const Error &e) {
-        // Validation itself hit a recoverable fault (e.g. arithmetic
-        // overflow); that says nothing about the program's structure,
-        // so record it and let the ladder proceed.
-        diags.warning(Stage::Validate,
-                      "program validation aborted by a recoverable "
-                      "fault; continuing",
-                      e.what());
-    }
-    size_t n = c.program.nest.depth();
-    const xform::NormalizeOptions &nopts = ropts.base.normalize;
+    obs::PhaseClock pc(&c.phaseTimes, opts.trace, opts.tracePid);
+    CancelToken *cancel = opts.cancel;
 
-    // Shared analyses, each inside its own recovery boundary. Losing
-    // the access matrix or the dependence information only disables
-    // restructuring; the identity rung needs neither.
-    std::optional<xform::AccessMatrixInfo> access;
-    tick(cancel);
-    try {
-        auto s = pc.phase("access-matrix");
-        access =
-            xform::buildAccessMatrix(c.program, nopts.useDistributionHint);
-    } catch (const UserError &) {
-        throw;
-    } catch (const Error &e) {
-        diags.warning(Stage::Normalize,
-                      "data access matrix construction failed; "
-                      "restructuring disabled",
-                      e.what());
-    }
-
-    std::optional<deps::DependenceInfo> dinfo;
-    tick(cancel);
-    try {
-        auto s = pc.phase("dependence");
-        dinfo = deps::analyzeDependences(c.program, nopts.includeInputDeps);
-    } catch (const UserError &) {
-        throw;
-    } catch (const Error &e) {
-        diags.warning(Stage::Dependence,
-                      "dependence analysis failed; assuming an "
-                      "outer-carried dependence and compiling the "
-                      "original nest",
-                      e.what());
-    }
-
-    struct Rung
-    {
-        CompileTier tier;
-        bool unimodularOnly;
+    // A recovery boundary around one whole-program step: UserError is
+    // the caller's to fix and always propagates.
+    auto guarded = [&](Stage stage, const char *phase, const char *summary,
+                       auto &&body) {
+        tick(cancel);
+        try {
+            auto s = pc.phase(phase);
+            body();
+        } catch (const UserError &) {
+            throw;
+        } catch (const Error &e) {
+            if (!degrade)
+                throw;
+            diags.warning(stage, summary, e.what());
+        }
     };
-    std::vector<Rung> rungs;
-    if (!ropts.base.identityTransform && access && dinfo) {
-        rungs.push_back({CompileTier::Full, false});
-        rungs.push_back({CompileTier::Unimodular, true});
-    }
-    rungs.push_back({CompileTier::Identity, false});
+    // A recoverable fault inside validation (e.g. arithmetic overflow)
+    // says nothing about the program's structure.
+    guarded(Stage::Validate, "validate",
+            "program validation aborted by a recoverable fault; continuing",
+            [&] { c.program.validate(); });
+    // Losing the access matrix or the dependence information only
+    // disables restructuring; the identity rung needs neither.
+    const xform::NormalizeOptions &nopts = opts.normalize;
+    std::optional<xform::AccessMatrixInfo> access;
+    guarded(Stage::Normalize, "access-matrix",
+            "data access matrix construction failed; restructuring "
+            "disabled",
+            [&] {
+                access = xform::buildAccessMatrix(c.program,
+                                                  nopts.useDistributionHint);
+            });
+    std::optional<deps::DependenceInfo> dinfo;
+    guarded(Stage::Dependence, "dependence",
+            "dependence analysis failed; assuming an outer-carried "
+            "dependence and compiling the original nest",
+            [&] {
+                dinfo = deps::analyzeDependences(c.program,
+                                                 nopts.includeInputDeps);
+            });
+
+    std::vector<CompileTier> rungs;
+    if (!opts.identityTransform && access && dinfo)
+        rungs = {CompileTier::Full, CompileTier::Unimodular};
+    rungs.push_back(CompileTier::Identity);
+    if (!degrade)
+        rungs.resize(1);
 
     std::string last_error;
-    for (const Rung &rung : rungs) {
+    for (CompileTier tier : rungs) {
         Stage stage = Stage::Normalize;
-        pc.setTier(tierName(rung.tier));
+        pc.setTier(tierName(tier));
         try {
-            if (rung.tier == CompileTier::Identity) {
-                stage = Stage::Transform;
-                tick(cancel);
-                xform::NormalizeResult r;
-                if (access)
-                    r.access = *access;
-                if (dinfo) {
-                    r.depMatrix = dinfo->matrix(n);
-                    r.depsImprecise = dinfo->imprecise;
-                } else {
-                    r.depMatrix = conservativeDepMatrix(n);
-                    r.depsImprecise = true;
-                }
-                r.transform = IntMatrix::identity(n);
-                r.basis = r.transform;
-                r.legal = r.transform;
-                r.unimodular = true;
-                {
-                    auto s = pc.phase("apply-transform");
-                    r.nest = xform::applyTransform(c.program, r.transform);
-                }
-                c.normalization = std::move(r);
-            } else {
-                c.normalization =
-                    normalizeAtTier(c.program, *access, *dinfo, nopts,
-                                    rung.unimodularOnly, stage, pc,
-                                    cancel);
-            }
-            planAndEmit(c, access.has_value(),
-                        /*with_strength=*/rung.tier == CompileTier::Full,
-                        ropts.base,
-                        /*with_search=*/rung.tier == CompileTier::Full,
-                        stage, pc, cancel);
-            c.tier = rung.tier;
+            c.normalization =
+                tier == CompileTier::Identity
+                    ? identityRung(c.program, access, dinfo, stage, pc,
+                                   cancel)
+                    : normalizeRung(c.program, *access, *dinfo, nopts,
+                                    tier == CompileTier::Unimodular, stage,
+                                    pc, cancel);
+            planAndEmit(c, access.has_value(), tier == CompileTier::Full,
+                        opts, stage, pc);
+            c.tier = tier;
 
             if (c.normalization.conservativeFallback)
                 diags.warning(Stage::Legality,
                               "imprecise dependence family rejected the "
                               "candidate transformation; compiled the "
                               "original nest instead");
-            if (rung.unimodularOnly &&
-                c.normalization.unimodularDropped > 0)
+            if (c.normalization.unimodularDropped > 0)
                 diags.note(
                     Stage::Legality,
                     "dropped " +
                         std::to_string(c.normalization.unimodularDropped) +
                         " basis row(s) to keep the transformation "
                         "unimodular");
-            if (c.tier != CompileTier::Full)
+            if (degrade && c.tier != CompileTier::Full)
                 diags.note(Stage::Driver,
                            std::string("compilation degraded to the '") +
                                tierName(c.tier) + "' tier");
 
-            if (c.degraded() && ropts.differentialCheck) {
-                stage = Stage::DifferentialCheck;
-                tick(cancel);
-                auto s = pc.phase("differential-check");
-                DiffOutcome d = differentialCheck(c, ropts);
-                if (d.ran && !d.passed) {
-                    last_error = d.note;
-                    diags.error(Stage::DifferentialCheck,
-                                std::string("tier '") + tierName(c.tier) +
-                                    "' failed differential verification; "
-                                    "degrading further",
-                                d.note);
-                    continue;
-                }
-                c.differentialChecked = d.ran;
-                diags.note(Stage::DifferentialCheck,
-                           d.ran ? "differential check passed"
-                                 : "differential check skipped",
-                           d.note);
-            }
-            if (ropts.base.validate) {
+            if (opts.validate || (degrade && c.degraded())) {
                 stage = Stage::TranslationValidate;
                 tick(cancel);
                 auto s = pc.phase("translation-validate");
-                verify::ValidateOptions vopts = ropts.validation;
-                if (!vopts.cancel)
-                    vopts.cancel = cancel;
+                verify::ValidateOptions vopts;
+                vopts.cancel = cancel;
                 c.validation = verify::validate(
-                    c.program, c.nest(), c.normalization.depMatrix,
-                    vopts);
+                    c.program, c.nest(), c.normalization.depMatrix, vopts);
                 if (!c.validation.passed()) {
                     last_error = c.validation.firstFailure();
+                    if (!degrade)
+                        throw InternalError("translation validation failed: " +
+                                            last_error);
                     diags.error(Stage::TranslationValidate,
                                 std::string("tier '") + tierName(c.tier) +
                                     "' failed translation validation; "
@@ -592,9 +337,11 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
         } catch (const UserError &) {
             throw;
         } catch (const Error &e) {
+            if (!degrade)
+                throw;
             last_error = e.what();
             diags.warning(stage,
-                          std::string("tier '") + tierName(rung.tier) +
+                          std::string("tier '") + tierName(tier) +
                               "' failed in stage '" + stageName(stage) +
                               "'; degrading",
                           e.what());
@@ -607,6 +354,20 @@ compileResilient(ir::Program prog, const ResilientOptions &ropts)
     throw InternalError(
         "compileResilient: even the identity tier failed: " + last_error +
         "\ndiagnostics:\n" + diags.render());
+}
+
+} // namespace
+
+Compilation
+compile(ir::Program prog, const CompileOptions &opts)
+{
+    return runPipeline(std::move(prog), opts, OnFailure::Rethrow);
+}
+
+Compilation
+compileResilient(ir::Program prog, const ResilientOptions &ropts)
+{
+    return runPipeline(std::move(prog), ropts.base, OnFailure::Degrade);
 }
 
 namespace {
@@ -712,7 +473,8 @@ explain(const Compilation &c)
         }
         e.candidates.push_back(std::move(cand));
     }
-    // Under unimodularOnly the trailing kept rows were re-dropped.
+    // Under the unimodular restriction the trailing kept rows were
+    // re-dropped.
     for (size_t k = 0; k < r.unimodularDropped && k < legal_kept.size();
          ++k) {
         obs::ExplainCandidate &cand =
@@ -862,8 +624,6 @@ Compilation::report() const
     if (tier != CompileTier::Full || !diagnostics.empty()) {
         os << "=== diagnostics ===\n"
            << "tier: " << tierName(tier) << "\n";
-        if (differentialChecked)
-            os << "differential check: passed\n";
         os << diagnostics.render() << "\n";
     }
     if (!validation.checks.empty())

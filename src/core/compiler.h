@@ -40,8 +40,9 @@ struct CompileOptions
     /** Run translation validation (verify::validate) on the result.
      * Under compile(), a validation failure throws InternalError; under
      * compileResilient(), it degrades the ladder one tier, making the
-     * ladder self-checking. The report lands in
-     * Compilation::validation either way. */
+     * ladder self-checking (degraded results are validated even when
+     * this is off). The report lands in Compilation::validation either
+     * way. */
     bool validate = false;
     /**
      * Simulator-scored plan search (xform/search.h): when enabled, the
@@ -103,19 +104,19 @@ struct Compilation
      * work that was then thrown away. */
     std::vector<obs::PhaseTime> phaseTimes;
 
-    /** Ladder rung this result came out of (Full for plain compile()). */
+    /** Ladder rung this result came out of (compile() runs only the
+     * first: Full, or Identity under identityTransform). */
     CompileTier tier = CompileTier::Full;
     /** What was given up and why, with stage provenance. */
     Diagnostics diagnostics;
-    /** True when the differential interpreter check ran and passed. */
-    bool differentialChecked = false;
     /** Plan-search record (SearchResult::ran is false when the search
      * was disabled, skipped, or failed before enumerating). When the
      * search improved on the heuristic, `normalization` and `plan`
      * above already hold the winner. */
     xform::SearchResult search;
     /** Translation-validation verdict (empty checks list when
-     * CompileOptions::validate was off). */
+     * validation did not run: CompileOptions::validate was off and the
+     * result was not degraded). */
     verify::ValidationReport validation;
     /** True when translation validation ran and every check passed
      * (there is no skipped verdict: a plan is validated or it is not). */
@@ -140,28 +141,18 @@ struct Compilation
     std::string report() const;
 };
 
-/** Run the full pipeline. */
+/**
+ * Run the full pipeline: the first rung of compileResilient()'s ladder
+ * only (Full, or Identity under identityTransform). Any failure escapes
+ * with its original exception type; a validation failure throws
+ * InternalError.
+ */
 Compilation compile(ir::Program prog, const CompileOptions &opts = {});
 
-/** Options for resilient compilation. */
+/** Options for resilient compilation; the ladder has no knobs of its own. */
 struct ResilientOptions
 {
     CompileOptions base;
-    /**
-     * Verify every degraded result by interpretation: run the original
-     * program and the emitted nest on a small parameter binding and
-     * compare all array contents bit-for-bit. A mismatch fails the rung
-     * (the ladder continues downward); an infeasible binding (arrays
-     * too large, no in-range binding found) records a note and skips.
-     */
-    bool differentialCheck = true;
-    /** Per-array element cap for the differential check. */
-    Int differentialMaxElements = 1 << 16;
-    /** Parameter values tried (all parameters get the same value). */
-    std::vector<Int> differentialParamCandidates = {4, 3, 2, 6, 1};
-    /** Knobs for the translation-validation post-pass (only consulted
-     * when base.validate is set). */
-    verify::ValidateOptions validation;
 };
 
 /**
@@ -170,7 +161,9 @@ struct ResilientOptions
  * every pipeline stage in a recovery boundary. Arithmetic overflow,
  * math errors, and internal invariant violations degrade the result to
  * a lower tier instead of escaping; the returned Compilation records
- * the tier reached and a diagnostic for everything given up.
+ * the tier reached and a diagnostic for everything given up. Every
+ * degraded result is translation-validated (CompileOptions::validate or
+ * not), and a result that fails validation drops one more rung.
  *
  * UserError (malformed input) still propagates: bad programs are the
  * caller's to fix, and the parser rejects them with line information.

@@ -40,8 +40,6 @@ stageName(Stage s)
         return "strength-reduction";
     case Stage::Emit:
         return "emit";
-    case Stage::DifferentialCheck:
-        return "differential-check";
     case Stage::TranslationValidate:
         return "translation-validate";
     case Stage::Driver:

@@ -4,12 +4,12 @@
  *
  * Every recoverable event in the compilation pipeline -- a stage that
  * overflowed and was retried at a lower tier, a dependence family that
- * could not be represented exactly, a differential check that was
- * skipped -- is recorded as a Diagnostic with a severity, the pipeline
- * stage it originated from, and a message. A Diagnostics list travels
- * inside core::Compilation so that callers (and ancc) can render what
- * the compiler gave up and why, in human-readable or machine-readable
- * form.
+ * could not be represented exactly, a degraded result that failed
+ * translation validation -- is recorded as a Diagnostic with a
+ * severity, the pipeline stage it originated from, and a message. A
+ * Diagnostics list travels inside core::Compilation so that callers
+ * (and ancc) can render what the compiler gave up and why, in
+ * human-readable or machine-readable form.
  */
 
 #ifndef ANC_CORE_DIAGNOSTICS_H
@@ -32,18 +32,17 @@ enum class Severity
 /** Which pipeline stage a diagnostic originated from. */
 enum class Stage
 {
-    Parse,             //!< dsl parsing
-    Validate,          //!< structural program validation
-    Dependence,        //!< dependence analysis
-    Normalize,         //!< access matrix / basis construction
-    Legality,          //!< LegalBasis / LegalInvt / family checks
-    Transform,         //!< applyTransform (bounds, lattice)
-    Plan,              //!< NUMA codegen planning
-    StrengthReduce,    //!< HNF-based induction-variable planning
-    Emit,              //!< node program emission
-    DifferentialCheck, //!< degraded-result interpreter comparison
+    Parse,               //!< dsl parsing
+    Validate,            //!< structural program validation
+    Dependence,          //!< dependence analysis
+    Normalize,           //!< access matrix / basis construction
+    Legality,            //!< LegalBasis / LegalInvt / family checks
+    Transform,           //!< applyTransform (bounds, lattice)
+    Plan,                //!< NUMA codegen planning
+    StrengthReduce,      //!< HNF-based induction-variable planning
+    Emit,                //!< node program emission
     TranslationValidate, //!< independent translation validation
-    Driver,            //!< the compileResilient ladder itself
+    Driver,              //!< the compileResilient ladder itself
 };
 
 const char *severityName(Severity s);

@@ -95,8 +95,7 @@ refTable(const numa::SimStats &s)
     if (s.refNames.empty())
         return "";
     std::ostringstream os;
-    os << "per-reference traffic (P = " << s.processors
-       << (s.sampled ? ", sampled" : "") << "):\n";
+    os << "per-reference traffic (P = " << s.processors << "):\n";
     os << std::setw(14) << "reference" << std::setw(13) << "local"
        << std::setw(13) << "remote" << std::setw(13) << "blk elems"
        << std::setw(10) << "remote%" << "\n";

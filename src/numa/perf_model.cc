@@ -49,9 +49,7 @@ calibrateModel(const ir::Program &prog, const xform::TransformedNest &nest,
                const ExecutionPlan &plan, const SimOptions &opts,
                const ir::Bindings &binds)
 {
-    SimOptions copts = opts;
-    copts.sampleProcs.clear(); // calibration sees every processor
-    Simulator sim(prog, nest, plan, copts);
+    Simulator sim(prog, nest, plan, opts);
     SimStats s = sim.run(binds);
 
     PerfModel m;

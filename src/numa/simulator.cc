@@ -33,21 +33,6 @@ SimOptions::validate() const
         throw UserError("symmetryThreshold must be non-negative");
     if (maxSymmetryClasses == 0)
         throw UserError("maxSymmetryClasses must be positive");
-    for (Int p : sampleProcs)
-        if (p < 0 || p >= processors)
-            throw UserError("sampled processor " + std::to_string(p) +
-                            " outside [0, " +
-                            std::to_string(processors) + ")");
-    // Duplicates would double-count the processor in per-proc stats;
-    // reject them up front with the offending value named.
-    std::vector<Int> sorted = sampleProcs;
-    std::sort(sorted.begin(), sorted.end());
-    for (size_t i = 1; i < sorted.size(); ++i)
-        if (sorted[i] == sorted[i - 1])
-            throw UserError(
-                "sampled processor " + std::to_string(sorted[i]) +
-                " listed more than once; each sampleProcs entry must "
-                "be distinct");
 }
 
 namespace {
@@ -964,12 +949,12 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
 
     // Symmetry-class aggregation: when the partition's structure can
     // be bounded, simulate one representative per equivalence class
-    // instead of all P processors. Sampled and value-executing runs
-    // always take the direct path (they name specific processors).
-    std::vector<Int> procs = opts_.sampleProcs;
+    // instead of all P processors. Value-executing runs always take the
+    // direct path (every processor's stores must happen).
+    std::vector<Int> procs;
     SymmetryPlan sym;
     bool aggregate = false;
-    if (procs.empty() && !storage &&
+    if (!storage &&
         (opts_.symmetry == SymmetryMode::Force ||
          (opts_.symmetry == SymmetryMode::Auto &&
           opts_.processors > opts_.symmetryThreshold))) {
@@ -986,16 +971,13 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
             procs.push_back(sym.defaultRep);
             multiplicity.push_back(sym.defaultCount);
         }
-    } else if (procs.empty()) {
+    } else {
         for (Int p = 0; p < opts_.processors; ++p)
             procs.push_back(p);
     }
 
     SimStats out;
     out.processors = opts_.processors;
-    out.sampled = !aggregate && Int(procs.size()) != opts_.processors;
-    if (storage && out.sampled)
-        throw UserError("executeValues requires simulating all processors");
     out.perProc.assign(procs.size(), ProcStats{});
 
     // Fail-stop injection: the victim stops after killAfterSlices of
@@ -1024,7 +1006,7 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
         return tracing ? &buffers[i] : nullptr;
     };
 
-    // Phase 1: every sampled processor walks its own slice (the victim
+    // Phase 1: every simulated processor walks its own slice (the victim
     // only up to its point of death).
     auto phase1 = [&](size_t i, ir::ArrayStorage *st) {
         Int p = procs[i];
@@ -1228,25 +1210,15 @@ simulateOwnership(const ir::Program &prog, const SimOptions &opts,
     // singleton classes), and fold every untouched processor into one
     // default class that pays only the guard sweep.
     const bool aggregate =
-        opts.sampleProcs.empty() &&
-        (opts.symmetry == SymmetryMode::Force ||
-         (opts.symmetry == SymmetryMode::Auto &&
-          procs > opts.symmetryThreshold));
-    std::vector<Int> sample = opts.sampleProcs;
-    if (sample.empty() && !aggregate)
-        for (Int p = 0; p < procs; ++p)
-            sample.push_back(p);
-    std::vector<Int> proc_of;
+        opts.symmetry == SymmetryMode::Force ||
+        (opts.symmetry == SymmetryMode::Auto &&
+         procs > opts.symmetryThreshold);
     SimStats out;
     out.processors = procs;
-    out.sampled = !aggregate && Int(sample.size()) != procs;
     if (!aggregate) {
-        proc_of.assign(size_t(procs), -1);
-        out.perProc.resize(sample.size());
-        for (size_t i = 0; i < sample.size(); ++i) {
-            out.perProc[i].proc = sample[i];
-            proc_of[size_t(sample[i])] = Int(i);
-        }
+        out.perProc.resize(size_t(procs));
+        for (Int p = 0; p < procs; ++p)
+            out.perProc[size_t(p)].proc = p;
     }
     std::unordered_map<Int, size_t> slot_of;
     std::vector<ProcStats> touched;
@@ -1321,9 +1293,7 @@ simulateOwnership(const ir::Program &prog, const SimOptions &opts,
                     }
                     psp = &touched[at->second];
                 } else {
-                    Int slot = proc_of[size_t(own)];
-                    if (slot >= 0)
-                        psp = &out.perProc[size_t(slot)];
+                    psp = &out.perProc[size_t(own)];
                 }
             }
             if (!psp)

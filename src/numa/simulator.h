@@ -50,13 +50,6 @@ struct SimOptions
     /** Honor the plan's block-transfer hoists (the paper's "B" curves)
      * or charge element-wise remote accesses (the "T" curves). */
     bool blockTransfers = true;
-    /**
-     * Processors to actually simulate; empty means all of them. Wrapped
-     * distributions balance load well, so simulating a small sample
-     * (e.g. {0, P/2, P-1}) estimates the maximum closely at a fraction
-     * of the cost; benchmarks use sampling, correctness tests do not.
-     */
-    std::vector<Int> sampleProcs;
     /** Also execute statement values into storage (slow; for tests). */
     bool executeValues = false;
     /**
@@ -133,8 +126,8 @@ struct SimOptions
      * instead of O(P). Auto aggregates only above symmetryThreshold
      * processors (so small runs keep the exhaustively-tested direct
      * path), Force aggregates whenever the plan allows, Off never
-     * does. Sampled, value-executing and trip-count-unprovable runs
-     * always fall back to direct simulation; results are bit-identical
+     * does. Value-executing and trip-count-unprovable runs always
+     * fall back to direct simulation; results are bit-identical
      * either way.
      */
     SymmetryMode symmetry = SymmetryMode::Auto;

@@ -276,8 +276,7 @@ struct SimStats
         uint64_t(256) << 20;
 
     Int processors = 1;
-    std::vector<ProcStats> perProc; //!< only the simulated processors
-    bool sampled = false;           //!< true if not all P were simulated
+    std::vector<ProcStats> perProc; //!< one per processor, unless aggregated
     /** Symmetry classes; non-empty exactly when aggregated is set. */
     std::vector<ProcClass> classes;
     /** True when this run was produced by symmetry-class aggregation:
@@ -602,9 +601,8 @@ summarize(const SimStats &s)
             os << f.str() << "\n";
         return os.str();
     }
-    os << "P = " << s.processors << (s.sampled ? " (sampled)" : "")
-       << ", parallel time " << s.parallelTime() << " us, imbalance "
-       << s.imbalance() << "\n";
+    os << "P = " << s.processors << ", parallel time " << s.parallelTime()
+       << " us, imbalance " << s.imbalance() << "\n";
     os << std::setw(5) << "proc" << std::setw(12) << "iterations"
        << std::setw(11) << "local" << std::setw(11) << "remote"
        << std::setw(8) << "blocks" << std::setw(9) << "retries"

@@ -235,7 +235,6 @@ planKey(const CanonicalForm &canonical, const numa::MachineParams &machine,
              uint64_t(opts.normalize.enforceLegality) << 2 |
              uint64_t(opts.normalize.includeInputDeps) << 3 |
              uint64_t(opts.normalize.useDistributionHint) << 4 |
-             uint64_t(opts.normalize.unimodularOnly) << 5 |
              uint64_t(opts.search.enabled) << 6);
     // Search knobs select the plan, so they select the cache entry.
     // hostThreads is deliberately absent: simulator results are

@@ -8,114 +8,28 @@
 
 namespace anc::xform {
 
-NormalizeResult
-accessNormalize(const ir::Program &prog, const NormalizeOptions &opts)
-{
-    prog.validate();
-    size_t n = prog.nest.depth();
+namespace {
 
-    NormalizeResult r;
-    r.access = buildAccessMatrix(prog, opts.useDistributionHint);
-
-    deps::DependenceInfo dinfo =
-        deps::analyzeDependences(prog, opts.includeInputDeps);
-    r.depMatrix = dinfo.matrix(n);
-    r.depsImprecise = dinfo.imprecise;
-
-    BasisResult basis = basisMatrix(r.access.matrix);
-    r.basis = basis.basis;
-    r.basisKeptRows = basis.keptRows;
-
-    if (opts.enforceLegality) {
-        r.legal = legalBasis(r.basis, r.depMatrix, &r.legalTrail);
-        r.transform =
-            opts.unimodularOnly
-                ? unimodularLegalInvertible(r.legal, r.depMatrix, n,
-                                            &r.unimodularDropped,
-                                            &r.projectionRows)
-                : legalInvertible(r.legal, r.depMatrix,
-                                  &r.projectionRows);
-        if (!deps::isLegalTransformation(r.transform, r.depMatrix))
-            throw InternalError("normalization produced illegal transform");
-        // The distance-vector algorithms above are exact when every
-        // dependence has a constant distance or a single lattice
-        // generator. For imprecise families, verify against the full
-        // solution family and fall back to the (always legal) identity
-        // if the check fails.
-        if (dinfo.imprecise &&
-            !deps::preservesLexSign(r.transform, dinfo.families)) {
-            r.transform = IntMatrix::identity(n);
-            r.conservativeFallback = true;
-            r.projectionRows = 0;
-        }
-    } else {
-        r.legal = r.basis;
-        if (opts.unimodularOnly) {
-            r.transform = IntMatrix::identity(n);
-            for (size_t keep = r.basis.rows() + 1; keep-- > 0;) {
-                IntMatrix prefix(0, n);
-                for (size_t i = 0; i < keep; ++i)
-                    prefix.appendRow(r.basis.row(i));
-                try {
-                    IntMatrix t = padToInvertible(prefix);
-                    if (isUnimodular(t)) {
-                        r.transform = t;
-                        r.unimodularDropped = r.basis.rows() - keep;
-                        break;
-                    }
-                } catch (const Error &) {
-                    // Try a shorter prefix.
-                }
-                r.unimodularDropped = r.basis.rows();
-            }
-        } else {
-            r.transform = padToInvertible(r.basis);
-        }
-    }
-
-    r.unimodular = isUnimodular(r.transform);
-
-    // Definition 4.1: loop level l normalizes access-matrix row a when
-    // row l of T equals (possibly negated, i.e. reversed) that row.
-    for (size_t l = 0; l < n; ++l) {
-        IntVec row = r.transform.row(l);
-        IntVec neg_row = row;
-        for (Int &v : neg_row)
-            v = checkedNeg(v);
-        for (size_t a = 0; a < r.access.rows.size(); ++a) {
-            if (r.access.rows[a].coeffs == row ||
-                r.access.rows[a].coeffs == neg_row) {
-                r.normalized.push_back(
-                    {l, a, r.access.rows[a].distDim});
-                ++r.rowsRetained;
-                break;
-            }
-        }
-    }
-
-    r.nest = applyTransform(prog, r.transform);
-    return r;
-}
-
+/**
+ * Banerjee's unimodular restriction of a padding step: pad the longest
+ * prefix of `rows` whose padded matrix is unimodular; when even the
+ * empty prefix fails, return the identity, which is always legal.
+ */
+template <class Pad>
 IntMatrix
-unimodularLegalInvertible(const IntMatrix &legal, const IntMatrix &deps,
-                          size_t depth, size_t *rows_dropped,
-                          size_t *projection_rows)
+unimodularPrefix(const IntMatrix &rows, size_t depth, Pad pad,
+                 size_t *dropped, size_t *projection_rows)
 {
-    if (projection_rows)
-        *projection_rows = 0;
-    for (size_t keep = legal.rows() + 1; keep-- > 0;) {
+    for (size_t keep = rows.rows() + 1; keep-- > 0;) {
         IntMatrix prefix(0, depth);
         for (size_t i = 0; i < keep; ++i)
-            prefix.appendRow(legal.row(i));
+            prefix.appendRow(rows.row(i));
         try {
             size_t proj = 0;
-            IntMatrix t = legalInvertible(prefix, deps, &proj);
+            IntMatrix t = pad(prefix, &proj);
             if (isUnimodular(t)) {
-                if (rows_dropped)
-                    *rows_dropped = legal.rows() - keep;
-                if (projection_rows)
-                    *projection_rows = proj;
+                *dropped = rows.rows() - keep;
+                *projection_rows = proj;
                 return t;
             }
         } catch (const Error &) {
@@ -123,9 +37,122 @@ unimodularLegalInvertible(const IntMatrix &legal, const IntMatrix &deps,
             // projection); a shorter prefix may still work.
         }
     }
-    if (rows_dropped)
-        *rows_dropped = legal.rows();
+    *dropped = rows.rows();
+    *projection_rows = 0;
     return IntMatrix::identity(depth);
+}
+
+} // namespace
+
+const char *
+stepName(NormalizeStep s)
+{
+    switch (s) {
+    case NormalizeStep::Basis:
+        return "basis-matrix";
+    case NormalizeStep::LegalBasis:
+        return "legal-basis";
+    case NormalizeStep::LegalInvertible:
+        return "legal-invertible";
+    case NormalizeStep::Padding:
+        return "padding";
+    case NormalizeStep::Apply:
+        return "apply-transform";
+    }
+    return "unknown";
+}
+
+NormalizeResult
+normalize(const ir::Program &prog, const AccessMatrixInfo &access,
+          const deps::DependenceInfo &dinfo, const NormalizeOptions &opts,
+          bool unimodular, const StepHook &onStep)
+{
+    auto enter = [&](NormalizeStep s) {
+        if (onStep)
+            onStep(s);
+    };
+    size_t n = prog.nest.depth();
+    NormalizeResult r;
+    r.access = access;
+    r.depMatrix = dinfo.matrix(n);
+    r.depsImprecise = dinfo.imprecise;
+
+    enter(NormalizeStep::Basis);
+    BasisResult basis = basisMatrix(r.access.matrix);
+    r.basis = basis.basis;
+    r.basisKeptRows = basis.keptRows;
+
+    if (opts.enforceLegality) {
+        enter(NormalizeStep::LegalBasis);
+        r.legal = legalBasis(r.basis, r.depMatrix, &r.legalTrail);
+        enter(NormalizeStep::LegalInvertible);
+    } else {
+        enter(NormalizeStep::Padding);
+        r.legal = r.basis;
+    }
+    auto pad = [&](const IntMatrix &rows, size_t *projection_rows) {
+        return opts.enforceLegality
+                   ? legalInvertible(rows, r.depMatrix, projection_rows)
+                   : padToInvertible(rows);
+    };
+    IntMatrix t = unimodular ? unimodularPrefix(r.legal, n, pad,
+                                                &r.unimodularDropped,
+                                                &r.projectionRows)
+                             : pad(r.legal, &r.projectionRows);
+    if (opts.enforceLegality) {
+        if (!deps::isLegalTransformation(t, r.depMatrix))
+            throw InternalError("normalization produced illegal transform");
+        // The distance-vector algorithms above are exact when every
+        // dependence has a constant distance or a single lattice
+        // generator. For imprecise families, verify against the full
+        // solution family and fall back to the (always legal) identity
+        // if the check fails.
+        if (dinfo.imprecise && !deps::preservesLexSign(t, dinfo.families)) {
+            t = IntMatrix::identity(n);
+            r.conservativeFallback = true;
+            r.projectionRows = 0;
+        }
+    }
+
+    enter(NormalizeStep::Apply);
+    adoptTransform(r, std::move(t));
+    r.nest = applyTransform(prog, r.transform);
+    return r;
+}
+
+NormalizeResult
+accessNormalize(const ir::Program &prog, const NormalizeOptions &opts)
+{
+    prog.validate();
+    AccessMatrixInfo access =
+        buildAccessMatrix(prog, opts.useDistributionHint);
+    deps::DependenceInfo dinfo =
+        deps::analyzeDependences(prog, opts.includeInputDeps);
+    return normalize(prog, access, dinfo, opts, /*unimodular=*/false);
+}
+
+void
+adoptTransform(NormalizeResult &r, IntMatrix t)
+{
+    bool unimodular = isUnimodular(t);
+    std::vector<NormalizedLoop> hits;
+    for (size_t l = 0; l < t.rows(); ++l) {
+        IntVec row = t.row(l);
+        IntVec neg_row = row;
+        for (Int &v : neg_row)
+            v = checkedNeg(v);
+        for (size_t a = 0; a < r.access.rows.size(); ++a) {
+            if (r.access.rows[a].coeffs == row ||
+                r.access.rows[a].coeffs == neg_row) {
+                hits.push_back({l, a, r.access.rows[a].distDim});
+                break;
+            }
+        }
+    }
+    r.transform = std::move(t);
+    r.unimodular = unimodular;
+    r.normalized = std::move(hits);
+    r.rowsRetained = r.normalized.size();
 }
 
 std::string

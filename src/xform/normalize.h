@@ -15,6 +15,7 @@
 #ifndef ANC_XFORM_NORMALIZE_H
 #define ANC_XFORM_NORMALIZE_H
 
+#include <functional>
 #include <optional>
 
 #include "deps/dependence.h"
@@ -36,15 +37,6 @@ struct NormalizeOptions
     /** Use the paper's Section 2.2 ordering heuristic (distribution
      * dimensions first). Disable only to ablate the heuristic. */
     bool useDistributionHint = true;
-    /**
-     * Restrict the transformation to unimodular matrices (Banerjee's
-     * special case): trailing basis rows are dropped until the padded
-     * matrix has determinant +/-1, falling back to the identity when no
-     * prefix works. Unimodular transformations need no image-lattice
-     * strides or strength-reduced division code, so this is the middle
-     * rung of core::compileResilient()'s degradation ladder.
-     */
-    bool unimodularOnly = false;
 };
 
 /** Which normalized subscript, if any, a transformed loop exposes. */
@@ -80,8 +72,8 @@ struct NormalizeResult
      * which is always legal.
      */
     bool conservativeFallback = false;
-    /** Under unimodularOnly: basis rows dropped to reach a unimodular
-     * transformation. */
+    /** Unimodular restriction only: basis rows dropped to reach a
+     * unimodular transformation. */
     size_t unimodularDropped = 0;
 
     // --- Decision trail (for obs/explain.h; always recorded, the
@@ -97,27 +89,57 @@ struct NormalizeResult
     size_t projectionRows = 0;
 };
 
+/** The steps of normalize(), in execution order. */
+enum class NormalizeStep
+{
+    Basis,           //!< BasisMatrix
+    LegalBasis,      //!< LegalBasis (legality enforced)
+    LegalInvertible, //!< LegalInvt and the exact-family check
+    Padding,         //!< plain padding (legality not enforced)
+    Apply,           //!< Definition 4.1 hits and applyTransform
+};
+
+/** Phase name of a step ("basis-matrix", "legal-basis", ...). */
+const char *stepName(NormalizeStep s);
+
+/** Called on entry to every step (phase timing, deadlines, provenance). */
+using StepHook = std::function<void(NormalizeStep)>;
+
 /**
- * Run the full pipeline on a program. The returned transformation is
- * always invertible and, unless legality enforcement was disabled,
- * respects every analyzed dependence.
+ * The normalization steps proper, on analyses the caller already ran:
+ * BasisMatrix -> LegalBasis -> LegalInvt (or plain padding when legality
+ * is not enforced) -> Definition 4.1 -> applyTransform. With
+ * `unimodular`, T is restricted to Banerjee's special case: trailing
+ * basis rows are dropped until the padded matrix has determinant +/-1,
+ * falling back to the identity when no prefix works. Unimodular
+ * transformations need no image-lattice strides or strength-reduced
+ * division code, which makes this the middle rung of
+ * core::compileResilient()'s degradation ladder.
+ */
+NormalizeResult normalize(const ir::Program &prog,
+                          const AccessMatrixInfo &access,
+                          const deps::DependenceInfo &dinfo,
+                          const NormalizeOptions &opts, bool unimodular,
+                          const StepHook &onStep = {});
+
+/**
+ * Run the full pipeline on a program: analyses, then normalize(). The
+ * returned transformation is always invertible and, unless legality
+ * enforcement was disabled, respects every analyzed dependence.
  */
 NormalizeResult accessNormalize(const ir::Program &prog,
                                 const NormalizeOptions &opts = {});
 
+/**
+ * Make `t` the result's transformation T, with its unimodularity and
+ * its Definition 4.1 hits: loop level l normalizes access-matrix row a
+ * when row l of T equals that row, possibly negated (reversed). `r` is
+ * left unchanged if this throws.
+ */
+void adoptTransform(NormalizeResult &r, IntMatrix t);
+
 /** Human-readable report of a normalization run (matrices, choices). */
 std::string describe(const NormalizeResult &r, const ir::Program &prog);
-
-/**
- * LegalInvt restricted to unimodular results: pads the longest prefix of
- * the (already legal) basis whose padded matrix is unimodular; when even
- * the empty prefix fails, returns the identity, which is always legal.
- * rows_dropped, when given, receives the number of discarded rows.
- */
-IntMatrix unimodularLegalInvertible(const IntMatrix &legal,
-                                    const IntMatrix &deps, size_t depth,
-                                    size_t *rows_dropped = nullptr,
-                                    size_t *projection_rows = nullptr);
 
 } // namespace anc::xform
 

@@ -90,7 +90,6 @@ TEST(DiagnosticsJsonTest, EverySeverityAndStageNameIsStable)
         {Stage::Plan, "codegen-planning"},
         {Stage::StrengthReduce, "strength-reduction"},
         {Stage::Emit, "emit"},
-        {Stage::DifferentialCheck, "differential-check"},
         {Stage::TranslationValidate, "translation-validate"},
         {Stage::Driver, "driver"},
     };

@@ -25,7 +25,8 @@ hasPhase(const Compilation &c, const std::string &name)
 TEST(Profile, CompileRecordsPipelinePhases)
 {
     Compilation c = compile(ir::gallery::gemm());
-    EXPECT_TRUE(hasPhase(c, "normalize"));
+    EXPECT_TRUE(hasPhase(c, "basis-matrix"));
+    EXPECT_TRUE(hasPhase(c, "apply-transform"));
     EXPECT_TRUE(hasPhase(c, "plan"));
     EXPECT_TRUE(hasPhase(c, "emit"));
     for (const obs::PhaseTime &p : c.phaseTimes)

@@ -205,8 +205,9 @@ TEST(FuzzPipeline, HundredRandomProgramsSurviveNormalization)
  * fit comfortably in 64 bits, but the legality stage's intermediate
  * products genuinely overflow (the 128-bit accumulators no longer
  * narrow back to 64 bits), so plain compile() throws and the resilient
- * driver must degrade. Trip counts stay at 2 per loop so the
- * differential interpreter check remains cheap.
+ * driver must degrade. Trip counts stay at 2 per loop so translation
+ * validation's enumeration cross-check of the degraded result remains
+ * cheap.
  */
 GenProgram
 generateOverflowing(std::mt19937 &rng)
@@ -243,9 +244,7 @@ generateOverflowing(std::mt19937 &rng)
 TEST(FuzzPipeline, LargeCoefficientProgramsDegradeGracefully)
 {
     std::mt19937 rng(20260806);
-    core::ResilientOptions ropts;
-    ropts.differentialMaxElements = 1 << 22;
-    int overflowed = 0, diff_checked = 0;
+    int overflowed = 0, validated = 0;
     for (int trial = 0; trial < 30; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         GenProgram g = generateOverflowing(rng);
@@ -263,21 +262,19 @@ TEST(FuzzPipeline, LargeCoefficientProgramsDegradeGracefully)
 
         // The resilient driver must absorb the same overflow.
         core::Compilation c;
-        ASSERT_NO_THROW(c = core::compileResilient(g.prog, ropts));
+        ASSERT_NO_THROW(c = core::compileResilient(g.prog));
         if (plain_threw) {
             EXPECT_TRUE(c.degraded());
             EXPECT_TRUE(c.diagnostics.hasWarnings());
         }
         if (c.degraded()) {
-            // The safety net ran (extents fit under the raised cap)
-            // and the degraded nest computes the right values.
-            EXPECT_TRUE(c.differentialChecked)
-                << c.diagnostics.render();
-            diff_checked += c.differentialChecked;
+            // The degraded nest is proven equivalent to the source.
+            EXPECT_TRUE(c.validated) << c.diagnostics.render();
+            validated += c.validated;
         }
     }
     EXPECT_GT(overflowed, 15);
-    EXPECT_GT(diff_checked, 15);
+    EXPECT_GT(validated, 15);
 }
 
 #ifndef ANC_CORPUS_DIR
@@ -306,10 +303,8 @@ TEST(FuzzPipeline, CorpusSeedsNeverCrashTheResilientDriver)
             ++rejected;
             continue;
         }
-        core::ResilientOptions ropts;
-        ropts.differentialMaxElements = 1 << 22;
         core::Compilation c;
-        ASSERT_NO_THROW(c = core::compileResilient(*parsed.program, ropts));
+        ASSERT_NO_THROW(c = core::compileResilient(*parsed.program));
         ++compiled;
         // Hostile seeds still explain themselves: whatever rung the
         // compile landed on, the record builds and renders.
@@ -319,12 +314,10 @@ TEST(FuzzPipeline, CorpusSeedsNeverCrashTheResilientDriver)
         EXPECT_FALSE(e.renderJson().empty());
         if (c.degraded()) {
             ++degraded;
-            // Degradation is explained, and verified or skipped with a
-            // note -- never silent.
+            // Degradation is explained and the degraded result is
+            // validated -- never silent, never unchecked.
             EXPECT_FALSE(c.diagnostics.empty());
-            EXPECT_TRUE(c.differentialChecked ||
-                        c.diagnostics.mentionsStage(
-                            core::Stage::DifferentialCheck));
+            EXPECT_TRUE(c.validated) << c.diagnostics.render();
         }
     }
     EXPECT_GE(seeds, 6u);

@@ -60,42 +60,6 @@ TEST(SimEdge, ZeroProcessorOptionRejected)
         Simulator(c.program, c.nest(), c.plan, opts), UserError);
 }
 
-TEST(SimEdge, SampleProcsOutOfRangeRejected)
-{
-    SimOptions opts;
-    opts.processors = 8;
-    opts.sampleProcs = {0, 8};
-    try {
-        opts.validate();
-        FAIL() << "out-of-range sampled processor accepted";
-    } catch (const UserError &e) {
-        // Actionable: names the bad value and the legal range.
-        EXPECT_NE(std::string(e.what()).find("8"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("[0, 8)"),
-                  std::string::npos);
-    }
-    opts.sampleProcs = {-1};
-    EXPECT_THROW(opts.validate(), UserError);
-}
-
-TEST(SimEdge, SampleProcsDuplicatesRejected)
-{
-    SimOptions opts;
-    opts.processors = 8;
-    opts.sampleProcs = {3, 1, 3};
-    try {
-        opts.validate();
-        FAIL() << "duplicate sampled processor accepted";
-    } catch (const UserError &e) {
-        EXPECT_NE(std::string(e.what()).find("3"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("more than once"),
-                  std::string::npos);
-    }
-    // Distinct entries in any order are fine.
-    opts.sampleProcs = {7, 0, 3};
-    EXPECT_NO_THROW(opts.validate());
-}
-
 TEST(SimEdge, WrongParameterArityRejected)
 {
     core::Compilation c = core::compile(ir::gallery::gemm());

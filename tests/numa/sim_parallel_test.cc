@@ -190,22 +190,6 @@ TEST(SimParallel, FastInnerMatchesOnStridedWrappedSubscripts)
     }
 }
 
-TEST(SimParallel, SampledRunsUnaffectedByThreadsAndFastInner)
-{
-    Workload w{"gemm", core::compile(ir::gallery::gemm()), {{11}, {}}};
-    SimOptions base;
-    base.processors = 8;
-    base.sampleProcs = {0, 3, 7};
-    base.hostThreads = 1;
-    base.fastInner = false;
-    SimStats naive = core::simulate(w.comp, base, w.binds);
-    SimOptions opt = base;
-    opt.hostThreads = 4;
-    opt.fastInner = true;
-    SimStats fast = core::simulate(w.comp, opt, w.binds);
-    expectIdentical(naive, fast, "sampled");
-}
-
 TEST(SimParallel, ValueExecutionStaysSerialAndCorrect)
 {
     // executeValues forces the serial path regardless of hostThreads;

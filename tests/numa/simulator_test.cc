@@ -164,40 +164,6 @@ TEST(SimValues, Syr2kParallelExecutionMatchesSequential)
     EXPECT_EQ(seq.data(0), par.data(0));
 }
 
-TEST(SimSampling, SampledRunsMatchFullRuns)
-{
-    Compilation c = compileGemm();
-    SimOptions full;
-    full.processors = 6;
-    SimStats fs = core::simulate(c, full, {{9}, {}});
-
-    SimOptions sampled = full;
-    sampled.sampleProcs = {0, 3, 5};
-    SimStats ss = core::simulate(c, sampled, {{9}, {}});
-    EXPECT_TRUE(ss.sampled);
-    EXPECT_FALSE(fs.sampled);
-    ASSERT_EQ(ss.perProc.size(), 3u);
-    // Each sampled processor's stats equal the full run's same slot.
-    for (const ProcStats &p : ss.perProc) {
-        const ProcStats &q = fs.perProc[size_t(p.proc)];
-        EXPECT_EQ(p.iterations, q.iterations);
-        EXPECT_EQ(p.remoteAccesses, q.remoteAccesses);
-        EXPECT_DOUBLE_EQ(p.time, q.time);
-    }
-}
-
-TEST(SimSampling, ValueModeRequiresAllProcessors)
-{
-    Compilation c = compileGemm();
-    SimOptions opts;
-    opts.processors = 4;
-    opts.sampleProcs = {0};
-    opts.executeValues = true;
-    ir::ArrayStorage store(c.program, {6});
-    Simulator sim(c.program, c.nest(), c.plan, opts);
-    EXPECT_THROW(sim.run({{6}, {}}, &store), UserError);
-}
-
 TEST(SimFigure1, Section2RemoteAccessCounts)
 {
     // Untransformed Figure 1(a) with the outer loop distributed:

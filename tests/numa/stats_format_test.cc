@@ -75,11 +75,9 @@ TEST(StatsFormat, GoldenSummaryWithFaults)
 
 TEST(StatsFormat, GoldenSummaryFaultFree)
 {
-    // A fault-free run: retry columns all zero, no faults line, and
-    // the "(sampled)" marker when not every processor was simulated.
+    // A fault-free run: retry columns all zero, no faults line.
     SimStats s;
     s.processors = 16;
-    s.sampled = true;
     ProcStats p;
     p.proc = 5;
     p.iterations = 64;
@@ -88,7 +86,7 @@ TEST(StatsFormat, GoldenSummaryFaultFree)
     p.time = 100.5;
     s.perProc = {p};
     const char *expected =
-        "P = 16 (sampled), parallel time 100.5 us, imbalance 1\n"
+        "P = 16, parallel time 100.5 us, imbalance 1\n"
         " proc  iterations      local     remote  blocks  retries"
         "  refetch  reasgn  syncs     time(us)\n"
         "    5          64        256          0       0        0"

@@ -292,12 +292,6 @@ TEST(Symmetry, SimOptionsValidateRejectsDegenerateConfigs)
     o = SimOptions{};
     o.maxSymmetryClasses = 0;
     EXPECT_THROW(o.validate(), UserError);
-    o = SimOptions{};
-    o.processors = 8;
-    o.sampleProcs = {0, 8}; // 8 is out of range
-    EXPECT_THROW(o.validate(), UserError);
-    o.sampleProcs = {0, 7};
-    EXPECT_NO_THROW(o.validate());
     // The simulator constructor enforces the same contract.
     o = SimOptions{};
     o.processors = 0;
@@ -327,19 +321,6 @@ TEST(Symmetry, MaterializeBudgetMessageIsActionable)
     s.materializePerProc(uint64_t(512) << 20);
     EXPECT_EQ(s.perProc.size(), size_t(Int(1) << 20));
     EXPECT_FALSE(s.aggregated);
-}
-
-TEST(Symmetry, SampledRunsNeverAggregate)
-{
-    Workload w{"gemm", core::compile(ir::gallery::gemm()), {{13}, {}}};
-    SimOptions opts;
-    opts.processors = 1024;
-    opts.symmetry = SymmetryMode::Force;
-    opts.sampleProcs = {0, 512, 1023};
-    SimStats s = core::simulate(w.comp, opts, w.binds);
-    EXPECT_FALSE(s.aggregated);
-    EXPECT_TRUE(s.sampled);
-    EXPECT_EQ(s.perProc.size(), 3u);
 }
 
 } // namespace

@@ -175,10 +175,6 @@ TEST(CanonicalTest, KeyDependsOnCompileOptions)
     core::CompileOptions validate = base;
     validate.validate = true;
     EXPECT_NE(planKey(c, m, validate), k0);
-
-    core::CompileOptions uniOnly = base;
-    uniOnly.normalize.unimodularOnly = true;
-    EXPECT_NE(planKey(c, m, uniOnly), k0);
 }
 
 TEST(CanonicalTest, KeyIgnoresObservabilityKnobs)
@@ -238,10 +234,6 @@ TEST(CanonicalTest, KeyCoversEverySemanticsAffectingOptionField)
         {"normalize.useDistributionHint",
          [](core::CompileOptions &o) {
              o.normalize.useDistributionHint = false;
-         }},
-        {"normalize.unimodularOnly",
-         [](core::CompileOptions &o) {
-             o.normalize.unimodularOnly = true;
          }},
         {"search.enabled",
          [](core::CompileOptions &o) { o.search.enabled = true; }},
