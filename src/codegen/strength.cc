@@ -47,6 +47,7 @@ runWithInduction(
     IntVec u(n, 0);
     IntVec y;
     IntVec values(plans.size(), 0);
+    xform::LoopBounds bounds(nest, params);
 
     std::function<uint64_t(size_t)> walk = [&](size_t k) -> uint64_t {
         if (k == n) {
@@ -61,8 +62,8 @@ runWithInduction(
             fn(u, values);
             return 1;
         }
-        Int lo = nest.lowerAt(k, u, params);
-        Int hi = nest.upperAt(k, u, params);
+        Int lo = bounds.lower(k, u);
+        Int hi = bounds.upper(k, u);
         if (lo > hi)
             return 0;
         Int s = nest.lattice().stride(k);

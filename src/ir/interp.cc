@@ -70,6 +70,8 @@ ArrayStorage::fillDeterministic(uint64_t seed)
 CompiledAffine
 CompiledAffine::compile(const AffineExpr &e, const IntVec &params)
 {
+    if (params.size() != e.numParams())
+        throw InternalError("affine compile: binding shape mismatch");
     // Fold parameters and the constant into one rational, then scale
     // everything by the common denominator of all terms.
     Rational cst = e.constantTerm();
@@ -88,19 +90,53 @@ CompiledAffine::compile(const AffineExpr &e, const IntVec &params)
     return s;
 }
 
+Int128
+CompiledAffine::numerator(const IntVec &u) const
+{
+    Int128 acc = cst;
+    for (size_t k = 0; k < num.size(); ++k) {
+        // A 64 x 64-bit product always fits in 128 bits; the sum of two
+        // near 2^126 does not.
+        if (__builtin_add_overflow(acc, Int128(num[k]) * Int128(u[k]), &acc))
+            throw OverflowError("affine value does not fit in 128 bits");
+    }
+    return acc;
+}
+
 Int
 CompiledAffine::eval(const IntVec &u) const
 {
-    Int128 acc = cst;
-    for (size_t k = 0; k < num.size(); ++k)
-        acc += Int128(num[k]) * Int128(u[k]);
-    Int v = narrow128(acc);
+    Int v = narrow128(numerator(u));
     if (den != 1) {
         if (v % den != 0)
             throw InternalError("subscript not integral at point");
         v /= den;
     }
     return v;
+}
+
+Int
+CompiledAffine::floorAt(const IntVec &u) const
+{
+    Int128 n = numerator(u);
+    if (den == 1)
+        return narrow128(n);
+    Int128 q = n / den; // den > 0: adjust truncation toward -inf
+    if (n % den != 0 && n < 0)
+        --q;
+    return narrow128(q);
+}
+
+Int
+CompiledAffine::ceilAt(const IntVec &u) const
+{
+    Int128 n = numerator(u);
+    if (den == 1)
+        return narrow128(n);
+    Int128 q = n / den; // den > 0: adjust truncation toward +inf
+    if (n % den != 0 && n > 0)
+        ++q;
+    return narrow128(q);
 }
 
 bool

@@ -94,8 +94,19 @@ struct CompiledAffine
     static CompiledAffine compile(const AffineExpr &e, const IntVec &params);
 
     /** Exact value at the point u; throws InternalError if the rational
-     * value is not integral there. */
+     * value is not integral there and OverflowError if it does not fit
+     * in 64 bits. */
     Int eval(const IntVec &u) const;
+
+    /** floor / ceil of the (possibly fractional) value at u: the
+     * integer forms of upper / lower loop bounds. Throw OverflowError
+     * when the result does not fit in 64 bits. */
+    Int floorAt(const IntVec &u) const;
+    Int ceilAt(const IntVec &u) const;
+
+    /** num . u + cst in 128 bits; throws OverflowError instead of
+     * wrapping when the sum leaves the 128-bit range. */
+    Int128 numerator(const IntVec &u) const;
 
     /**
      * Exact integer change in value when variable k advances by stride

@@ -28,31 +28,60 @@ struct CongruentCount
     uint64_t jLast = 0;
 };
 
+/**
+ * Congruence counting with the step delta and modulus m fixed: the
+ * extended Euclid runs once, at construction, so each count() costs a
+ * few divisions. The simulator builds one per wrapped reference, whose
+ * innermost step and processor count never change within a run.
+ */
+class CongruentStepper
+{
+  public:
+    CongruentStepper() = default;
+
+    CongruentStepper(Int delta, Int m) : m_(m), d_(euclidMod(delta, m))
+    {
+        if (d_ == 0)
+            return;
+        ExtGcd eg = extGcd(d_, m);
+        g_ = eg.g;
+        step_ = m / eg.g;
+        // (d/g) * x == 1 (mod m/g), so j0 = (need/g) * x mod step.
+        inv_ = euclidMod(eg.x, step_);
+    }
+
+    /** Number of j in [0, n) with (a + j*delta) mod m == target. */
+    CongruentCount
+    count(Int a, uint64_t n, Int target) const
+    {
+        CongruentCount out;
+        Int need = euclidMod(checkedSub(target, a), m_);
+        if (d_ == 0) {
+            if (need == 0) {
+                out.hits = n;
+                out.jLast = n - 1;
+            }
+            return out;
+        }
+        if (need % g_ != 0)
+            return out;
+        Int j0 = Int((Int128(need / g_) * Int128(inv_)) % Int128(step_));
+        if (uint64_t(j0) >= n)
+            return out;
+        out.hits = (n - 1 - uint64_t(j0)) / uint64_t(step_) + 1;
+        out.jLast = uint64_t(j0) + (out.hits - 1) * uint64_t(step_);
+        return out;
+    }
+
+  private:
+    Int m_ = 1, d_ = 0, g_ = 1, step_ = 1, inv_ = 0;
+};
+
+/** One-shot form of CongruentStepper::count. */
 inline CongruentCount
 countCongruent(Int a, Int delta, uint64_t count, Int m, Int target)
 {
-    CongruentCount out;
-    Int need = euclidMod(checkedSub(target, a), m);
-    Int d = euclidMod(delta, m);
-    if (d == 0) {
-        if (need == 0) {
-            out.hits = count;
-            out.jLast = count - 1;
-        }
-        return out;
-    }
-    ExtGcd eg = extGcd(d, m);
-    if (need % eg.g != 0)
-        return out;
-    Int step = m / eg.g;
-    // (d/g) * x == 1 (mod m/g), so j0 = (need/g) * x mod step.
-    Int inv = euclidMod(eg.x, step);
-    Int j0 = Int((Int128(need / eg.g) * Int128(inv)) % Int128(step));
-    if (uint64_t(j0) >= count)
-        return out;
-    out.hits = (count - 1 - uint64_t(j0)) / uint64_t(step) + 1;
-    out.jLast = uint64_t(j0) + (out.hits - 1) * uint64_t(step);
-    return out;
+    return CongruentStepper(delta, m).count(a, count, target);
 }
 
 } // namespace anc::numa

@@ -74,8 +74,9 @@ calibrateModel(const ir::Program &prog, const xform::TransformedNest &nest,
 
     // Outer trip count: enumerate level-0 values once.
     IntVec u(nest.depth(), 0);
-    Int lo = nest.lowerAt(0, u, binds.paramValues);
-    Int hi = nest.upperAt(0, u, binds.paramValues);
+    xform::LoopBounds bounds(nest, binds.paramValues);
+    Int lo = bounds.lower(0, u);
+    Int hi = bounds.upper(0, u);
     if (lo <= hi) {
         Int stride = nest.lattice().stride(0);
         Int start = nest.startAt(0, lo, {});

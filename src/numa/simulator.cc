@@ -75,6 +75,9 @@ struct RefEval
      * empty for replicated arrays (always local). */
     std::vector<DistSub> distSubs;
     InnerKind innerKind = InnerKind::Invariant;
+    /** Owner counting along the innermost run (Wrapped only): the
+     * first distribution subscript's step modulo the processor count. */
+    CongruentStepper stepper;
 };
 
 /** One compiled statement: reads in rhs order, then the write. */
@@ -92,6 +95,7 @@ struct Simulator::Compiled
     std::vector<StmtEval> stmts;
     std::vector<Distribution> dists;
     IntVec params;
+    xform::LoopBounds bounds; //!< the nest's bounds under params
     size_t depth = 0;
     size_t numRefs = 0;
     size_t numCoords = 0; //!< total distribution coordinates, all refs
@@ -148,8 +152,8 @@ Simulator::outerSlice(const Compiled &c, Int p) const
     OuterSlice os;
     IntVec u(c.depth, 0);
     IntVec y;
-    Int lo = nest_.lowerAt(0, u, c.params);
-    Int hi = nest_.upperAt(0, u, c.params);
+    Int lo = c.bounds.lower(0, u);
+    Int hi = c.bounds.upper(0, u);
     if (lo > hi)
         return os;
     Int s = nest_.lattice().stride(0);
@@ -239,8 +243,8 @@ Simulator::planClasses(const Compiled &c) const
     if (c.depth > 0) {
         IntVec u(c.depth, 0);
         IntVec y;
-        Int lo = nest_.lowerAt(0, u, c.params);
-        Int hi = nest_.upperAt(0, u, c.params);
+        Int lo = c.bounds.lower(0, u);
+        Int hi = c.bounds.upper(0, u);
         if (lo <= hi) {
             Int s = nest_.lattice().stride(0);
             Int base = nest_.startAt(0, lo, y);
@@ -296,7 +300,6 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     if (slice.empty || fromIdx >= toIdx || idxStep <= 0)
         return;
     size_t n = c.depth;
-    const IntVec &params = c.params;
 
     IntVec u(n, 0);
     IntVec y;
@@ -555,8 +558,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                     Int a = r.distSubs[0].sub.eval(u);
                     Int delta = r.distSubs[0].innerDelta;
                     Int procs = dist.processors();
-                    CongruentCount local =
-                        countCongruent(a, delta, count, procs, p);
+                    CongruentCount local = r.stepper.count(a, count, p);
                     uint64_t remote = count - local.hits;
                     acc.localAccesses += local.hits;
                     ref_local(r.globalIdx, local.hits);
@@ -601,9 +603,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                         for (uint64_t t = 0; t < distinct; ++t) {
                             if (q != p) {
                                 uint64_t hits =
-                                    countCongruent(a, delta, count,
-                                                   procs, q)
-                                        .hits;
+                                    r.stepper.count(a, count, q).hits;
                                 if (bulk)
                                     comm_add(q, 0, hits, hits);
                                 else if (hoisted)
@@ -705,8 +705,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
             execute_body();
             return;
         }
-        Int lo = nest_.lowerAt(k, u, params);
-        Int hi = nest_.upperAt(k, u, params);
+        Int lo = c.bounds.lower(k, u);
+        Int hi = c.bounds.upper(k, u);
         if (k == 1 && clamp1) {
             lo = std::max(lo, clamp1_lo);
             hi = std::min(hi, clamp1_hi);
@@ -856,6 +856,7 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
     Compiled c;
     c.depth = nest_.depth();
     c.params = binds.paramValues;
+    c.bounds = xform::LoopBounds(nest_, c.params);
     for (const ir::ArrayDecl &a : prog_.arrays)
         c.dists.emplace_back(a.dist, a.evalExtents(binds.paramValues),
                              opts_.processors);
@@ -921,6 +922,9 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
         if (re.innerKind == InnerKind::Wrapped && opts_.commMatrix &&
             opts_.faults.anyMessage())
             re.innerKind = InnerKind::Stepped;
+        if (re.innerKind == InnerKind::Wrapped)
+            re.stepper = CongruentStepper(re.distSubs[0].innerDelta,
+                                          dist.processors());
         return re;
     };
 

@@ -338,16 +338,32 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         ev.idx = i;
         ev.isHeuristic =
             !c.forceRoundRobin && c.transform == norm.transform;
+        // Canonical order puts a forced round-robin twin right after its
+        // planner-scheme base, which already applied and planned the
+        // same transform: reuse that nest and plan, or its rejection.
+        const bool twin = c.forceRoundRobin && i > 0 &&
+                          !ordered[i - 1].forceRoundRobin &&
+                          ordered[i - 1].transform == c.transform;
         try {
             tick(cancel);
-            ev.nest = ev.isHeuristic
-                          ? *norm.nest
-                          : applyTransform(prog, c.transform);
-            ev.plan = ev.isHeuristic
-                          ? heuristic_plan
-                          : codegen::planCodegen(prog, *ev.nest,
-                                                 norm.depMatrix,
-                                                 &norm.access);
+            if (twin && r.trail[i - 1].verdict == "rejected") {
+                t.verdict = "rejected";
+                t.detail = r.trail[i - 1].detail;
+                continue;
+            }
+            if (twin && !evals.empty() && evals.back().idx == i - 1) {
+                ev.nest = evals.back().nest;
+                ev.plan = evals.back().plan;
+            } else {
+                ev.nest = ev.isHeuristic
+                              ? *norm.nest
+                              : applyTransform(prog, c.transform);
+                ev.plan = ev.isHeuristic
+                              ? heuristic_plan
+                              : codegen::planCodegen(prog, *ev.nest,
+                                                     norm.depMatrix,
+                                                     &norm.access);
+            }
         } catch (const core::DeadlineExceeded &) {
             throw;
         } catch (const UserError &e) {

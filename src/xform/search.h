@@ -157,7 +157,10 @@ enumerateSearchCandidates(const ir::Program &prog,
  * lexicographically, then the scheme choice -- planner's before forced
  * round-robin), so any permutation of the same candidates yields a
  * byte-identical result, trail included. `heuristic_plan` must be the
- * planner's plan for norm.nest; it anchors admissibility.
+ * planner's plan for norm.nest; it anchors admissibility. Each distinct
+ * transformation is applied and planned once: a forced round-robin
+ * candidate reuses the nest and plan (or the rejection) of the
+ * planner-scheme candidate with the same transformation.
  */
 SearchResult searchOverCandidates(const ir::Program &prog,
                                   const NormalizeResult &norm,

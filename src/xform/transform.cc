@@ -1,5 +1,6 @@
 #include "xform/transform.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "ir/printer.h"
@@ -8,6 +9,53 @@
 namespace anc::xform {
 
 using ir::AffineExpr;
+
+LoopBounds::LoopBounds(const TransformedNest &nest, const IntVec &params)
+    : nest_(&nest), params_(params)
+{
+    try {
+        levels_.reserve(nest.depth());
+        for (const TransformedLoop &l : nest.loops()) {
+            Level lv;
+            for (const AffineExpr &e : l.lower)
+                lv.lower.push_back(ir::CompiledAffine::compile(e, params));
+            for (const AffineExpr &e : l.upper)
+                lv.upper.push_back(ir::CompiledAffine::compile(e, params));
+            levels_.push_back(std::move(lv));
+        }
+    } catch (const OverflowError &) {
+        rational_ = true;
+        levels_.clear();
+    }
+}
+
+Int
+LoopBounds::lower(size_t k, const IntVec &u) const
+{
+    if (rational_)
+        return nest_->lowerAt(k, u, params_);
+    const std::vector<ir::CompiledAffine> &bounds = levels_[k].lower;
+    if (bounds.empty())
+        throw InternalError("transformed loop without lower bounds");
+    Int best = bounds[0].ceilAt(u);
+    for (size_t i = 1; i < bounds.size(); ++i)
+        best = std::max(best, bounds[i].ceilAt(u));
+    return best;
+}
+
+Int
+LoopBounds::upper(size_t k, const IntVec &u) const
+{
+    if (rational_)
+        return nest_->upperAt(k, u, params_);
+    const std::vector<ir::CompiledAffine> &bounds = levels_[k].upper;
+    if (bounds.empty())
+        throw InternalError("transformed loop without upper bounds");
+    Int best = bounds[0].floorAt(u);
+    for (size_t i = 1; i < bounds.size(); ++i)
+        best = std::min(best, bounds[i].floorAt(u));
+    return best;
+}
 
 TransformedNest::TransformedNest(IntMatrix t, RatMatrix t_inv,
                                  Lattice lattice,
@@ -79,14 +127,15 @@ TransformedNest::forEachIteration(
     IntVec u(n, 0);
     IntVec y;
     y.reserve(n);
+    LoopBounds bounds(*this, params);
 
     std::function<uint64_t(size_t)> walk = [&](size_t k) -> uint64_t {
         if (k == n) {
             fn(u);
             return 1;
         }
-        Int lo = lowerAt(k, u, params);
-        Int hi = upperAt(k, u, params);
+        Int lo = bounds.lower(k, u);
+        Int hi = bounds.upper(k, u);
         if (lo > hi)
             return 0;
         Int s = lattice_.stride(k);

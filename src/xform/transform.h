@@ -36,6 +36,42 @@ struct TransformedLoop
     Int stride; //!< H[k][k]; 1 for unimodular transformations
 };
 
+class TransformedNest;
+
+/**
+ * A nest's loop bounds compiled against one parameter binding. Every
+ * lower/upper AffineExpr becomes an integer form (num . u + cst) / den
+ * (ir::CompiledAffine, the subscripts' representation), so walkers take
+ * ceil-of-max / floor-of-min bounds in checked integer arithmetic
+ * instead of exact rationals. When compiling some bound overflows, the
+ * whole nest keeps the rational TransformedNest::lowerAt/upperAt path,
+ * which gives the same answers more slowly.
+ */
+class LoopBounds
+{
+  public:
+    LoopBounds() = default;
+    LoopBounds(const TransformedNest &nest, const IntVec &params);
+
+    /** Same value as TransformedNest::lowerAt(k, u, params). */
+    Int lower(size_t k, const IntVec &u) const;
+    /** Same value as TransformedNest::upperAt(k, u, params). */
+    Int upper(size_t k, const IntVec &u) const;
+
+    /** False when the bounds fell back to rational evaluation. */
+    bool compiled() const { return nest_ && !rational_; }
+
+  private:
+    struct Level
+    {
+        std::vector<ir::CompiledAffine> lower, upper;
+    };
+    const TransformedNest *nest_ = nullptr;
+    IntVec params_;
+    bool rational_ = false;
+    std::vector<Level> levels_;
+};
+
 /** A restructured loop nest, executable and printable. */
 class TransformedNest
 {
@@ -57,10 +93,12 @@ class TransformedNest
         return paramConditions_;
     }
 
-    /** Concrete lower bound at level k (ceil of max over bounds). */
+    /** Concrete lower bound at level k (ceil of max over bounds), in
+     * exact rationals: the oracle for LoopBounds::lower. */
     Int lowerAt(size_t k, const IntVec &u, const IntVec &params) const;
 
-    /** Concrete upper bound at level k (floor of min over bounds). */
+    /** Concrete upper bound at level k (floor of min over bounds), in
+     * exact rationals: the oracle for LoopBounds::upper. */
     Int upperAt(size_t k, const IntVec &u, const IntVec &params) const;
 
     /**

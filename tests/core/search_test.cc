@@ -161,6 +161,89 @@ TEST(SearchTest, ResultIndependentOfEnumerationOrder)
     }
 }
 
+/** The trail record of one candidate, searched on its own: with no
+ * planner-scheme base before it, a forced round-robin candidate is
+ * planned from a fresh applyTransform. */
+xform::SearchScore
+scoredAlone(const ir::Program &prog, const Compilation &heur,
+            const xform::SearchCandidate &cand,
+            const xform::SearchOptions &so)
+{
+    xform::SearchResult r = xform::searchOverCandidates(
+        prog, heur.normalization, heur.plan, {cand}, so);
+    return r.trail.at(0);
+}
+
+TEST(SearchTest, RoundRobinTwinMatchesFreshPlanning)
+{
+    // A forced round-robin twin reuses its base's nest and plan; its
+    // trail record must equal the one fresh planning produces.
+    size_t twins = 0;
+    for (auto &[name, prog] : galleryKernels()) {
+        Compilation heur = compile(prog);
+        xform::SearchOptions so;
+        so.enabled = true;
+        std::vector<xform::SearchCandidate> cands =
+            xform::enumerateSearchCandidates(prog, heur.normalization, so);
+        xform::SearchResult full = xform::searchOverCandidates(
+            prog, heur.normalization, heur.plan, cands, so);
+        for (const xform::SearchCandidate &cand : cands) {
+            if (!cand.forceRoundRobin)
+                continue;
+            auto in_full = std::find_if(
+                full.trail.begin(), full.trail.end(),
+                [&](const xform::SearchScore &t) {
+                    return t.origin == cand.origin;
+                });
+            ASSERT_NE(in_full, full.trail.end()) << name << cand.origin;
+            xform::SearchScore alone = scoredAlone(prog, heur, cand, so);
+            SCOPED_TRACE(std::string(name) + ": " + cand.origin);
+            EXPECT_EQ(in_full->transform, alone.transform);
+            EXPECT_EQ(in_full->scheme, alone.scheme);
+            EXPECT_EQ(in_full->locality, alone.locality);
+            if (in_full->verdict == "pruned")
+                continue; // never simulated in the full run
+            // Admissibility details compare against the heuristic,
+            // which the lone search does not score.
+            if (in_full->verdict == "rejected" ||
+                in_full->verdict == "redundant") {
+                EXPECT_EQ(in_full->detail, alone.detail);
+            }
+            EXPECT_EQ(in_full->simTimesUs, alone.simTimesUs);
+            ++twins;
+        }
+    }
+    EXPECT_GE(twins, 20u);
+}
+
+TEST(SearchTest, TwinOfRejectedBaseIsRejectedWithTheSameDetail)
+{
+    ir::Program prog = ir::gallery::gemm();
+    Compilation heur = compile(prog);
+    xform::SearchOptions so;
+    so.enabled = true;
+    IntMatrix singular(3, 3); // all zero: applyTransform rejects it
+    std::vector<xform::SearchCandidate> cands = {
+        {heur.normalization.transform, false, "heuristic"},
+        {singular, false, "singular"},
+        {singular, true, "singular + round-robin"},
+    };
+    xform::SearchResult r = xform::searchOverCandidates(
+        prog, heur.normalization, heur.plan, cands, so);
+    ASSERT_EQ(r.trail.size(), 3u);
+    // Canonical order: the zero matrix first, base before twin.
+    const xform::SearchScore &base = r.trail[0];
+    const xform::SearchScore &twin = r.trail[1];
+    EXPECT_EQ(base.origin, "singular");
+    EXPECT_EQ(twin.origin, "singular + round-robin");
+    EXPECT_EQ(base.verdict, "rejected");
+    EXPECT_EQ(twin.verdict, "rejected");
+    EXPECT_FALSE(twin.detail.empty());
+    EXPECT_EQ(twin.detail, base.detail);
+    EXPECT_EQ(twin.detail, scoredAlone(prog, heur, cands[2], so).detail);
+    EXPECT_EQ(r.trail[2].verdict, "winner");
+}
+
 TEST(SearchTest, ResultIndependentOfHostThreadCount)
 {
     // Identical inputs produce byte-identical searched plans at any

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <random>
 
+#include "../xform/bounds_oracle.h"
 #include "core/compiler.h"
 #include "deps/dependence.h"
 #include "dsl/parser.h"
@@ -435,9 +436,12 @@ for i = 0, N-1
 
 TEST(FuzzPipeline, TimeBoxedRandomSmoke)
 {
-    // CI sets ANC_FUZZ_SECONDS for a longer soak; the default keeps
-    // local ctest fast. Interleaves well-formed, overflowing, and
-    // fault-injected compilations; nothing may escape the driver.
+    // CI sets ANC_FUZZ_SECONDS for a longer soak and a fresh
+    // ANC_FUZZ_SEED per run; the defaults keep local ctest fast and
+    // reproducible. Interleaves well-formed, overflowing, and
+    // fault-injected compilations; nothing may escape compileResilient,
+    // and every result's compiled loop bounds must match the rational
+    // ones.
     double seconds = 1.0;
     if (const char *s = std::getenv("ANC_FUZZ_SECONDS"))
         seconds = std::atof(s);
@@ -470,6 +474,11 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
             << "run " << runs << " mode " << m << " seed " << seed;
         EXPECT_EQ(e.degraded, c.degraded());
         EXPECT_FALSE(e.renderJson().empty());
+        // The walkers' integer bounds agree with the rational oracle on
+        // every transformed nest the compile produced.
+        testutil::checkBoundsAgree(c.nest(), g.params,
+                                   "run " + std::to_string(runs) +
+                                       " seed " + std::to_string(seed));
         ++runs;
     }
     EXPECT_GT(runs, 0u);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "ir/gallery.h"
 #include "ir/interp.h"
@@ -183,6 +185,51 @@ TEST(RunTest, DivisionAndSubtraction)
     run(p, {{}, {}}, store);
     for (Int i = 0; i < 4; ++i)
         EXPECT_DOUBLE_EQ(store.at(0, {i}), double(i));
+}
+
+TEST(CompiledAffineTest, FloorAndCeilOfFractionalValues)
+{
+    // (3u - 2v + 1) / 4 at a few points of both signs.
+    CompiledAffine ca;
+    ca.num = {3, -2};
+    ca.cst = 1;
+    ca.den = 4;
+    EXPECT_EQ(ca.floorAt({1, 0}), 1);  //  4/4
+    EXPECT_EQ(ca.ceilAt({1, 0}), 1);
+    EXPECT_EQ(ca.floorAt({2, 0}), 1);  //  7/4
+    EXPECT_EQ(ca.ceilAt({2, 0}), 2);
+    EXPECT_EQ(ca.floorAt({0, 2}), -1); // -3/4
+    EXPECT_EQ(ca.ceilAt({0, 2}), 0);
+    EXPECT_EQ(ca.floorAt({-3, 0}), -2); // -8/4
+    EXPECT_EQ(ca.ceilAt({-3, 0}), -2);
+}
+
+TEST(CompiledAffineTest, AdversarialCoefficientsThrowInsteadOfWrapping)
+{
+    // Two terms of 2^126 each: their sum leaves the 128-bit range, so
+    // an unchecked accumulate would wrap to a wrong value.
+    const Int big = std::numeric_limits<Int>::max();
+    const Int small = std::numeric_limits<Int>::min();
+    CompiledAffine pos;
+    pos.num = {big, big};
+    EXPECT_THROW(pos.eval({big, big}), OverflowError);
+    EXPECT_THROW(pos.floorAt({big, big}), OverflowError);
+    EXPECT_THROW(pos.ceilAt({big, big}), OverflowError);
+
+    CompiledAffine neg;
+    neg.num = {small, small};
+    EXPECT_THROW(neg.eval({small, small}), OverflowError);
+    EXPECT_THROW(neg.numerator({small, small}), OverflowError);
+
+    // Fits in 128 bits but not in 64: still an error, never a value.
+    CompiledAffine wide;
+    wide.num = {big};
+    EXPECT_THROW(wide.eval({4}), OverflowError);
+    EXPECT_THROW(wide.floorAt({4}), OverflowError);
+    // ... unless the division brings the bound back into range.
+    wide.den = 8;
+    EXPECT_EQ(wide.floorAt({4}), big / 2);
+    EXPECT_EQ(wide.ceilAt({4}), big / 2 + 1);
 }
 
 } // namespace
