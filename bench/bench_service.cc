@@ -16,12 +16,15 @@
  *     ends in exactly one verdict (crashed counts are recorded in the
  *     report and must be zero);
  *   - the cache works: the clustered stream must hit at least half the
- *     time (it resubmits each cluster many times).
+ *     time (it resubmits each cluster many times);
+ *   - validate-or-degrade: the batch serves at least one plan and
+ *     every served plan is validated.
  *
  * Output: BENCH_service.json with the batch run, the fault-sweep run,
- * and p99 request cost in deterministic steps (steps, not wall time,
- * is what tools/check_service.py gates -- wall-clock p99 is recorded
- * for information only).
+ * and p99 request cost in deterministic steps. tools/check_bench.py
+ * gates the hit rate, shed/deadline counts and p99 steps against the
+ * committed baseline's gate block; wall-clock p99 is recorded for
+ * information only.
  */
 
 #include <benchmark/benchmark.h>
@@ -176,6 +179,9 @@ printServiceBench()
             "bench_service: " + std::to_string(unvalidated) +
             " of " + std::to_string(servedPlans) +
             " served plans were not validated");
+    if (servedPlans == 0)
+        throw InternalError("bench_service: the batch served no plans, "
+                            "so the validation check is vacuous");
 
     // --- Determinism: a fresh service over the same stream must
     // reproduce verdicts, keys, and the cache journal bit for bit. ---

@@ -20,9 +20,12 @@
 #ifndef ANC_BENCH_BENCH_UTIL_H
 #define ANC_BENCH_BENCH_UTIL_H
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,13 +34,25 @@
 
 namespace anc::bench {
 
+/** Read a non-negative integer knob; unset or empty yields `fallback`.
+ * Anything else (a sign, junk, overflow) exits with status 2 and a
+ * message naming the variable rather than running a wrong size. */
 inline Int
 envInt(const char *name, Int fallback)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    return std::strtoll(v, nullptr, 10);
+    char *end = nullptr;
+    errno = 0;
+    long long n = std::strtoll(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*v)) || *end ||
+        errno == ERANGE) {
+        std::fprintf(stderr, "%s=%s: expected a non-negative integer\n",
+                     name, v);
+        std::exit(2);
+    }
+    return n;
 }
 
 inline bool
@@ -164,17 +179,16 @@ class JsonReport
         metrics_ = reg.renderJson();
     }
 
-    /** Write BENCH_<name>.json into the current directory. */
+    /** Write BENCH_<name>.json into the current directory. Exits with
+     * status 1 if the file cannot be opened, written or closed, so a
+     * gate run after the bench never reads a stale report. */
     void
     write() const
     {
         std::string path = "BENCH_" + name_ + ".json";
         std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "warning: cannot write %s\n",
-                         path.c_str());
-            return;
-        }
+        if (!f)
+            writeFailed(path);
         std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"flags\": {",
                      escape(name_).c_str());
         for (size_t i = 0; i < flags_.size(); ++i)
@@ -200,7 +214,9 @@ class JsonReport
             std::fprintf(f, "}");
         }
         std::fprintf(f, "\n  ]\n}\n");
-        std::fclose(f);
+        bool failed = std::ferror(f) != 0;
+        if (std::fclose(f) != 0 || failed)
+            writeFailed(path);
         std::printf("wrote %s (%zu runs)\n", path.c_str(), runs_.size());
     }
 
@@ -214,6 +230,14 @@ class JsonReport
         double speedup;
         std::vector<std::pair<std::string, std::string>> extra;
     };
+
+    [[noreturn]] static void
+    writeFailed(const std::string &path)
+    {
+        std::fprintf(stderr, "error: cannot write %s: %s\n", path.c_str(),
+                     std::strerror(errno));
+        std::exit(1);
+    }
 
     static std::string
     num(double v)

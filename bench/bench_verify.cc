@@ -22,8 +22,8 @@
  * production-shaped reference (symbolic over free parameters N, b).
  *
  * Output: BENCH_verify.json with per-point wall time, prover steps,
- * and verdict, gated against its committed baseline by
- * tools/check_verify.py.
+ * and verdict; tools/check_bench.py gates every point's wall time
+ * against the committed baseline's gate block.
  */
 
 #include <benchmark/benchmark.h>
@@ -148,6 +148,9 @@ printVerifySweep()
     }
 
     // The headline property: validation cost independent of trip count.
+    if (firstSteps == 0)
+        throw InternalError("bench_verify: no prover steps recorded at "
+                            "M = 10");
     if (lastSteps > uint64_t(kStepFactor * double(firstSteps)))
         throw InternalError(
             "bench_verify: prover steps are not flat in M: " +
