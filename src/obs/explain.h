@@ -77,8 +77,10 @@ struct ExplainSearchScore
     std::string origin;    //!< provenance ("heuristic", "row permutation...")
     std::string scheme;    //!< partition scheme after planning
     double locality = 0.0; //!< pruning score (lower is better)
-    std::vector<double> simTimesUs; //!< per swept machine size
-    double totalUs = -1.0;          //!< sum; -1 when not scored
+    /** Per swept machine size; for "inadmissible", up to the size it
+     * lost at (xform::SearchScore). */
+    std::vector<double> simTimesUs;
+    double totalUs = -1.0; //!< full-sweep sum; -1 when not fully scored
     /** "winner" | "scored" | "inadmissible" | "pruned" | "redundant" |
      * "rejected" | "failed-validation". */
     std::string verdict;

@@ -223,13 +223,15 @@ localityScore(const std::vector<RefStride> &strides,
 /** Per-candidate working state during evaluation. */
 struct Evaluated
 {
-    size_t idx;       //!< index into the canonical candidate list
+    size_t idx;    //!< index into the canonical candidate list
+    size_t nestOf; //!< evals index owning this candidate's nest
+    /** Set on nest owners only: bound-free until `bounded`. A forced
+     * round-robin twin shares its planner-scheme base's nest. */
     std::optional<TransformedNest> nest;
+    bool bounded = false;
     numa::ExecutionPlan plan;
     bool isHeuristic = false;
-    bool planned = false;
-    bool scoredOk = false;
-    bool admissible = false;
+    bool admissible = false; //!< full sweep, never slower than the heuristic
     double total = 0.0;
 };
 
@@ -326,7 +328,9 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         ordered.push_back(std::move(kv.second));
     r.enumerated = ordered.size();
 
-    // --- Plan every candidate and compute its locality score.
+    // --- Plan every candidate on its bound-free nest and compute its
+    // locality score: neither reads loop bounds, so Fourier-Motzkin
+    // waits until ranking says the candidate can be scored.
     std::vector<Evaluated> evals;
     r.trail.resize(ordered.size());
     for (size_t i = 0; i < ordered.size(); ++i) {
@@ -336,11 +340,12 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         t.origin = c.origin;
         Evaluated ev;
         ev.idx = i;
+        ev.nestOf = evals.size();
         ev.isHeuristic =
             !c.forceRoundRobin && c.transform == norm.transform;
         // Canonical order puts a forced round-robin twin right after its
-        // planner-scheme base, which already applied and planned the
-        // same transform: reuse that nest and plan, or its rejection.
+        // planner-scheme base, which already planned the same transform:
+        // share that nest and copy the plan, or the rejection.
         const bool twin = c.forceRoundRobin && i > 0 &&
                           !ordered[i - 1].forceRoundRobin &&
                           ordered[i - 1].transform == c.transform;
@@ -352,17 +357,16 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
                 continue;
             }
             if (twin && !evals.empty() && evals.back().idx == i - 1) {
-                ev.nest = evals.back().nest;
+                ev.nestOf = evals.back().nestOf;
                 ev.plan = evals.back().plan;
+            } else if (ev.isHeuristic) {
+                ev.nest = *norm.nest;
+                ev.bounded = true;
+                ev.plan = heuristic_plan;
             } else {
-                ev.nest = ev.isHeuristic
-                              ? *norm.nest
-                              : applyTransform(prog, c.transform);
-                ev.plan = ev.isHeuristic
-                              ? heuristic_plan
-                              : codegen::planCodegen(prog, *ev.nest,
-                                                     norm.depMatrix,
-                                                     &norm.access);
+                ev.nest = transformBody(prog, c.transform);
+                ev.plan = codegen::planCodegen(prog, *ev.nest,
+                                               norm.depMatrix, &norm.access);
             }
         } catch (const core::DeadlineExceeded &) {
             throw;
@@ -390,13 +394,17 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         const char *schemes[] = {"round-robin", "owner-wrapped",
                                  "owner-blocked", "owner-block2d"};
         t.scheme = schemes[size_t(ev.plan.scheme)];
-        t.locality = localityScore(analyzeInnerStrides(*ev.nest), ev.plan);
-        ev.planned = true;
+        const TransformedNest &nest =
+            ev.nest ? *ev.nest : *evals[ev.nestOf].nest;
+        t.locality = localityScore(analyzeInnerStrides(nest), ev.plan);
         evals.push_back(std::move(ev));
     }
 
     // --- Prune: keep the `budget` best locality scores (heuristic
-    // always survives). Stable on the canonical order.
+    // always survives). Stable on the canonical order. Bounds are
+    // solved in rank order, only for candidates that take a slot; a
+    // transform whose bounds cannot be solved is rejected, together
+    // with its twin, and the next-ranked candidate takes the slot.
     size_t budget = opts.budget > 0 ? size_t(opts.budget) : 1;
     std::vector<size_t> rank(evals.size());
     std::iota(rank.begin(), rank.end(), 0);
@@ -408,38 +416,69 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
                              return la < lb;
                          return evals[a].idx < evals[b].idx;
                      });
-    std::vector<char> keep(evals.size(), 0);
-    size_t kept = 0;
-    for (size_t k : rank) {
-        if (kept < budget || evals[k].isHeuristic) {
-            keep[k] = 1;
-            ++kept;
+    auto rejectTransform = [&](size_t owner, const std::string &detail) {
+        // The owner's trail record, then its twin's, which follows it
+        // in canonical order (scheduled or redundant alike): both read
+        // as if applyTransform had failed before planning.
+        size_t i = evals[owner].idx;
+        for (size_t j = i; j < ordered.size() && j <= i + 1; ++j) {
+            if (j > i && ordered[j].transform != ordered[i].transform)
+                break;
+            SearchScore &t = r.trail[j];
+            t.scheme.clear();
+            t.locality = 0.0;
+            t.verdict = "rejected";
+            t.detail = detail;
         }
-    }
-    for (size_t k = 0; k < evals.size(); ++k)
-        if (!keep[k]) {
-            SearchScore &t = r.trail[evals[k].idx];
+    };
+    std::vector<size_t> kept;
+    for (size_t k : rank) {
+        Evaluated &ev = evals[k];
+        SearchScore &t = r.trail[ev.idx];
+        if (!t.verdict.empty())
+            continue; // its twin's bounds solve already failed
+        if (kept.size() >= budget && !ev.isHeuristic) {
             t.verdict = "pruned";
             t.detail = "locality score outside the top " +
                        std::to_string(budget);
             ++r.pruned;
+            continue;
         }
-    std::vector<Evaluated> survivors;
-    survivors.reserve(kept);
-    for (size_t k = 0; k < evals.size(); ++k)
-        if (keep[k])
-            survivors.push_back(std::move(evals[k]));
-    evals = std::move(survivors);
+        Evaluated &owner = evals[ev.nestOf];
+        if (!owner.bounded) {
+            try {
+                owner.nest = solveBounds(prog, std::move(*owner.nest));
+                owner.bounded = true;
+            } catch (const core::DeadlineExceeded &) {
+                throw;
+            } catch (const UserError &e) {
+                rejectTransform(ev.nestOf,
+                                std::string("transform not applicable: ") +
+                                    e.what());
+                continue;
+            } catch (const Error &e) {
+                rejectTransform(ev.nestOf, e.what());
+                continue;
+            }
+        }
+        kept.push_back(k);
+    }
+    std::sort(kept.begin(), kept.end()); // back to canonical order
 
-    // --- Score the survivors with the symmetry-aggregated simulator.
+    // --- Score the survivors with the symmetry-aggregated simulator,
+    // the heuristic first over the whole sweep. Every other survivor
+    // stops at the first swept size where it is slower than the
+    // heuristic: admissibility needs it to win or tie at every size,
+    // so the remaining sizes cannot change the result.
     ir::Bindings binds{IntVec(prog.params.size(), opts.paramValue),
                        std::vector<double>(prog.scalars.size(), 1.0)};
-    const Evaluated *heur = nullptr;
-    for (Evaluated &ev : evals) {
+    const std::vector<double> *heurTimes = nullptr;
+    auto score = [&](Evaluated &ev) {
         SearchScore &t = r.trail[ev.idx];
+        const TransformedNest &nest = *evals[ev.nestOf].nest;
         t.simTimesUs.clear();
-        bool failed = false;
-        for (Int p : opts.processorSweep) {
+        for (size_t j = 0; j < opts.processorSweep.size(); ++j) {
+            Int p = opts.processorSweep[j];
             tick(cancel); // small step budget per simulated run
             numa::SimOptions sopts;
             sopts.processors = p;
@@ -447,70 +486,63 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             sopts.symmetry = numa::SymmetryMode::Auto;
             sopts.hostThreads = opts.hostThreads;
             try {
-                numa::Simulator sim(prog, *ev.nest, ev.plan, sopts);
-                t.simTimesUs.push_back(
-                    sim.run(binds).parallelTime());
+                numa::Simulator sim(prog, nest, ev.plan, sopts);
+                t.simTimesUs.push_back(sim.run(binds).parallelTime());
             } catch (const core::DeadlineExceeded &) {
                 throw;
             } catch (const UserError &e) {
                 t.verdict = "rejected";
                 t.detail = std::string("not simulable: ") + e.what();
-                failed = true;
-                break;
+                t.simTimesUs.clear();
+                return;
             } catch (const Error &e) {
                 t.verdict = "rejected";
                 t.detail = std::string("simulation failed: ") + e.what();
-                failed = true;
-                break;
+                t.simTimesUs.clear();
+                return;
+            }
+            if (heurTimes && t.simTimesUs[j] > (*heurTimes)[j]) {
+                t.verdict = "inadmissible";
+                t.detail = "slower than the heuristic at P=" +
+                           std::to_string(p);
+                ++r.scored;
+                return;
             }
         }
-        if (failed) {
-            t.simTimesUs.clear();
-            continue;
-        }
-        ev.scoredOk = true;
+        ev.admissible = true; // meaningful once a heuristic anchors it
         ++r.scored;
         t.totalUs = 0.0;
         for (double v : t.simTimesUs)
             t.totalUs += v;
         ev.total = t.totalUs;
-        if (ev.isHeuristic)
-            heur = &ev;
-    }
-    if (!heur) {
-        // The heuristic itself failed to score: nothing to anchor
-        // admissibility, return it unchanged.
-        for (SearchScore &t : r.trail)
-            if (t.verdict.empty())
-                t.verdict = "scored";
-        return r;
-    }
-    r.heuristicTimesUs = r.trail[heur->idx].simTimesUs;
-
-    // --- Admissibility: beat-or-tie the heuristic at EVERY swept size.
-    for (Evaluated &ev : evals) {
-        if (!ev.scoredOk)
-            continue;
-        SearchScore &t = r.trail[ev.idx];
-        ev.admissible = true;
-        for (size_t j = 0; j < t.simTimesUs.size(); ++j)
-            if (t.simTimesUs[j] > r.heuristicTimesUs[j]) {
-                ev.admissible = false;
-                break;
+    };
+    Evaluated *heur = nullptr;
+    for (size_t k : kept)
+        if (evals[k].isHeuristic) {
+            score(evals[k]);
+            if (evals[k].admissible) {
+                heur = &evals[k];
+                heurTimes = &r.trail[heur->idx].simTimesUs;
             }
-        t.verdict = ev.admissible ? "scored" : "inadmissible";
-        if (!ev.admissible)
-            t.detail = "slower than the heuristic at some swept size";
-    }
+        }
+    for (size_t k : kept)
+        if (!evals[k].isHeuristic)
+            score(evals[k]);
+    for (size_t k : kept)
+        if (r.trail[evals[k].idx].verdict.empty())
+            r.trail[evals[k].idx].verdict = "scored";
+    if (!heur)
+        return r; // nothing anchors admissibility: heuristic unchanged
+    r.heuristicTimesUs = *heurTimes;
 
     // --- Select: minimum total among admissible candidates; ties go to
     // the earliest canonical key. Validate any non-heuristic winner
     // symbolically; a validation failure discards it and the next-best
     // admissible candidate is tried.
     std::vector<Evaluated *> order;
-    for (Evaluated &ev : evals)
-        if (ev.admissible)
-            order.push_back(&ev);
+    for (size_t k : kept)
+        if (evals[k].admissible)
+            order.push_back(&evals[k]);
     std::stable_sort(order.begin(), order.end(),
                      [](const Evaluated *a, const Evaluated *b) {
                          if (a->total != b->total)
@@ -523,6 +555,7 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
                      });
     for (Evaluated *ev : order) {
         SearchScore &t = r.trail[ev->idx];
+        std::optional<TransformedNest> &nest = evals[ev->nestOf].nest;
         bool tie = false;
         for (const Evaluated *other : order)
             if (other != ev && other->total == ev->total)
@@ -531,7 +564,7 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             verify::ValidateOptions vopts;
             vopts.cancel = cancel;
             verify::ValidationReport report = verify::validate(
-                prog, *ev->nest, norm.depMatrix, vopts);
+                prog, *nest, norm.depMatrix, vopts);
             if (!report.passed()) {
                 t.verdict = "failed-validation";
                 t.detail = report.firstFailure();
@@ -552,7 +585,7 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
         r.improved = !ev->isHeuristic && ev->total < heur->total;
         if (!ev->isHeuristic) {
             r.transform = ordered[ev->idx].transform;
-            r.nest = std::move(ev->nest);
+            r.nest = std::move(nest);
             r.plan = std::move(ev->plan);
         }
         return r;

@@ -15,17 +15,26 @@
  *      variant);
  *   2. sort the deduplicated set by a documented canonical key so the
  *      outcome is independent of enumeration order;
- *   3. prune with a cheap stride/locality score from
+ *   3. plan every candidate on its bound-free nest (transformBody) and
+ *      prune with a cheap stride/locality score from
  *      analyzeInnerStrides, keeping the best `budget` candidates (the
- *      heuristic always survives);
- *   4. score each survivor by simulating it at every machine size in
- *      the processor sweep (SimOptions::symmetry = Auto), charging one
- *      deadline step per simulated run;
+ *      heuristic always survives, on top of them if it ranks outside).
+ *      Loop bounds are solved by Fourier-Motzkin (solveBounds) only for
+ *      candidates that take a slot, in rank order; one whose bounds
+ *      cannot be solved is rejected and the next-ranked candidate
+ *      takes its slot;
+ *   4. score the heuristic by simulating it at every machine size in
+ *      the processor sweep (SimOptions::symmetry = Auto), then every
+ *      other survivor size by size, stopping at the first size where it
+ *      is slower than the heuristic (it can no longer be admissible);
+ *      one deadline step is charged per simulated run;
  *   5. select the admissible candidate -- one whose simulated time is
  *      <= the heuristic's at EVERY swept size, so the searched plan is
  *      never worse than the heuristic anywhere it was measured -- with
  *      the minimum total time; on ties the heuristic is preferred (a
- *      tie is no improvement), then the smallest canonical key wins;
+ *      tie is no improvement), then the smallest canonical key wins.
+ *      When the heuristic itself cannot be scored, every survivor is
+ *      scored over the whole sweep and the heuristic plan stands;
  *   6. symbolically validate any winner that differs from the heuristic
  *      (verify::validate) before it is returned; a winner that fails
  *      validation is discarded and the next-best admissible candidate
@@ -56,8 +65,11 @@ struct SearchOptions
 {
     /** Master switch (CompileOptions::search.enabled; ancc --search). */
     bool enabled = false;
-    /** Maximum candidates scored by the simulator; the rest are pruned
-     * by the locality score. The heuristic is always scored. */
+    /** Scoring slots: the `budget` best locality scores among the
+     * candidates whose loop bounds solve are scored by the simulator,
+     * the rest are pruned. The heuristic is always scored, on top of
+     * the `budget` slots when it ranks outside them, so up to
+     * budget + 1 candidates reach the simulator. */
     Int budget = 24;
     /** Simulated machine sizes every survivor is scored at. A candidate
      * is admissible only when it beats-or-ties the heuristic at every
@@ -99,15 +111,21 @@ struct SearchScore
     std::string scheme; //!< partition scheme after planning ("" if none)
     /** Cheap stride/locality score used for pruning (lower is better). */
     double locality = 0.0;
-    /** Simulated parallel time per swept machine size (empty when the
-     * candidate was pruned or rejected before scoring). */
+    /** Simulated parallel time per swept machine size, in sweep order.
+     * Full for "winner", "scored" and "failed-validation"; for
+     * "inadmissible", the prefix up to and including the first size
+     * where the candidate was slower than the heuristic; empty when
+     * the candidate was pruned or rejected before scoring. */
     std::vector<double> simTimesUs;
-    /** Sum of simTimesUs; -1 when not scored. */
+    /** Sum of simTimesUs over the whole sweep; -1 when the candidate
+     * was not scored over the whole sweep (including "inadmissible"). */
     double totalUs = -1.0;
     /** "winner" | "scored" | "inadmissible" | "pruned" | "redundant" |
      * "rejected" | "failed-validation". */
     std::string verdict;
-    std::string detail; //!< why, when there is something to say
+    /** Why, when there is something to say: an "inadmissible" detail
+     * names the swept size P it lost at. */
+    std::string detail;
 };
 
 /** Everything one search run decided, plus the winning artifacts. */
@@ -119,7 +137,8 @@ struct SearchResult
      * (when false, the heuristic plan is returned unchanged). */
     bool improved = false;
     uint64_t enumerated = 0; //!< unique candidates after dedup
-    uint64_t scored = 0;     //!< candidates the simulator ran
+    uint64_t scored = 0;     //!< candidates the simulator ran (fully or
+                             //!< up to the size they lost at)
     uint64_t pruned = 0;     //!< dropped by the locality pre-filter
     std::vector<Int> processorSweep; //!< copy of the swept sizes
     std::vector<double> heuristicTimesUs; //!< heuristic per swept size
@@ -158,9 +177,10 @@ enumerateSearchCandidates(const ir::Program &prog,
  * round-robin), so any permutation of the same candidates yields a
  * byte-identical result, trail included. `heuristic_plan` must be the
  * planner's plan for norm.nest; it anchors admissibility. Each distinct
- * transformation is applied and planned once: a forced round-robin
- * candidate reuses the nest and plan (or the rejection) of the
- * planner-scheme candidate with the same transformation.
+ * transformation is rewritten and planned once, and its bounds solved
+ * at most once: a forced round-robin candidate shares the nest and plan
+ * (or the rejection) of the planner-scheme candidate with the same
+ * transformation.
  */
 SearchResult searchOverCandidates(const ir::Program &prog,
                                   const NormalizeResult &norm,

@@ -173,31 +173,20 @@ newLoopVarName(size_t k)
 }
 
 TransformedNest
-applyTransform(const ir::Program &prog, const IntMatrix &t)
+transformBody(const ir::Program &prog, const IntMatrix &t)
 {
     size_t n = prog.nest.depth();
-    size_t p = prog.params.size();
     if (!t.isSquare() || t.rows() != n)
         throw InternalError("transformation has wrong shape");
     auto t_inv = tryInverse(toRational(t));
     if (!t_inv)
         throw MathError("transformation matrix is singular");
 
-    // Constraints over the new space: substitute x = T^{-1} u.
-    std::vector<ir::LinearConstraint> cons;
-    for (const ir::LinearConstraint &c : prog.nest.constraints(p)) {
-        AffineExpr e = c.toAffine().composeWithVarMap(*t_inv);
-        cons.push_back(ir::LinearConstraint::fromAffine(e));
-    }
-    FMBounds fm = fourierMotzkin(cons, n, p);
-
     Lattice lattice(t);
 
     std::vector<TransformedLoop> loops(n);
     for (size_t k = 0; k < n; ++k) {
         loops[k].var = newLoopVarName(k);
-        loops[k].lower = fm.lower[k];
-        loops[k].upper = fm.upper[k];
         loops[k].stride = lattice.stride(k);
     }
 
@@ -209,7 +198,34 @@ applyTransform(const ir::Program &prog, const IntMatrix &t)
     }
 
     return TransformedNest(t, *t_inv, std::move(lattice), std::move(loops),
-                           std::move(body), fm.paramConditions);
+                           std::move(body), {});
+}
+
+TransformedNest
+solveBounds(const ir::Program &prog, TransformedNest nest)
+{
+    size_t p = prog.params.size();
+
+    // Constraints over the new space: substitute x = T^{-1} u.
+    std::vector<ir::LinearConstraint> cons;
+    for (const ir::LinearConstraint &c : prog.nest.constraints(p)) {
+        AffineExpr e = c.toAffine().composeWithVarMap(nest.tInv_);
+        cons.push_back(ir::LinearConstraint::fromAffine(e));
+    }
+    FMBounds fm = fourierMotzkin(cons, nest.depth(), p);
+
+    for (size_t k = 0; k < nest.depth(); ++k) {
+        nest.loops_[k].lower = std::move(fm.lower[k]);
+        nest.loops_[k].upper = std::move(fm.upper[k]);
+    }
+    nest.paramConditions_ = std::move(fm.paramConditions);
+    return nest;
+}
+
+TransformedNest
+applyTransform(const ir::Program &prog, const IntMatrix &t)
+{
+    return solveBounds(prog, transformBody(prog, t));
 }
 
 std::string

@@ -129,6 +129,9 @@ class TransformedNest
                  const ir::TraceFn &trace = nullptr) const;
 
   private:
+    friend TransformedNest solveBounds(const ir::Program &prog,
+                                       TransformedNest nest);
+
     IntMatrix t_;
     RatMatrix tInv_;
     Lattice lattice_;
@@ -138,7 +141,26 @@ class TransformedNest
 };
 
 /**
- * Apply the invertible transformation t to the program's nest.
+ * The bound-free part of applyTransform: the inverse, the image lattice
+ * and the body rewritten through x = T^{-1} u. Every loop has its name
+ * and stride but no bounds, and there are no parameter conditions. The
+ * planner and the stride analysis read nothing else, so the plan search
+ * ranks candidates on this nest before paying for Fourier-Motzkin.
+ * Throws MathError if t is singular.
+ */
+TransformedNest transformBody(const ir::Program &prog, const IntMatrix &t);
+
+/**
+ * The bounds part of applyTransform: substitute the source constraints
+ * through the nest's inverse and solve them by Fourier-Motzkin, filling
+ * every loop's lower/upper bounds and the parameter conditions of a
+ * transformBody nest. Throws UserError if the space is unbounded.
+ */
+TransformedNest solveBounds(const ir::Program &prog, TransformedNest nest);
+
+/**
+ * Apply the invertible transformation t to the program's nest:
+ * solveBounds(prog, transformBody(prog, t)).
  * Throws MathError if t is singular and UserError if the space is
  * unbounded.
  */

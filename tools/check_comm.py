@@ -24,10 +24,26 @@ order, verdicts and schemes from the fixed vocabularies, access rows
 numbered 0..n-1 before any synthesized rows, and per-reference scores
 with non-empty names and verdicts.
 
+A plan-search trail must keep the search's scoring contract:
+
+  * every verdict comes from the search vocabulary;
+  * "winner", "scored" and "failed-validation" entries carry a time for
+    every swept size, and "totalUs" is their sum;
+  * "inadmissible" entries stopped scoring at the first size where they
+    were slower than the heuristic: their times are <= the heuristic's
+    at every index but the last, strictly above it at the last, and
+    "totalUs" is -1;
+  * "pruned", "redundant" and "rejected" entries have no times and a
+    "totalUs" of -1;
+  * "scored" counts the entries that reached the simulator (winner,
+    scored, inadmissible, failed-validation) and "pruned" the pruned
+    ones.
+
 Exit status: 0 when every file passes, 1 otherwise.
 """
 
 import json
+import math
 import sys
 
 COUNTERS = ("remoteElements", "blockTransfers", "blockElements")
@@ -42,6 +58,9 @@ PLAN_KEYS = ["scheme", "rationale", "tieBreak", "outerParallel",
 SEARCH_KEYS = ["ran", "improved", "enumerated", "scored", "pruned",
                "processorSweep", "heuristicTimesUs", "winnerTimesUs",
                "winnerOrigin", "tieBreak", "trail"]
+FULL_SWEEP = {"winner", "scored", "failed-validation"}
+UNSCORED = {"pruned", "redundant", "rejected"}
+SEARCH_VERDICTS = FULL_SWEEP | UNSCORED | {"inadmissible"}
 
 
 def is_count(v):
@@ -167,6 +186,51 @@ def check_comm(doc, errors):
     return len(runs)
 
 
+def check_trail(search, errors):
+    sweep = search["processorSweep"]
+    heur = search["heuristicTimesUs"]
+    counts = dict.fromkeys(SEARCH_VERDICTS, 0)
+    for t in search["trail"]:
+        def bad(msg):
+            errors.append("search trail: %s: %r" % (msg, t))
+
+        verdict = t.get("verdict") if isinstance(t, dict) else None
+        if verdict not in SEARCH_VERDICTS:
+            bad("unknown verdict")
+            continue
+        counts[verdict] += 1
+        times, total = t.get("simTimesUs"), t.get("totalUs")
+        if not isinstance(times, list) or \
+                not isinstance(total, (int, float)):
+            bad("simTimesUs/totalUs missing")
+            continue
+        if verdict in FULL_SWEEP:
+            if len(times) != len(sweep):
+                bad("scored without a time for every swept size")
+            # Rendered with 9 significant digits: compare to that.
+            elif not math.isclose(total, sum(times), rel_tol=1e-8):
+                bad("totalUs is not the sum of simTimesUs")
+        elif verdict == "inadmissible":
+            n = len(times)
+            if not 1 <= n <= len(heur):
+                bad("inadmissible times are not a prefix of the sweep")
+            elif any(times[j] > heur[j] for j in range(n - 1)) or \
+                    not times[-1] > heur[n - 1]:
+                bad("scoring did not stop at the first size slower "
+                    "than the heuristic")
+            if total != -1:
+                bad("inadmissible totalUs is not -1")
+        elif times or total != -1:
+            bad("unscored entry with times")
+    reached = sum(counts[v] for v in FULL_SWEEP) + counts["inadmissible"]
+    if reached != search["scored"]:
+        errors.append("search.scored %r but %d trail entries were scored"
+                      % (search["scored"], reached))
+    if counts["pruned"] != search["pruned"]:
+        errors.append("search.pruned %r but %d trail entries are pruned"
+                      % (search["pruned"], counts["pruned"]))
+
+
 def check_explain(doc, raw, errors):
     pos = 0
     for key in EXPLAIN_KEYS:
@@ -192,6 +256,8 @@ def check_explain(doc, raw, errors):
             errors.append("search.ran/improved are not bools")
         if not isinstance(search["trail"], list):
             errors.append("search.trail is not a list")
+        else:
+            check_trail(search, errors)
     for key in ("degraded", "partial", "unimodular"):
         if not isinstance(doc.get(key), bool):
             errors.append("%s is not a bool" % key)
