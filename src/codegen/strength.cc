@@ -47,14 +47,16 @@ runWithInduction(
     IntVec u(n, 0);
     IntVec y;
     IntVec values(plans.size(), 0);
-    xform::LoopBounds bounds(nest, params);
+    ir::LoopBounds bounds(nest.loops(), params);
+    std::vector<ir::CompiledAffine> direct;
+    for (const InductionPlan &p : plans)
+        direct.push_back(ir::CompiledAffine::compile(p.expr, params));
 
     std::function<uint64_t(size_t)> walk = [&](size_t k) -> uint64_t {
         if (k == n) {
             // Verify every induction value against direct evaluation.
             for (size_t i = 0; i < plans.size(); ++i) {
-                Int direct = plans[i].expr.evaluateInt(u, params);
-                if (values[i] != direct)
+                if (values[i] != direct[i].eval(u))
                     throw InternalError(
                         "strength reduction diverged from direct "
                         "evaluation");
@@ -79,7 +81,7 @@ runWithInduction(
                 if (plans[i].level != k)
                     continue;
                 if (first)
-                    values[i] = plans[i].expr.evaluateInt(u, params);
+                    values[i] = direct[i].eval(u);
                 else
                     values[i] =
                         checkedAdd(values[i], plans[i].increment);

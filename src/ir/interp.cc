@@ -1,6 +1,9 @@
 #include "ir/interp.h"
 
+#include <algorithm>
+
 #include "ratmath/int_util.h"
+#include "ratmath/rational.h"
 
 namespace anc::ir {
 
@@ -67,26 +70,33 @@ ArrayStorage::fillDeterministic(uint64_t seed)
     }
 }
 
+
 CompiledAffine
 CompiledAffine::compile(const AffineExpr &e, const IntVec &params)
 {
     if (params.size() != e.numParams())
         throw InternalError("affine compile: binding shape mismatch");
-    // Fold parameters and the constant into one rational, then scale
-    // everything by the common denominator of all terms.
-    Rational cst = e.constantTerm();
-    for (size_t q = 0; q < e.numParams(); ++q)
-        if (!e.paramCoeff(q).isZero())
-            cst += e.paramCoeff(q) * Rational(params[q]);
-    Int den = cst.den();
-    for (size_t k = 0; k < e.numVars(); ++k)
-        den = lcmInt(den, e.varCoeff(k).den());
+    // Scale every term by the common denominator, then fold the
+    // parameters and the constant into one 128-bit integer.
+    Int den = e.constantTerm().den();
+    for (const Rational &c : e.varCoeffs())
+        den = lcmInt(den, c.den());
+    for (const Rational &c : e.paramCoeffs())
+        den = lcmInt(den, c.den());
+    auto scaled = [den](const Rational &c) {
+        return checkedMul(c.num(), den / c.den());
+    };
     CompiledAffine s;
     s.den = den;
-    s.num.resize(e.numVars());
-    for (size_t k = 0; k < e.numVars(); ++k)
-        s.num[k] = (e.varCoeff(k) * Rational(den)).asInteger();
-    s.cst = (cst * Rational(den)).asInteger();
+    s.num.reserve(e.numVars());
+    for (const Rational &c : e.varCoeffs())
+        s.num.push_back(scaled(c));
+    s.cst = scaled(e.constantTerm());
+    for (size_t q = 0; q < e.numParams(); ++q) {
+        Int128 term = Int128(scaled(e.paramCoeff(q))) * Int128(params[q]);
+        if (__builtin_add_overflow(s.cst, term, &s.cst))
+            throw OverflowError("affine value does not fit in 128 bits");
+    }
     return s;
 }
 
@@ -106,13 +116,19 @@ CompiledAffine::numerator(const IntVec &u) const
 Int
 CompiledAffine::eval(const IntVec &u) const
 {
-    Int v = narrow128(numerator(u));
+    Int128 n = numerator(u);
     if (den != 1) {
-        if (v % den != 0)
-            throw InternalError("subscript not integral at point");
-        v /= den;
+        Int rem = Int(n % den);
+        if (rem != 0) {
+            // The exact-rational evaluator's error, on the reduced
+            // fraction: gcd(n, den) == gcd(n mod den, den).
+            Int g = gcdInt(rem, den);
+            throw InternalError("asInteger on non-integer rational " +
+                                Rational(narrow128(n / g), den / g).str());
+        }
+        n /= den;
     }
-    return v;
+    return narrow128(n);
 }
 
 Int
@@ -153,123 +169,210 @@ CompiledAffine::stepDelta(size_t k, Int stride, Int *delta) const
     return true;
 }
 
-Int
-loopLowerBound(const Loop &l, const IntVec &vars, const IntVec &params)
+void
+LoopBounds::addLevel(const std::vector<AffineExpr> &lower,
+                     const std::vector<AffineExpr> &upper,
+                     const IntVec &params)
 {
-    bool first = true;
-    Int best = 0;
-    for (const AffineExpr &e : l.lower) {
-        Int v = e.evaluate(vars, params).ceil();
-        if (first || v > best)
-            best = v;
-        first = false;
-    }
-    if (first)
+    Level lv;
+    lv.lower.reserve(lower.size());
+    lv.upper.reserve(upper.size());
+    for (const AffineExpr &e : lower)
+        lv.lower.push_back(CompiledAffine::compile(e, params));
+    for (const AffineExpr &e : upper)
+        lv.upper.push_back(CompiledAffine::compile(e, params));
+    levels_.push_back(std::move(lv));
+}
+
+Int
+LoopBounds::lower(size_t k, const IntVec &u) const
+{
+    const std::vector<CompiledAffine> &bounds = levels_[k].lower;
+    if (bounds.empty())
         throw InternalError("loop without lower bounds");
+    Int best = bounds[0].ceilAt(u);
+    for (size_t i = 1; i < bounds.size(); ++i)
+        best = std::max(best, bounds[i].ceilAt(u));
     return best;
 }
 
 Int
-loopUpperBound(const Loop &l, const IntVec &vars, const IntVec &params)
+LoopBounds::upper(size_t k, const IntVec &u) const
 {
-    bool first = true;
-    Int best = 0;
-    for (const AffineExpr &e : l.upper) {
-        Int v = e.evaluate(vars, params).floor();
-        if (first || v < best)
-            best = v;
-        first = false;
-    }
-    if (first)
+    const std::vector<CompiledAffine> &bounds = levels_[k].upper;
+    if (bounds.empty())
         throw InternalError("loop without upper bounds");
+    Int best = bounds[0].floorAt(u);
+    for (size_t i = 1; i < bounds.size(); ++i)
+        best = std::min(best, bounds[i].floorAt(u));
     return best;
 }
 
 namespace {
 
-uint64_t
-walk(const LoopNest &nest, const IntVec &params, IntVec &vars, size_t level,
-     const std::function<void(const IntVec &)> &fn)
+/** Add the points at and below level k to count, stopping once it
+ * passes limit; the innermost level adds its trip count at once. */
+void
+countSource(const LoopBounds &b, IntVec &v, size_t k, uint64_t limit,
+            uint64_t &count)
 {
-    if (level == nest.depth()) {
-        fn(vars);
-        return 1;
+    Int lo = b.lower(k, v);
+    Int hi = b.upper(k, v);
+    if (lo > hi)
+        return;
+    if (k + 1 == v.size()) {
+        Int128 span = Int128(hi) - lo + 1;
+        uint64_t room = limit - count;
+        count += span > Int128(room) ? room + 1 : uint64_t(span);
+        return;
     }
-    const Loop &l = nest.loops()[level];
-    Int lo = loopLowerBound(l, vars, params);
-    Int hi = loopUpperBound(l, vars, params);
-    uint64_t count = 0;
-    for (Int i = lo; i <= hi; ++i) {
-        vars[level] = i;
-        count += walk(nest, params, vars, level + 1, fn);
+    for (Int i = lo; i <= hi && count <= limit; ++i) {
+        v[k] = i;
+        countSource(b, v, k + 1, limit, count);
     }
-    vars[level] = 0;
-    return count;
+    v[k] = 0;
 }
 
 } // namespace
 
 uint64_t
-forEachIteration(const LoopNest &nest, const IntVec &params,
-                 const std::function<void(const IntVec &)> &fn)
+countIterations(const LoopNest &nest, const IntVec &params, uint64_t limit)
 {
+    if (nest.depth() == 0)
+        return 1;
+    LoopBounds bounds(nest.loops(), params);
     IntVec vars(nest.depth(), 0);
-    return walk(nest, params, vars, 0, fn);
+    uint64_t count = 0;
+    countSource(bounds, vars, 0, limit, count);
+    return count;
 }
 
-double
-evalExpr(const Expr &e, const IntVec &vars, const Bindings &binds,
-         const ArrayStorage &store, const TraceFn &trace)
+CompiledBody::CompiledBody(const std::vector<Statement> &body, size_t depth,
+                           const Bindings &binds)
+    : scalars_(binds.scalarValues)
+{
+    for (const Statement &s : body) {
+        compileExpr(s.rhs, depth, binds.paramValues);
+        Ref lhs = compileRef(s.lhs, depth, binds.paramValues);
+        stmts_.push_back({code_.size(), lhs});
+    }
+}
+
+size_t
+CompiledBody::compileForm(const AffineExpr &e, size_t depth,
+                          const IntVec &params)
+{
+    if (e.numVars() != depth)
+        throw InternalError("affine evaluate: binding shape mismatch");
+    forms_.push_back(CompiledAffine::compile(e, params));
+    return forms_.size() - 1;
+}
+
+CompiledBody::Ref
+CompiledBody::compileRef(const ArrayRef &r, size_t depth,
+                         const IntVec &params)
+{
+    Ref out{r.arrayId, forms_.size(), r.subscripts.size()};
+    for (const AffineExpr &s : r.subscripts)
+        compileForm(s, depth, params);
+    return out;
+}
+
+void
+CompiledBody::compileExpr(const Expr &e, size_t depth, const IntVec &params)
 {
     switch (e.kind) {
       case Expr::Kind::Number:
-        return e.number;
+        code_.push_back({Op::Number, 0, e.number});
+        return;
       case Expr::Kind::Scalar:
-        return binds.scalarValues.at(e.scalarId);
+        code_.push_back({Op::Scalar, e.scalarId});
+        return;
       case Expr::Kind::Index:
-        return double(e.index.evaluateInt(vars, binds.paramValues));
-      case Expr::Kind::Ref: {
-        IntVec subs;
-        subs.reserve(e.ref.subscripts.size());
-        for (const AffineExpr &s : e.ref.subscripts)
-            subs.push_back(s.evaluateInt(vars, binds.paramValues));
-        double v = store.at(e.ref.arrayId, subs);
-        if (trace)
-            trace({e.ref.arrayId, std::move(subs), false});
-        return v;
-      }
+        code_.push_back({Op::Index, compileForm(e.index, depth, params)});
+        return;
+      case Expr::Kind::Ref:
+        refs_.push_back(compileRef(e.ref, depth, params));
+        code_.push_back({Op::Load, refs_.size() - 1});
+        return;
       case Expr::Kind::Binary: {
-        double a = evalExpr(e.kids[0], vars, binds, store, trace);
-        double b = evalExpr(e.kids[1], vars, binds, store, trace);
-        switch (e.op) {
-          case '+':
-            return a + b;
-          case '-':
-            return a - b;
-          case '*':
-            return a * b;
-          case '/':
-            return a / b;
-          default:
-            throw InternalError("unknown binary operator");
-        }
+        compileExpr(e.kids[0], depth, params);
+        compileExpr(e.kids[1], depth, params);
+        Op op = e.op == '+'   ? Op::Add
+                : e.op == '-' ? Op::Sub
+                : e.op == '*' ? Op::Mul
+                : e.op == '/' ? Op::Div
+                              : Op::Invalid;
+        code_.push_back({op});
+        return;
       }
     }
     throw InternalError("unknown expression kind");
 }
 
 void
-execStatement(const Statement &s, const IntVec &vars, const Bindings &binds,
-              ArrayStorage &store, const TraceFn &trace)
+CompiledBody::subscripts(const Ref &r, const IntVec &u)
 {
-    double v = evalExpr(s.rhs, vars, binds, store, trace);
-    IntVec subs;
-    subs.reserve(s.lhs.subscripts.size());
-    for (const AffineExpr &sub : s.lhs.subscripts)
-        subs.push_back(sub.evaluateInt(vars, binds.paramValues));
-    store.at(s.lhs.arrayId, subs) = v;
-    if (trace)
-        trace({s.lhs.arrayId, std::move(subs), true});
+    subs_.resize(r.rank);
+    for (size_t d = 0; d < r.rank; ++d)
+        subs_[d] = forms_[r.first + d].eval(u);
+}
+
+void
+CompiledBody::exec(const IntVec &u, ArrayStorage &store,
+                   const TraceFn &trace)
+{
+    size_t pc = 0;
+    for (const Stmt &s : stmts_) {
+        stack_.clear();
+        for (; pc < s.codeEnd; ++pc) {
+            const Instr &in = code_[pc];
+            switch (in.op) {
+              case Op::Number:
+                stack_.push_back(in.value);
+                continue;
+              case Op::Scalar:
+                stack_.push_back(scalars_.at(in.arg));
+                continue;
+              case Op::Index:
+                stack_.push_back(double(forms_[in.arg].eval(u)));
+                continue;
+              case Op::Load: {
+                const Ref &r = refs_[in.arg];
+                subscripts(r, u);
+                stack_.push_back(store.at(r.arrayId, subs_));
+                if (trace)
+                    trace({r.arrayId, subs_, false});
+                continue;
+              }
+              case Op::Invalid:
+                throw InternalError("unknown binary operator");
+              default:
+                break;
+            }
+            double b = stack_.back();
+            stack_.pop_back();
+            double &a = stack_.back();
+            switch (in.op) {
+              case Op::Add:
+                a = a + b;
+                break;
+              case Op::Sub:
+                a = a - b;
+                break;
+              case Op::Mul:
+                a = a * b;
+                break;
+              default:
+                a = a / b;
+                break;
+            }
+        }
+        subscripts(s.lhs, u);
+        store.at(s.lhs.arrayId, subs_) = stack_.back();
+        if (trace)
+            trace({s.lhs.arrayId, subs_, true});
+    }
 }
 
 uint64_t
@@ -280,11 +383,11 @@ run(const Program &prog, const Bindings &binds, ArrayStorage &store,
         throw UserError("wrong number of parameter values");
     if (binds.scalarValues.size() != prog.scalars.size())
         throw UserError("wrong number of scalar values");
-    return forEachIteration(
-        prog.nest, binds.paramValues, [&](const IntVec &vars) {
-            for (const Statement &s : prog.nest.body())
-                execStatement(s, vars, binds, store, trace);
-        });
+    CompiledBody body(prog.nest.body(), prog.nest.depth(), binds);
+    return forEachIteration(prog.nest, binds.paramValues,
+                            [&](const IntVec &v) {
+                                body.exec(v, store, trace);
+                            });
 }
 
 } // namespace anc::ir

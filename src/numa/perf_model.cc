@@ -74,7 +74,7 @@ calibrateModel(const ir::Program &prog, const xform::TransformedNest &nest,
 
     // Outer trip count: enumerate level-0 values once.
     IntVec u(nest.depth(), 0);
-    xform::LoopBounds bounds(nest, binds.paramValues);
+    ir::LoopBounds bounds(nest.loops(), binds.paramValues);
     Int lo = bounds.lower(0, u);
     Int hi = bounds.upper(0, u);
     if (lo <= hi) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "numa/congruent.h"
@@ -85,7 +86,6 @@ struct StmtEval
 {
     size_t flops = 0;
     std::vector<RefEval> refs;
-    const ir::Statement *stmt = nullptr;
 };
 
 } // namespace
@@ -95,7 +95,7 @@ struct Simulator::Compiled
     std::vector<StmtEval> stmts;
     std::vector<Distribution> dists;
     IntVec params;
-    xform::LoopBounds bounds; //!< the nest's bounds under params
+    ir::LoopBounds bounds; //!< the nest's bounds under params
     size_t depth = 0;
     size_t numRefs = 0;
     size_t numCoords = 0; //!< total distribution coordinates, all refs
@@ -313,6 +313,10 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     // results array (see ProcAccum).
     ProcAccum acc;
     const bool fast = opts_.fastInner && !storage && n >= 2;
+    // Value execution (tests only): the body compiled once per slice.
+    std::optional<ir::CompiledBody> body;
+    if (storage)
+        body.emplace(nest_.body(), n, binds);
     const bool clamp1 = slice.clamp1;
     const Int clamp1_lo = slice.clamp1Lo, clamp1_hi = slice.clamp1Hi;
 
@@ -511,9 +515,9 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                                             : ticks[size_t(r.hoistLevel)]);
                 charge_uniform(r, owner_at(r), 1, key);
             }
-            if (storage)
-                ir::execStatement(*s.stmt, u, binds, *storage, nullptr);
         }
+        if (body)
+            body->exec(u, *storage, nullptr);
     };
 
     // Strength-reduced / closed-form execution of one full innermost
@@ -856,7 +860,7 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
     Compiled c;
     c.depth = nest_.depth();
     c.params = binds.paramValues;
-    c.bounds = xform::LoopBounds(nest_, c.params);
+    c.bounds = ir::LoopBounds(nest_.loops(), c.params);
     for (const ir::ArrayDecl &a : prog_.arrays)
         c.dists.emplace_back(a.dist, a.evalExtents(binds.paramValues),
                              opts_.processors);
@@ -932,7 +936,6 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
     for (size_t si = 0; si < nest_.body().size(); ++si) {
         const ir::Statement &stmt = nest_.body()[si];
         StmtEval se;
-        se.stmt = &stmt;
         se.flops = stmt.flopCount();
         size_t read_idx = 0;
         stmt.rhs.forEachRef([&](const ir::ArrayRef &r) {

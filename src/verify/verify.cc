@@ -10,55 +10,64 @@ namespace anc::verify {
 
 namespace {
 
-/** Thrown to abort an enumeration that exceeded its point cap. */
-struct EnumerationCapped
-{
-    uint64_t seen;
-};
-
-std::string
-pointStr(const IntVec &v)
-{
-    std::ostringstream os;
-    os << "(";
-    for (size_t i = 0; i < v.size(); ++i)
-        os << (i ? ", " : "") << v[i];
-    os << ")";
-    return os.str();
-}
-
-/** T * x with plain checked arithmetic (no shared transform code). */
-IntVec
-applyT(const IntMatrix &t, const IntVec &x)
-{
-    IntVec u(t.rows(), 0);
-    for (size_t i = 0; i < t.rows(); ++i)
-        for (size_t j = 0; j < t.cols(); ++j)
-            u[i] = checkedAdd(u[i], checkedMul(t(i, j), x[j]));
-    return u;
-}
-
 /** -1, 0, +1 for a < b, a == b, a > b in lexicographic order. */
 int
-lexCompare(const IntVec &a, const IntVec &b)
+lexCompare(const Int *a, const Int *b, size_t n)
 {
-    for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
         if (a[i] != b[i])
             return a[i] < b[i] ? -1 : 1;
     }
     return 0;
 }
 
-/** Enumerate the source iteration space; throws EnumerationCapped. */
-std::vector<IntVec>
-sourcePoints(const ir::Program &prog, const IntVec &params, uint64_t cap)
+/** Points stored back to back in one buffer, `depth` coordinates
+ * each, in the order they were added. */
+struct PointList
 {
-    std::vector<IntVec> pts;
-    uint64_t seen = 0;
-    ir::forEachIteration(prog.nest, params, [&](const IntVec &x) {
-        if (++seen > cap)
-            throw EnumerationCapped{seen};
-        pts.push_back(x);
+    size_t depth = 0;
+    uint64_t count = 0;
+    std::vector<Int> coords;
+
+    const Int *at(size_t i) const { return coords.data() + i * depth; }
+
+    std::string
+    str(size_t i) const
+    {
+        std::ostringstream os;
+        os << "(";
+        for (size_t d = 0; d < depth; ++d)
+            os << (d ? ", " : "") << at(i)[d];
+        os << ")";
+        return os.str();
+    }
+
+    /** Indices of the points in lexicographic order. */
+    std::vector<size_t>
+    sortedOrder() const
+    {
+        std::vector<size_t> order(count);
+        for (size_t i = 0; i < order.size(); ++i)
+            order[i] = i;
+        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+            return lexCompare(at(a), at(b), depth) < 0;
+        });
+        return order;
+    }
+};
+
+/** Materialize the `count` points (counted beforehand) a walk visits:
+ * walk(visit) must call visit(point) for each. */
+template <typename Walk>
+PointList
+collect(size_t depth, uint64_t count, Walk &&walk)
+{
+    PointList pts;
+    pts.depth = depth;
+    pts.count = count;
+    pts.coords.reserve(count * depth);
+    walk([&](const IntVec &v) {
+        pts.coords.insert(pts.coords.end(), v.begin(), v.end());
     });
     return pts;
 }
@@ -79,15 +88,17 @@ struct Enumeration
     bool feasible = false;  //!< a binding under the cap was found
     std::string skipReason; //!< set when !feasible
     IntVec params;
-    std::vector<IntVec> source;  //!< source points, visit order
-    std::vector<IntVec> emitted; //!< emitted points, visit order
-    bool emittedCapped = false;  //!< emitted enumeration hit its cap
+    PointList source;           //!< source points, visit order
+    PointList emitted;          //!< emitted points, visit order
+    bool emittedCapped = false; //!< emitted enumeration hit its cap
 };
 
 /**
  * Find a parameter binding whose source space fits under the cap and
  * enumerate both sides with it. Prefers a binding with a nonempty
- * space so that the comparison is not vacuous.
+ * space so that the comparison is not vacuous. Each side is counted
+ * first, stopping just past its cap, so a space too large to compare
+ * is refused before any point is stored.
  */
 Enumeration
 enumerateBoth(const ir::Program &prog, const xform::TransformedNest &nest,
@@ -103,9 +114,14 @@ enumerateBoth(const ir::Program &prog, const xform::TransformedNest &nest,
     for (Int v : candidates) {
         IntVec params(prog.params.size(), v);
         try {
-            std::vector<IntVec> src =
-                sourcePoints(prog, params, opts.maxPoints);
-            if (src.empty()) {
+            uint64_t count =
+                ir::countIterations(prog.nest, params, opts.maxPoints);
+            if (count > opts.maxPoints) {
+                last_error = "source space exceeds " +
+                             std::to_string(opts.maxPoints) + " points";
+                continue;
+            }
+            if (count == 0) {
                 // Usable, but keep looking for a nonempty space.
                 if (!have_empty) {
                     have_empty = true;
@@ -113,13 +129,12 @@ enumerateBoth(const ir::Program &prog, const xform::TransformedNest &nest,
                 }
                 continue;
             }
+            en.source = collect(prog.nest.depth(), count, [&](auto &&visit) {
+                ir::forEachIteration(prog.nest, params, visit);
+            });
             en.feasible = true;
             en.params = params;
-            en.source = std::move(src);
             break;
-        } catch (const EnumerationCapped &) {
-            last_error = "source space exceeds " +
-                         std::to_string(opts.maxPoints) + " points";
         } catch (const Error &e) {
             last_error = e.what();
         }
@@ -127,6 +142,7 @@ enumerateBoth(const ir::Program &prog, const xform::TransformedNest &nest,
     if (!en.feasible && have_empty) {
         en.feasible = true;
         en.params = empty_params;
+        en.source.depth = prog.nest.depth();
     }
     if (!en.feasible) {
         en.skipReason =
@@ -137,17 +153,14 @@ enumerateBoth(const ir::Program &prog, const xform::TransformedNest &nest,
     // The emitted side is the artifact under test: cap it relative to
     // the source count so a wrong nest cannot run away, and remember
     // whether the cap was hit (that alone disproves equivalence).
-    uint64_t cap = uint64_t(en.source.size()) + 1024;
-    try {
-        uint64_t seen = 0;
-        nest.forEachIteration(en.params, [&](const IntVec &u) {
-            if (++seen > cap)
-                throw EnumerationCapped{seen};
-            en.emitted.push_back(u);
-        });
-    } catch (const EnumerationCapped &) {
+    uint64_t cap = en.source.count + 1024;
+    uint64_t count = nest.countIterations(en.params, cap);
+    if (count > cap)
         en.emittedCapped = true;
-    }
+    else
+        en.emitted = collect(nest.depth(), count, [&](auto &&visit) {
+            nest.forEachIteration(en.params, visit);
+        });
     return en;
 }
 
@@ -169,28 +182,45 @@ oracleLattice(const ir::Program &prog, const xform::TransformedNest &nest,
 {
     if (en.emittedCapped) {
         o.latticeDetail = "emitted nest enumerates more than " +
-                          std::to_string(en.source.size() + 1024) +
+                          std::to_string(en.source.count + 1024) +
                           " points, but the source space has only " +
-                          std::to_string(en.source.size()) + " (" +
+                          std::to_string(en.source.count) + " (" +
                           bindingStr(prog, en.params) + ")";
         return;
     }
 
-    // The reference image: every source point mapped through T by hand.
-    std::vector<std::pair<IntVec, IntVec>> image; // (u = T x, x)
-    image.reserve(en.source.size());
-    for (const IntVec &x : en.source)
-        image.emplace_back(applyT(nest.transform(), x), x);
-    std::sort(image.begin(), image.end());
+    // The reference image: every source point mapped through T by hand
+    // (plain checked arithmetic, no shared transform code), sorted by
+    // image point, then by source point.
+    const IntMatrix &t = nest.transform();
+    const PointList &src = en.source;
+    PointList image;
+    image.depth = t.rows();
+    image.count = src.count;
+    image.coords.assign(image.count * image.depth, 0);
+    for (size_t p = 0; p < src.count; ++p) {
+        Int *u = image.coords.data() + p * image.depth;
+        for (size_t i = 0; i < t.rows(); ++i)
+            for (size_t j = 0; j < t.cols(); ++j)
+                u[i] = checkedAdd(u[i], checkedMul(t(i, j), src.at(p)[j]));
+    }
+    std::vector<size_t> img(image.count);
+    for (size_t i = 0; i < img.size(); ++i)
+        img[i] = i;
+    std::sort(img.begin(), img.end(), [&](size_t a, size_t b) {
+        int c = lexCompare(image.at(a), image.at(b), image.depth);
+        return c != 0 ? c < 0 : lexCompare(src.at(a), src.at(b), src.depth) < 0;
+    });
 
-    std::vector<IntVec> emitted = en.emitted;
-    std::sort(emitted.begin(), emitted.end());
+    const PointList &emitted = en.emitted;
+    std::vector<size_t> emi = emitted.sortedOrder();
 
     // A duplicate visit breaks the bijection even if the sets agree.
-    for (size_t i = 1; i < emitted.size(); ++i) {
-        if (emitted[i] == emitted[i - 1]) {
+    for (size_t i = 1; i < emi.size(); ++i) {
+        if (lexCompare(emitted.at(emi[i]), emitted.at(emi[i - 1]),
+                       emitted.depth) == 0) {
             o.latticeDetail = "emitted nest enumerates point u=" +
-                              pointStr(emitted[i]) + " more than once (" +
+                              emitted.str(emi[i]) + " more than once (" +
                               bindingStr(prog, en.params) + ")";
             return;
         }
@@ -198,16 +228,16 @@ oracleLattice(const ir::Program &prog, const xform::TransformedNest &nest,
 
     // Merge-walk both sorted sequences for the first discrepancy.
     size_t i = 0, j = 0;
-    while (i < image.size() || j < emitted.size()) {
-        int cmp = i == image.size()    ? 1
-                  : j == emitted.size() ? -1
-                                        : lexCompare(image[i].first,
-                                                     emitted[j]);
+    while (i < img.size() || j < emi.size()) {
+        int cmp = i == img.size()   ? 1
+                  : j == emi.size() ? -1
+                                    : lexCompare(image.at(img[i]),
+                                                 emitted.at(emi[j]),
+                                                 image.depth);
         if (cmp < 0) {
             o.latticeDetail = "counterexample: source iteration x=" +
-                              pointStr(image[i].second) +
-                              " has image point u=" +
-                              pointStr(image[i].first) +
+                              src.str(img[i]) + " has image point u=" +
+                              image.str(img[i]) +
                               " which the emitted nest never enumerates (" +
                               bindingStr(prog, en.params) + ")";
             return;
@@ -215,7 +245,7 @@ oracleLattice(const ir::Program &prog, const xform::TransformedNest &nest,
         if (cmp > 0) {
             o.latticeDetail =
                 "counterexample: emitted nest enumerates u=" +
-                pointStr(emitted[j]) +
+                emitted.str(emi[j]) +
                 " which is the image of no source iteration (" +
                 bindingStr(prog, en.params) + ")";
             return;
@@ -226,7 +256,7 @@ oracleLattice(const ir::Program &prog, const xform::TransformedNest &nest,
 
     o.latticeOk = true;
     std::ostringstream os;
-    os << en.source.size() << " iteration point(s) map bijectively ("
+    os << src.count << " iteration point(s) map bijectively ("
        << bindingStr(prog, en.params) << ")";
     o.latticeDetail = os.str();
 }
@@ -239,20 +269,20 @@ oracleOrder(const Enumeration &en, EnumerationOracle &o)
         o.orderDetail = "emitted enumeration hit its cap";
         return;
     }
-    for (size_t k = 1; k < en.emitted.size(); ++k) {
-        if (lexCompare(en.emitted[k - 1], en.emitted[k]) >= 0) {
-            o.orderDetail =
-                "counterexample: emitted nest visits u=" +
-                pointStr(en.emitted[k]) + " after u=" +
-                pointStr(en.emitted[k - 1]) +
-                ", violating lexicographic execution order";
+    const PointList &emitted = en.emitted;
+    for (size_t k = 1; k < emitted.count; ++k) {
+        if (lexCompare(emitted.at(k - 1), emitted.at(k), emitted.depth) >=
+            0) {
+            o.orderDetail = "counterexample: emitted nest visits u=" +
+                            emitted.str(k) + " after u=" +
+                            emitted.str(k - 1) +
+                            ", violating lexicographic execution order";
             return;
         }
     }
     o.orderOk = true;
     std::ostringstream os;
-    os << "emitted order verified on " << en.emitted.size()
-       << " point(s)";
+    os << "emitted order verified on " << emitted.count << " point(s)";
     o.orderDetail = os.str();
 }
 

@@ -487,6 +487,7 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             sopts.hostThreads = opts.hostThreads;
             try {
                 numa::Simulator sim(prog, nest, ev.plan, sopts);
+                ++r.simRuns;
                 t.simTimesUs.push_back(sim.run(binds).parallelTime());
             } catch (const core::DeadlineExceeded &) {
                 throw;

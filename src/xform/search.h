@@ -140,6 +140,9 @@ struct SearchResult
     uint64_t scored = 0;     //!< candidates the simulator ran (fully or
                              //!< up to the size they lost at)
     uint64_t pruned = 0;     //!< dropped by the locality pre-filter
+    /** Simulator::run calls made while scoring: below scored x sweep
+     * whenever a candidate stopped at the first size it lost. */
+    uint64_t simRuns = 0;
     std::vector<Int> processorSweep; //!< copy of the swept sizes
     std::vector<double> heuristicTimesUs; //!< heuristic per swept size
     std::vector<double> winnerTimesUs;    //!< winner per swept size

@@ -10,53 +10,6 @@ namespace anc::xform {
 
 using ir::AffineExpr;
 
-LoopBounds::LoopBounds(const TransformedNest &nest, const IntVec &params)
-    : nest_(&nest), params_(params)
-{
-    try {
-        levels_.reserve(nest.depth());
-        for (const TransformedLoop &l : nest.loops()) {
-            Level lv;
-            for (const AffineExpr &e : l.lower)
-                lv.lower.push_back(ir::CompiledAffine::compile(e, params));
-            for (const AffineExpr &e : l.upper)
-                lv.upper.push_back(ir::CompiledAffine::compile(e, params));
-            levels_.push_back(std::move(lv));
-        }
-    } catch (const OverflowError &) {
-        rational_ = true;
-        levels_.clear();
-    }
-}
-
-Int
-LoopBounds::lower(size_t k, const IntVec &u) const
-{
-    if (rational_)
-        return nest_->lowerAt(k, u, params_);
-    const std::vector<ir::CompiledAffine> &bounds = levels_[k].lower;
-    if (bounds.empty())
-        throw InternalError("transformed loop without lower bounds");
-    Int best = bounds[0].ceilAt(u);
-    for (size_t i = 1; i < bounds.size(); ++i)
-        best = std::max(best, bounds[i].ceilAt(u));
-    return best;
-}
-
-Int
-LoopBounds::upper(size_t k, const IntVec &u) const
-{
-    if (rational_)
-        return nest_->upperAt(k, u, params_);
-    const std::vector<ir::CompiledAffine> &bounds = levels_[k].upper;
-    if (bounds.empty())
-        throw InternalError("transformed loop without upper bounds");
-    Int best = bounds[0].floorAt(u);
-    for (size_t i = 1; i < bounds.size(); ++i)
-        best = std::min(best, bounds[i].floorAt(u));
-    return best;
-}
-
 TransformedNest::TransformedNest(IntMatrix t, RatMatrix t_inv,
                                  Lattice lattice,
                                  std::vector<TransformedLoop> loops,
@@ -66,40 +19,6 @@ TransformedNest::TransformedNest(IntMatrix t, RatMatrix t_inv,
       loops_(std::move(loops)), body_(std::move(body)),
       paramConditions_(std::move(param_conditions))
 {}
-
-Int
-TransformedNest::lowerAt(size_t k, const IntVec &u,
-                         const IntVec &params) const
-{
-    bool first = true;
-    Int best = 0;
-    for (const AffineExpr &e : loops_[k].lower) {
-        Int v = e.evaluate(u, params).ceil();
-        if (first || v > best)
-            best = v;
-        first = false;
-    }
-    if (first)
-        throw InternalError("transformed loop without lower bounds");
-    return best;
-}
-
-Int
-TransformedNest::upperAt(size_t k, const IntVec &u,
-                         const IntVec &params) const
-{
-    bool first = true;
-    Int best = 0;
-    for (const AffineExpr &e : loops_[k].upper) {
-        Int v = e.evaluate(u, params).floor();
-        if (first || v < best)
-            best = v;
-        first = false;
-    }
-    if (first)
-        throw InternalError("transformed loop without upper bounds");
-    return best;
-}
 
 Int
 TransformedNest::startAt(size_t k, Int lower, const IntVec &y_prefix) const
@@ -119,47 +38,60 @@ TransformedNest::oldIteration(const IntVec &u) const
     return out;
 }
 
-uint64_t
-TransformedNest::forEachIteration(
-    const IntVec &params, const std::function<void(const IntVec &)> &fn) const
-{
-    size_t n = depth();
-    IntVec u(n, 0);
-    IntVec y;
-    y.reserve(n);
-    LoopBounds bounds(*this, params);
+namespace {
 
-    std::function<uint64_t(size_t)> walk = [&](size_t k) -> uint64_t {
-        if (k == n) {
-            fn(u);
-            return 1;
+/** Add the points at and below level k to count, stopping once it
+ * passes limit; the innermost level adds its trip count at once. */
+void
+countLevel(const TransformedNest &nest, const ir::LoopBounds &b, IntVec &u,
+           IntVec &y, size_t k, uint64_t limit, uint64_t &count)
+{
+    Int lo = b.lower(k, u);
+    Int hi = b.upper(k, u);
+    if (lo > hi)
+        return;
+    Int s = nest.lattice().stride(k);
+    Int start = nest.startAt(k, lo, y);
+    if (k + 1 == u.size()) {
+        if (start <= hi) {
+            Int128 trips = (Int128(hi) - start) / s + 1;
+            uint64_t room = limit - count;
+            count += trips > Int128(room) ? room + 1 : uint64_t(trips);
         }
-        Int lo = bounds.lower(k, u);
-        Int hi = bounds.upper(k, u);
-        if (lo > hi)
-            return 0;
-        Int s = lattice_.stride(k);
-        Int start = startAt(k, lo, y);
-        uint64_t count = 0;
-        for (Int v = start; v <= hi; v += s) {
-            u[k] = v;
-            y.push_back(lattice_.solveY(k, v, y));
-            count += walk(k + 1);
-            y.pop_back();
-        }
-        u[k] = 0;
-        return count;
-    };
-    return walk(0);
+        return;
+    }
+    for (Int v = start; v <= hi && count <= limit; v += s) {
+        u[k] = v;
+        y.push_back(nest.lattice().solveY(k, v, y));
+        countLevel(nest, b, u, y, k + 1, limit, count);
+        y.pop_back();
+    }
+    u[k] = 0;
+}
+
+} // namespace
+
+uint64_t
+TransformedNest::countIterations(const IntVec &params, uint64_t limit) const
+{
+    if (depth() == 0)
+        return 1;
+    ir::LoopBounds bounds(loops_, params);
+    IntVec u(depth(), 0);
+    IntVec y;
+    y.reserve(depth());
+    uint64_t count = 0;
+    countLevel(*this, bounds, u, y, 0, limit, count);
+    return count;
 }
 
 uint64_t
 TransformedNest::run(const ir::Bindings &binds, ir::ArrayStorage &store,
                      const ir::TraceFn &trace) const
 {
+    ir::CompiledBody body(body_, depth(), binds);
     return forEachIteration(binds.paramValues, [&](const IntVec &u) {
-        for (const ir::Statement &s : body_)
-            ir::execStatement(s, u, binds, store, trace);
+        body.exec(u, store, trace);
     });
 }
 

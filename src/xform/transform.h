@@ -18,7 +18,6 @@
 #define ANC_XFORM_TRANSFORM_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "ir/interp.h"
@@ -34,42 +33,6 @@ struct TransformedLoop
     std::vector<ir::AffineExpr> lower; //!< over outer new vars + params
     std::vector<ir::AffineExpr> upper;
     Int stride; //!< H[k][k]; 1 for unimodular transformations
-};
-
-class TransformedNest;
-
-/**
- * A nest's loop bounds compiled against one parameter binding. Every
- * lower/upper AffineExpr becomes an integer form (num . u + cst) / den
- * (ir::CompiledAffine, the subscripts' representation), so walkers take
- * ceil-of-max / floor-of-min bounds in checked integer arithmetic
- * instead of exact rationals. When compiling some bound overflows, the
- * whole nest keeps the rational TransformedNest::lowerAt/upperAt path,
- * which gives the same answers more slowly.
- */
-class LoopBounds
-{
-  public:
-    LoopBounds() = default;
-    LoopBounds(const TransformedNest &nest, const IntVec &params);
-
-    /** Same value as TransformedNest::lowerAt(k, u, params). */
-    Int lower(size_t k, const IntVec &u) const;
-    /** Same value as TransformedNest::upperAt(k, u, params). */
-    Int upper(size_t k, const IntVec &u) const;
-
-    /** False when the bounds fell back to rational evaluation. */
-    bool compiled() const { return nest_ && !rational_; }
-
-  private:
-    struct Level
-    {
-        std::vector<ir::CompiledAffine> lower, upper;
-    };
-    const TransformedNest *nest_ = nullptr;
-    IntVec params_;
-    bool rational_ = false;
-    std::vector<Level> levels_;
 };
 
 /** A restructured loop nest, executable and printable. */
@@ -93,14 +56,6 @@ class TransformedNest
         return paramConditions_;
     }
 
-    /** Concrete lower bound at level k (ceil of max over bounds), in
-     * exact rationals: the oracle for LoopBounds::lower. */
-    Int lowerAt(size_t k, const IntVec &u, const IntVec &params) const;
-
-    /** Concrete upper bound at level k (floor of min over bounds), in
-     * exact rationals: the oracle for LoopBounds::upper. */
-    Int upperAt(size_t k, const IntVec &u, const IntVec &params) const;
-
     /**
      * First admissible value >= the concrete lower bound at level k,
      * given the forward-substitution prefix y_0..y_{k-1}: the smallest
@@ -112,13 +67,28 @@ class TransformedNest
     IntVec oldIteration(const IntVec &u) const;
 
     /**
-     * Enumerate the transformed iteration space in lexicographic order.
-     * Each visited point u corresponds to exactly one source iteration
-     * T^{-1} u. Returns the iteration count.
+     * Enumerate the transformed iteration space in lexicographic order,
+     * calling fn(u) at each point. Each visited point u corresponds to
+     * exactly one source iteration T^{-1} u. Returns the iteration
+     * count.
      */
+    template <typename Fn>
     uint64_t
-    forEachIteration(const IntVec &params,
-                     const std::function<void(const IntVec &)> &fn) const;
+    forEachIteration(const IntVec &params, Fn &&fn) const
+    {
+        ir::LoopBounds bounds(loops_, params);
+        IntVec u(depth(), 0);
+        IntVec y;
+        y.reserve(depth());
+        return walk(bounds, u, y, 0, fn);
+    }
+
+    /**
+     * The iteration count, or limit + 1 once it exceeds limit. The
+     * innermost level is counted in closed form and the walk stops as
+     * soon as the limit is passed.
+     */
+    uint64_t countIterations(const IntVec &params, uint64_t limit) const;
 
     /**
      * Execute the (rewritten) body over the whole space; semantically
@@ -131,6 +101,31 @@ class TransformedNest
   private:
     friend TransformedNest solveBounds(const ir::Program &prog,
                                        TransformedNest nest);
+
+    template <typename Fn>
+    uint64_t
+    walk(const ir::LoopBounds &b, IntVec &u, IntVec &y, size_t k,
+         Fn &fn) const
+    {
+        if (k == u.size()) {
+            fn(static_cast<const IntVec &>(u));
+            return 1;
+        }
+        Int lo = b.lower(k, u);
+        Int hi = b.upper(k, u);
+        if (lo > hi)
+            return 0;
+        Int s = lattice_.stride(k);
+        uint64_t count = 0;
+        for (Int v = startAt(k, lo, y); v <= hi; v += s) {
+            u[k] = v;
+            y.push_back(lattice_.solveY(k, v, y));
+            count += walk(b, u, y, k + 1, fn);
+            y.pop_back();
+        }
+        u[k] = 0;
+        return count;
+    }
 
     IntMatrix t_;
     RatMatrix tInv_;

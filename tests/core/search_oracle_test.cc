@@ -541,6 +541,45 @@ TEST(SearchOracleTest, EarlyStopAgreesWithEagerFullSweepSearch)
     EXPECT_GT(admissible, 80u);
 }
 
+TEST(SearchOracleTest, SimRunsCountsTheRunsScoringMade)
+{
+    // SearchResult::simRuns counts the Simulator::run calls the search
+    // made. Each successful run leaves one time in its record (a failed
+    // run would leave a rejected record without times; none of these
+    // inputs has one), and wherever a candidate stopped at the first
+    // size it lost, the count is below the scored x sweep an eager
+    // search pays.
+    size_t progs = 0, below = 0;
+    for (const Named &np : programs()) {
+        SCOPED_TRACE(np.name);
+        const ir::Program &prog = np.prog;
+        core::Compilation c = core::compileResilient(prog);
+        if (c.degraded() || !c.normalization.nest)
+            continue;
+        SearchOptions so = enabled();
+        SearchResult r = searchPlan(prog, c.normalization, c.plan, so);
+        uint64_t runs = 0;
+        bool early = false;
+        for (const SearchScore &t : r.trail) {
+            EXPECT_EQ(t.detail.find("simulation failed"), std::string::npos);
+            EXPECT_EQ(t.detail.find("not simulable"), std::string::npos);
+            runs += t.simTimesUs.size();
+            early = early || (t.verdict == "inadmissible" &&
+                              t.simTimesUs.size() < so.processorSweep.size());
+        }
+        EXPECT_EQ(r.simRuns, runs);
+        uint64_t eager = r.scored * so.processorSweep.size();
+        EXPECT_LE(r.simRuns, eager);
+        if (early) {
+            EXPECT_LT(r.simRuns, eager);
+            ++below;
+        }
+        ++progs;
+    }
+    EXPECT_GE(progs, 20u);
+    EXPECT_GE(below, 10u);
+}
+
 TEST(SearchOracleTest, LateBoundsRejectionPromotesTheNextRankedCandidate)
 {
     // T = [k k-1 0; 1 1 0; 0 0 1] is unimodular with a small inverse, so

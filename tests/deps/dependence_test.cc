@@ -269,17 +269,14 @@ TEST(TraceProperty, DistancesObservedInExecutionAreCovered)
         touched; // (array, flat) -> [(iter, isWrite)]
     IntVec cur(3);
     ir::Bindings binds{{6, 2}, {1.0, 1.0}};
+    ir::CompiledBody body(p.nest.body(), p.nest.depth(), binds);
+    ir::TraceFn trace = [&](const ir::AccessEvent &e) {
+        size_t flat = store.flatten(e.arrayId, e.subscript);
+        touched[{e.arrayId, flat}].push_back({cur, e.isWrite});
+    };
     ir::forEachIteration(p.nest, binds.paramValues, [&](const IntVec &it) {
         cur = it;
-        for (const ir::Statement &s : p.nest.body()) {
-            ir::execStatement(s, cur, binds, store,
-                              [&](const ir::AccessEvent &e) {
-                                  size_t flat = store.flatten(
-                                      e.arrayId, e.subscript);
-                                  touched[{e.arrayId, flat}].push_back(
-                                      {cur, e.isWrite});
-                              });
-        }
+        body.exec(cur, store, trace);
     });
 
     auto covered = [&](const IntVec &d) {

@@ -16,10 +16,10 @@
 #include <fstream>
 #include <random>
 
-#include "../xform/bounds_oracle.h"
 #include "core/compiler.h"
 #include "deps/dependence.h"
 #include "dsl/parser.h"
+#include "executor_oracle.h"
 #include "ir/builder.h"
 #include "ir/interp.h"
 #include "ratmath/fault.h"
@@ -440,8 +440,8 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
     // ANC_FUZZ_SEED per run; the defaults keep local ctest fast and
     // reproducible. Interleaves well-formed, overflowing, and
     // fault-injected compilations; nothing may escape compileResilient,
-    // and every result's compiled loop bounds must match the rational
-    // ones.
+    // and every result's compiled loop bounds and executor runs must
+    // match the rational oracle's.
     double seconds = 1.0;
     if (const char *s = std::getenv("ANC_FUZZ_SECONDS"))
         seconds = std::atof(s);
@@ -474,11 +474,15 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
             << "run " << runs << " mode " << m << " seed " << seed;
         EXPECT_EQ(e.degraded, c.degraded());
         EXPECT_FALSE(e.renderJson().empty());
-        // The walkers' integer bounds agree with the rational oracle on
-        // every transformed nest the compile produced.
-        testutil::checkBoundsAgree(c.nest(), g.params,
-                                   "run " + std::to_string(runs) +
-                                       " seed " + std::to_string(seed));
+        // The walkers' integer bounds and the executor agree with the
+        // rational oracle on the source and on every transformed nest
+        // the compile produced.
+        std::string tag =
+            "run " + std::to_string(runs) + " seed " + std::to_string(seed);
+        testutil::checkBoundsAgree(c.nest(), g.params, tag);
+        ir::Bindings binds{g.params, {}};
+        EXPECT_FALSE(testutil::checkSourceRun(g.prog, binds, tag));
+        EXPECT_FALSE(testutil::checkNestRun(g.prog, c.nest(), binds, tag));
         ++runs;
     }
     EXPECT_GT(runs, 0u);

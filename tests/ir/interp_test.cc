@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for the sequential interpreter.
+ * Unit tests for the integer executor (ir/interp.h), with the
+ * exact-rational interpreter as the oracle where the two must agree.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "interp_oracle.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
 #include "ir/interp.h"
@@ -56,12 +58,17 @@ TEST(BoundsTest, MaxMinSemantics)
     // k loop of SYR2K: max of 3 lowers, min of 3 uppers.
     Program p = gallery::syr2kBanded();
     const Loop &k = p.nest.loops()[2];
+    LoopBounds compiled(p.nest.loops(), {10, 3});
     // N = 10, b = 3; at (i, j) = (0, 2): k in [max(-2, 0, 0), min(2, 4, 9)].
-    EXPECT_EQ(loopLowerBound(k, {0, 2, 0}, {10, 3}), 0);
-    EXPECT_EQ(loopUpperBound(k, {0, 2, 0}, {10, 3}), 2);
+    EXPECT_EQ(testutil::loopLowerBound(k, {0, 2, 0}, {10, 3}), 0);
+    EXPECT_EQ(testutil::loopUpperBound(k, {0, 2, 0}, {10, 3}), 2);
+    EXPECT_EQ(compiled.lower(2, {0, 2, 0}), 0);
+    EXPECT_EQ(compiled.upper(2, {0, 2, 0}), 2);
     // At (i, j) = (9, 9): k in [max(7, 7, 0), min(11, 11, 9)].
-    EXPECT_EQ(loopLowerBound(k, {9, 9, 0}, {10, 3}), 7);
-    EXPECT_EQ(loopUpperBound(k, {9, 9, 0}, {10, 3}), 9);
+    EXPECT_EQ(testutil::loopLowerBound(k, {9, 9, 0}, {10, 3}), 7);
+    EXPECT_EQ(testutil::loopUpperBound(k, {9, 9, 0}, {10, 3}), 9);
+    EXPECT_EQ(compiled.lower(2, {9, 9, 0}), 7);
+    EXPECT_EQ(compiled.upper(2, {9, 9, 0}), 9);
 }
 
 TEST(IterationTest, CountsAndOrder)

@@ -1,6 +1,8 @@
 /**
  * @file
- * Test helper: compiled loop bounds held to the rational oracle.
+ * Test oracle for transformed nests: loop bounds evaluated in exact
+ * rationals, a walk and a body run built on them, and the check that
+ * holds the compiled bounds (ir::LoopBounds) to them.
  */
 
 #ifndef ANC_TESTS_XFORM_BOUNDS_ORACLE_H
@@ -11,13 +13,95 @@
 #include <functional>
 #include <string>
 
+#include "../ir/interp_oracle.h"
 #include "xform/transform.h"
 
 namespace anc::testutil {
 
+/** Concrete lower bound at level k (ceil of max over bounds), in exact
+ * rationals: the oracle for ir::LoopBounds::lower. */
+inline Int
+lowerAt(const xform::TransformedNest &nest, size_t k, const IntVec &u,
+        const IntVec &params)
+{
+    bool first = true;
+    Int best = 0;
+    for (const ir::AffineExpr &e : nest.loops()[k].lower) {
+        Int v = e.evaluate(u, params).ceil();
+        if (first || v > best)
+            best = v;
+        first = false;
+    }
+    if (first)
+        throw InternalError("transformed loop without lower bounds");
+    return best;
+}
+
+/** Concrete upper bound at level k (floor of min over bounds), in exact
+ * rationals: the oracle for ir::LoopBounds::upper. */
+inline Int
+upperAt(const xform::TransformedNest &nest, size_t k, const IntVec &u,
+        const IntVec &params)
+{
+    bool first = true;
+    Int best = 0;
+    for (const ir::AffineExpr &e : nest.loops()[k].upper) {
+        Int v = e.evaluate(u, params).floor();
+        if (first || v < best)
+            best = v;
+        first = false;
+    }
+    if (first)
+        throw InternalError("transformed loop without upper bounds");
+    return best;
+}
+
+/** Walk the transformed nest in lexicographic order with rational
+ * bounds; returns the number of iterations visited. */
+inline uint64_t
+forEachIteration(const xform::TransformedNest &nest, const IntVec &params,
+                 const std::function<void(const IntVec &)> &fn)
+{
+    size_t n = nest.depth();
+    IntVec u(n, 0);
+    IntVec y;
+    std::function<uint64_t(size_t)> walk = [&](size_t k) -> uint64_t {
+        if (k == n) {
+            fn(u);
+            return 1;
+        }
+        Int lo = lowerAt(nest, k, u, params);
+        Int hi = upperAt(nest, k, u, params);
+        if (lo > hi)
+            return 0;
+        Int s = nest.lattice().stride(k);
+        uint64_t count = 0;
+        for (Int v = nest.startAt(k, lo, y); v <= hi; v += s) {
+            u[k] = v;
+            y.push_back(nest.lattice().solveY(k, v, y));
+            count += walk(k + 1);
+            y.pop_back();
+        }
+        u[k] = 0;
+        return count;
+    };
+    return walk(0);
+}
+
+/** Run the transformed body over the whole space, in rationals. */
+inline uint64_t
+run(const xform::TransformedNest &nest, const ir::Bindings &binds,
+    ir::ArrayStorage &store, const ir::TraceFn &trace = nullptr)
+{
+    return forEachIteration(nest, binds.paramValues, [&](const IntVec &u) {
+        for (const ir::Statement &s : nest.body())
+            execStatement(s, u, binds, store, trace);
+    });
+}
+
 /**
- * Walk the nest with the exact-rational TransformedNest::lowerAt/upperAt
- * and require LoopBounds to give the same bounds at every loop entry.
+ * Walk the nest with the exact-rational lowerAt/upperAt and require
+ * ir::LoopBounds to give the same bounds at every loop entry.
  * At most `cap` entries are checked. When the walk is not capped, the
  * visited point count must also equal forEachIteration's, which walks
  * with the compiled bounds. A subtree whose rational bound overflows is
@@ -29,7 +113,7 @@ checkBoundsAgree(const xform::TransformedNest &nest, const IntVec &params,
                  const std::string &what, uint64_t cap = 1 << 14)
 {
     SCOPED_TRACE(what);
-    xform::LoopBounds fast(nest, params);
+    ir::LoopBounds fast(nest.loops(), params);
     size_t n = nest.depth();
     IntVec u(n, 0);
     IntVec y;
@@ -43,8 +127,8 @@ checkBoundsAgree(const xform::TransformedNest &nest, const IntVec &params,
         ++entries;
         Int lo, hi;
         try {
-            lo = nest.lowerAt(k, u, params);
-            hi = nest.upperAt(k, u, params);
+            lo = lowerAt(nest, k, u, params);
+            hi = upperAt(nest, k, u, params);
         } catch (const OverflowError &) {
             partial = true;
             return;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bounds_oracle.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
 #include "xform/classic.h"
@@ -198,8 +199,8 @@ TEST(FMPruning, DominatedBoundsDropped)
     TransformedNest tn = applyTransform(p, IntMatrix::identity(1));
     ASSERT_EQ(tn.loops()[0].lower.size(), 1u);
     ASSERT_EQ(tn.loops()[0].upper.size(), 1u);
-    EXPECT_EQ(tn.lowerAt(0, {0}, {}), 0);
-    EXPECT_EQ(tn.upperAt(0, {0}, {}), 9);
+    EXPECT_EQ(testutil::lowerAt(tn, 0, {0}, {}), 0);
+    EXPECT_EQ(testutil::upperAt(tn, 0, {0}, {}), 9);
 }
 
 TEST(FMPruning, DistinctCoefficientBoundsKept)
@@ -215,8 +216,8 @@ TEST(FMPruning, DistinctCoefficientBoundsKept)
     ir::Program p = b.build();
     TransformedNest tn = applyTransform(p, IntMatrix::identity(2));
     EXPECT_EQ(tn.loops()[1].upper.size(), 2u);
-    EXPECT_EQ(tn.upperAt(1, {0, 0}, {}), 2);
-    EXPECT_EQ(tn.upperAt(1, {9, 0}, {}), 9);
+    EXPECT_EQ(testutil::upperAt(tn, 1, {0, 0}, {}), 2);
+    EXPECT_EQ(testutil::upperAt(tn, 1, {9, 0}, {}), 9);
 }
 
 } // namespace
