@@ -14,20 +14,9 @@ std::string
 boundList(const std::vector<AffineExpr> &bounds, const char *comb,
           const char *round, const ir::NameTable &names)
 {
-    std::ostringstream os;
-    if (bounds.size() > 1)
-        os << comb << "(";
-    for (size_t i = 0; i < bounds.size(); ++i) {
-        if (i)
-            os << ", ";
-        if (!bounds[i].hasIntegerCoeffs())
-            os << round << "(" << bounds[i].str(names) << ")";
-        else
-            os << bounds[i].str(names);
-    }
-    if (bounds.size() > 1)
-        os << ")";
-    return os.str();
+    std::string out;
+    ir::appendBoundList(out, bounds, comb, names, round);
+    return out;
 }
 
 } // namespace
@@ -132,7 +121,8 @@ emitNodeProgram(const ir::Program &prog,
         }
     }
     for (const ir::Statement &s : nest.body()) {
-        std::string line = printStatement(s, prog, names);
+        std::string line;
+        ir::appendStatement(line, s, prog, names);
         if (sr) {
             // Replace each tracked expression's rendering with its
             // induction variable name.
@@ -173,7 +163,9 @@ emitOwnershipProgram(const ir::Program &prog)
             os << s.lhs.subscripts[d].str(names);
         }
         os << "]) == p)  /* looking for work to do */\n";
-        os << indent << "  " << printStatement(s, prog, names) << "\n";
+        std::string stmt;
+        ir::appendStatement(stmt, s, prog, names);
+        os << indent << "  " << stmt << "\n";
     }
     return os.str();
 }

@@ -30,10 +30,8 @@ planStrengthReduction(const xform::TransformedNest &nest)
         p.increment = inc.asInteger();
         plans.push_back(std::move(p));
     };
-    for (const ir::Statement &s : nest.body()) {
-        ir::Statement copy = s;
-        copy.forEachAffineMut([&](AffineExpr &e) { consider(e); });
-    }
+    for (const ir::Statement &s : nest.body())
+        s.forEachAffine(consider);
     return plans;
 }
 

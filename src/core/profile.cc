@@ -42,8 +42,11 @@ recordSimMetrics(obs::MetricsRegistry &reg, const numa::SimStats &s,
     ctr("restarts", f.restarts);
     ctr("dead_procs", f.deadProcs);
 
-    obs::Histogram &ht = reg.histogram(prefix + "proc_time_us");
+    // Create both histograms before taking a reference to either: a
+    // registry insertion may move the existing entries.
+    reg.histogram(prefix + "proc_time_us");
     obs::Histogram &hr = reg.histogram(prefix + "proc_remote");
+    obs::Histogram &ht = reg.histogram(prefix + "proc_time_us");
     if (s.aggregated) {
         for (const numa::ProcClass &c : s.classes) {
             ht.record(uint64_t(std::llround(std::max(0.0, c.rep.time))),

@@ -1,7 +1,6 @@
 #include "dsl/lexer.h"
 
-#include <cctype>
-#include <map>
+#include <charconv>
 
 #include "ratmath/error.h"
 
@@ -9,14 +8,61 @@ namespace anc::dsl {
 
 namespace {
 
-const std::map<std::string, Tok> kKeywords = {
-    {"param", Tok::KwParam},         {"scalar", Tok::KwScalar},
-    {"array", Tok::KwArray},         {"distribute", Tok::KwDistribute},
-    {"for", Tok::KwFor},             {"max", Tok::KwMax},
-    {"min", Tok::KwMin},             {"replicated", Tok::KwReplicated},
-    {"wrapped", Tok::KwWrapped},     {"blocked", Tok::KwBlocked},
-    {"block2d", Tok::KwBlock2d},
-};
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool
+isAlpha(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Keyword or identifier: a switch on the length leaves at most three
+ * candidates to compare. */
+Tok
+wordKind(std::string_view w)
+{
+    switch (w.size()) {
+      case 3:
+        if (w == "for")
+            return Tok::KwFor;
+        if (w == "max")
+            return Tok::KwMax;
+        if (w == "min")
+            return Tok::KwMin;
+        break;
+      case 5:
+        if (w == "param")
+            return Tok::KwParam;
+        if (w == "array")
+            return Tok::KwArray;
+        break;
+      case 6:
+        if (w == "scalar")
+            return Tok::KwScalar;
+        break;
+      case 7:
+        if (w == "wrapped")
+            return Tok::KwWrapped;
+        if (w == "blocked")
+            return Tok::KwBlocked;
+        if (w == "block2d")
+            return Tok::KwBlock2d;
+        break;
+      case 10:
+        if (w == "distribute")
+            return Tok::KwDistribute;
+        if (w == "replicated")
+            return Tok::KwReplicated;
+        break;
+    }
+    return Tok::Ident;
+}
 
 } // namespace
 
@@ -79,20 +125,27 @@ tokName(Tok t)
 }
 
 std::vector<Token>
-tokenize(const std::string &source)
+tokenize(std::string_view source)
 {
     std::vector<Token> out;
     int line = 1, col = 1;
     size_t i = 0;
-    size_t n = source.size();
+    const size_t n = source.size();
 
-    auto make = [&](Tok kind, std::string text) {
+    auto push = [&](Tok kind, size_t start) {
         Token t;
         t.kind = kind;
-        t.text = std::move(text);
+        t.text = source.substr(start, i - start);
         t.line = line;
         t.col = col;
-        return t;
+        col += int(i - start);
+        out.push_back(t);
+        return &out.back();
+    };
+    auto outOfRange = [&](const char *what, size_t start) {
+        throw UserError("line " + std::to_string(line) + ": " + what +
+                        " '" + std::string(source.substr(start, i - start)) +
+                        "' is out of range");
     };
 
     while (i < n) {
@@ -103,7 +156,7 @@ tokenize(const std::string &source)
             ++i;
             continue;
         }
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (isSpace(c)) {
             ++col;
             ++i;
             continue;
@@ -113,42 +166,34 @@ tokenize(const std::string &source)
                 ++i;
             continue;
         }
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            size_t start = i;
-            while (i < n && (std::isalnum(
-                                 static_cast<unsigned char>(source[i])) ||
+        const size_t start = i;
+        if (isAlpha(c) || c == '_') {
+            while (i < n && (isAlpha(source[i]) || isDigit(source[i]) ||
                              source[i] == '_'))
                 ++i;
-            std::string word = source.substr(start, i - start);
-            auto kw = kKeywords.find(word);
-            Token t = make(kw == kKeywords.end() ? Tok::Ident : kw->second,
-                           word);
-            col += int(word.size());
-            out.push_back(std::move(t));
+            push(wordKind(source.substr(start, i - start)), start);
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            size_t start = i;
-            bool is_float = false;
-            while (i < n &&
-                   std::isdigit(static_cast<unsigned char>(source[i])))
+        if (isDigit(c)) {
+            while (i < n && isDigit(source[i]))
                 ++i;
-            if (i + 1 < n && source[i] == '.' &&
-                std::isdigit(static_cast<unsigned char>(source[i + 1]))) {
-                is_float = true;
+            const char *first = source.data() + start;
+            if (i + 1 < n && source[i] == '.' && isDigit(source[i + 1])) {
                 ++i;
-                while (i < n &&
-                       std::isdigit(static_cast<unsigned char>(source[i])))
+                while (i < n && isDigit(source[i]))
                     ++i;
+                double v = 0;
+                if (std::from_chars(first, source.data() + i, v).ec !=
+                    std::errc())
+                    outOfRange("number literal", start);
+                push(Tok::Float, start)->floatValue = v;
+            } else {
+                Int v = 0;
+                if (std::from_chars(first, source.data() + i, v).ec !=
+                    std::errc())
+                    outOfRange("integer literal", start);
+                push(Tok::Integer, start)->intValue = v;
             }
-            std::string text = source.substr(start, i - start);
-            Token t = make(is_float ? Tok::Float : Tok::Integer, text);
-            if (is_float)
-                t.floatValue = std::stod(text);
-            else
-                t.intValue = std::stoll(text);
-            col += int(text.size());
-            out.push_back(std::move(t));
             continue;
         }
         Tok kind;
@@ -188,11 +233,10 @@ tokenize(const std::string &source)
                             ": unexpected character '" +
                             std::string(1, c) + "'");
         }
-        out.push_back(make(kind, std::string(1, c)));
-        ++col;
         ++i;
+        push(kind, start);
     }
-    out.push_back(make(Tok::End, ""));
+    push(Tok::End, i);
     return out;
 }
 

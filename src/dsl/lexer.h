@@ -12,6 +12,7 @@
 #define ANC_DSL_LEXER_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ratmath/int_util.h"
@@ -49,18 +50,24 @@ enum class Tok
     End,       // end of input
 };
 
+/**
+ * One token. `text` is a view into the source passed to tokenize(), so
+ * tokens are valid only while that source lives; the lexer copies
+ * nothing.
+ */
 struct Token
 {
     Tok kind;
-    std::string text;
+    std::string_view text;
     Int intValue = 0;     //!< for Tok::Integer
     double floatValue = 0; //!< for Tok::Float
     int line = 0;
     int col = 0;
 };
 
-/** Tokenize the whole source; throws UserError on bad characters. */
-std::vector<Token> tokenize(const std::string &source);
+/** Tokenize the whole source; throws UserError on bad characters and
+ * on number literals a 64-bit integer or a double cannot hold. */
+std::vector<Token> tokenize(std::string_view source);
 
 /** Printable token-kind name for error messages. */
 std::string tokName(Tok t);

@@ -1,6 +1,7 @@
 #include "dsl/parser.h"
 
-#include <map>
+#include <algorithm>
+#include <limits>
 
 #include "dsl/lexer.h"
 
@@ -88,7 +89,40 @@ class Parser
     size_t pos_ = 0;
     size_t depth_ = 0;
     ir::Program prog_;
-    std::map<std::string, size_t> params_, scalars_, arrays_, vars_;
+
+    /** Declared names, all kinds in one flat table: programs declare a
+     * handful, so a linear scan beats any map. Views point into the
+     * source, which outlives the parser. */
+    enum class Kind
+    {
+        Param,
+        Scalar,
+        Array,
+        Var,
+    };
+    struct Name
+    {
+        std::string_view text;
+        Kind kind;
+        size_t index;
+    };
+    std::vector<Name> names_;
+
+    const Name *
+    find(std::string_view text) const
+    {
+        for (const Name &n : names_)
+            if (n.text == text)
+                return &n;
+        return nullptr;
+    }
+
+    const Name *
+    find(std::string_view text, Kind kind) const
+    {
+        const Name *n = find(text);
+        return n && n->kind == kind ? n : nullptr;
+    }
 
     const Token &cur() const { return toks_[pos_]; }
     bool at(Tok t) const { return cur().kind == t; }
@@ -99,13 +133,15 @@ class Parser
         throw UserError("line " + std::to_string(cur().line) + ": " + msg);
     }
 
-    Token
+    const Token &
     expect(Tok t)
     {
         if (!at(t))
             fail("expected " + tokName(t) + ", found " +
                  tokName(cur().kind) +
-                 (cur().text.empty() ? "" : " '" + cur().text + "'"));
+                 (cur().text.empty()
+                      ? ""
+                      : " '" + std::string(cur().text) + "'"));
         return toks_[pos_++];
     }
 
@@ -120,11 +156,10 @@ class Parser
     }
 
     void
-    declareName(const std::string &name)
+    declareName(std::string_view name)
     {
-        if (params_.count(name) || scalars_.count(name) ||
-            arrays_.count(name) || vars_.count(name))
-            fail("name '" + name + "' is already declared");
+        if (find(name))
+            fail("name '" + std::string(name) + "' is already declared");
     }
 
     // --- error recovery --------------------------------------------
@@ -173,17 +208,17 @@ class Parser
     {
         if (accept(Tok::KwParam)) {
             do {
-                Token t = expect(Tok::Ident);
-                declareName(t.text);
-                params_[t.text] = prog_.params.size();
-                prog_.params.push_back(t.text);
+                std::string_view t = expect(Tok::Ident).text;
+                declareName(t);
+                names_.push_back({t, Kind::Param, prog_.params.size()});
+                prog_.params.emplace_back(t);
             } while (accept(Tok::Comma));
         } else if (accept(Tok::KwScalar)) {
             do {
-                Token t = expect(Tok::Ident);
-                declareName(t.text);
-                scalars_[t.text] = prog_.scalars.size();
-                prog_.scalars.push_back(t.text);
+                std::string_view t = expect(Tok::Ident).text;
+                declareName(t);
+                names_.push_back({t, Kind::Scalar, prog_.scalars.size()});
+                prog_.scalars.emplace_back(t);
             } while (accept(Tok::Comma));
         } else {
             expect(Tok::KwArray);
@@ -194,10 +229,10 @@ class Parser
     void
     parseArrayDecl()
     {
-        Token name = expect(Tok::Ident);
-        declareName(name.text);
+        std::string_view name = expect(Tok::Ident).text;
+        declareName(name);
         ir::ArrayDecl decl;
-        decl.name = name.text;
+        decl.name = name;
         expect(Tok::LParen);
         do {
             AffineExpr e = parseAffine(/*num_vars=*/0);
@@ -206,7 +241,7 @@ class Parser
         expect(Tok::RParen);
         if (accept(Tok::KwDistribute))
             decl.dist = parseDist(decl.extents.size());
-        arrays_[decl.name] = prog_.arrays.size();
+        names_.push_back({name, Kind::Array, prog_.arrays.size()});
         prog_.arrays.push_back(std::move(decl));
     }
 
@@ -215,10 +250,10 @@ class Parser
     {
         auto dim_arg = [&]() {
             expect(Tok::LParen);
-            Token d = expect(Tok::Integer);
-            if (d.intValue < 0 || size_t(d.intValue) >= ndims)
+            Int d = expect(Tok::Integer).intValue;
+            if (d < 0 || size_t(d) >= ndims)
                 fail("distribution dimension out of range");
-            return size_t(d.intValue);
+            return size_t(d);
         };
         if (accept(Tok::KwReplicated))
             return ir::DistributionSpec::replicated();
@@ -235,11 +270,11 @@ class Parser
         if (accept(Tok::KwBlock2d)) {
             size_t d0 = dim_arg();
             expect(Tok::Comma);
-            Token d1 = expect(Tok::Integer);
-            if (d1.intValue < 0 || size_t(d1.intValue) >= ndims)
+            Int d1 = expect(Tok::Integer).intValue;
+            if (d1 < 0 || size_t(d1) >= ndims)
                 fail("distribution dimension out of range");
             expect(Tok::RParen);
-            return ir::DistributionSpec::block2d(d0, size_t(d1.intValue));
+            return ir::DistributionSpec::block2d(d0, size_t(d1));
         }
         fail("expected a distribution kind");
     }
@@ -250,10 +285,10 @@ class Parser
     parseForLine()
     {
         expect(Tok::KwFor);
-        Token var = expect(Tok::Ident);
-        declareName(var.text);
+        std::string_view var = expect(Tok::Ident).text;
+        declareName(var);
         ir::Loop loop;
-        loop.var = var.text;
+        loop.var = var;
         size_t level = prog_.nest.depth();
         expect(Tok::Assign);
         if (accept(Tok::KwMax)) {
@@ -275,89 +310,186 @@ class Parser
         } else {
             loop.upper.push_back(parseAffine(depth_));
         }
-        vars_[loop.var] = level;
+        names_.push_back({var, Kind::Var, level});
         prog_.nest.loops().push_back(std::move(loop));
     }
 
     // --- affine expressions ----------------------------------------
 
-    AffineExpr
-    parseAffine(size_t num_vars)
+    /**
+     * An affine expression under construction. While every step stays
+     * integral it is a row of integers [vars..., params..., constant];
+     * a division that leaves a non-integral coefficient turns it into
+     * the exact rational AffineExpr, and the rest of that expression is
+     * rational arithmetic. The integer steps compute in 128 bits and
+     * narrow, so they overflow exactly where, and with the error that,
+     * the rational arithmetic would.
+     */
+    struct Lin
     {
-        return parseAffineSum(num_vars);
+        std::vector<Int> row; //!< the value, while !rational
+        bool rational = false;
+        AffineExpr expr; //!< the value, once rational
+    };
+
+    Lin
+    linUnit(size_t num_vars, size_t at, Int v)
+    {
+        Lin l;
+        l.row.assign(num_vars + prog_.params.size() + 1, 0);
+        l.row[at] = v;
+        return l;
+    }
+
+    static bool
+    isConstant(const Lin &l)
+    {
+        if (l.rational)
+            return l.expr.isConstant();
+        for (size_t i = 0; i + 1 < l.row.size(); ++i)
+            if (l.row[i] != 0)
+                return false;
+        return true;
+    }
+
+    static Rational
+    constantOf(const Lin &l)
+    {
+        return l.rational ? l.expr.constantTerm() : Rational(l.row.back());
+    }
+
+    void
+    makeRational(Lin &l, size_t num_vars)
+    {
+        if (l.rational)
+            return;
+        l.expr = AffineExpr(num_vars, prog_.params.size());
+        for (size_t k = 0; k < num_vars; ++k)
+            l.expr.varCoeff(k) = l.row[k];
+        for (size_t p = 0; p < prog_.params.size(); ++p)
+            l.expr.paramCoeff(p) = l.row[num_vars + p];
+        l.expr.constantTerm() = l.row.back();
+        l.rational = true;
+    }
+
+    /** l *= f for an integer f. */
+    static void
+    scaleRow(Lin &l, Int f)
+    {
+        for (Int &c : l.row)
+            if (c != 0)
+                c = narrow128(Int128(c) * f);
     }
 
     AffineExpr
+    parseAffine(size_t num_vars)
+    {
+        Lin l = parseAffineSum(num_vars);
+        makeRational(l, num_vars);
+        return std::move(l.expr);
+    }
+
+    Lin
     parseAffineSum(size_t num_vars)
     {
-        AffineExpr acc = parseAffineProduct(num_vars);
+        Lin acc = parseAffineProduct(num_vars);
         while (at(Tok::Plus) || at(Tok::Minus)) {
             bool add = accept(Tok::Plus);
             if (!add)
                 expect(Tok::Minus);
-            AffineExpr rhs = parseAffineProduct(num_vars);
-            acc = add ? acc + rhs : acc - rhs;
+            Lin rhs = parseAffineProduct(num_vars);
+            if (!acc.rational && !rhs.rational) {
+                for (size_t i = 0; i < acc.row.size(); ++i) {
+                    Int128 r = rhs.row[i];
+                    if (r != 0)
+                        acc.row[i] = narrow128(acc.row[i] + (add ? r : -r));
+                }
+                continue;
+            }
+            makeRational(acc, num_vars);
+            makeRational(rhs, num_vars);
+            acc.expr = add ? acc.expr + rhs.expr : acc.expr - rhs.expr;
         }
         return acc;
     }
 
-    AffineExpr
+    Lin
     parseAffineProduct(size_t num_vars)
     {
-        AffineExpr acc = parseAffineUnary(num_vars);
+        Lin acc = parseAffineUnary(num_vars);
         while (at(Tok::Star) || at(Tok::Slash)) {
             bool mul = accept(Tok::Star);
             if (!mul)
                 expect(Tok::Slash);
-            AffineExpr rhs = parseAffineUnary(num_vars);
+            Lin rhs = parseAffineUnary(num_vars);
             if (mul) {
-                if (rhs.isConstant())
-                    acc = acc.scaled(rhs.constantTerm());
-                else if (acc.isConstant())
-                    acc = rhs.scaled(acc.constantTerm());
-                else
-                    fail("non-affine product (both factors are symbolic)");
-            } else {
-                if (!rhs.isConstant())
-                    fail("division by a symbolic expression");
-                if (rhs.constantTerm().isZero())
-                    fail("division by zero");
-                acc = acc.scaled(rhs.constantTerm().inverse());
+                if (!isConstant(rhs)) {
+                    if (!isConstant(acc))
+                        fail("non-affine product (both factors are "
+                             "symbolic)");
+                    std::swap(acc, rhs);
+                }
+                // acc *= the constant rhs
+                if (!acc.rational && !rhs.rational) {
+                    scaleRow(acc, rhs.row.back());
+                } else {
+                    makeRational(acc, num_vars);
+                    acc.expr = acc.expr.scaled(constantOf(rhs));
+                }
+                continue;
             }
+            if (!isConstant(rhs))
+                fail("division by a symbolic expression");
+            Rational d = constantOf(rhs);
+            if (d.isZero())
+                fail("division by zero");
+            // 1/INT64_MIN does not fit: leave that to the rationals,
+            // which raise the overflow.
+            auto divides = [&](Int c) { return Int128(c) % d.num() == 0; };
+            if (!acc.rational && d.isInteger() &&
+                d.num() != std::numeric_limits<Int>::min() &&
+                std::all_of(acc.row.begin(), acc.row.end(), divides)) {
+                for (Int &c : acc.row)
+                    c = narrow128(Int128(c) / d.num());
+                continue;
+            }
+            makeRational(acc, num_vars);
+            acc.expr = acc.expr.scaled(d.inverse());
         }
         return acc;
     }
 
-    AffineExpr
+    Lin
     parseAffineUnary(size_t num_vars)
     {
-        if (accept(Tok::Minus))
-            return -parseAffineUnary(num_vars);
-        if (at(Tok::Integer)) {
-            Token t = toks_[pos_++];
-            return AffineExpr::constant(Rational(t.intValue), num_vars,
-                                        prog_.params.size());
+        if (accept(Tok::Minus)) {
+            Lin l = parseAffineUnary(num_vars);
+            if (l.rational)
+                l.expr = -l.expr;
+            else
+                scaleRow(l, -1);
+            return l;
         }
+        if (at(Tok::Integer))
+            return linUnit(num_vars, num_vars + prog_.params.size(),
+                           toks_[pos_++].intValue);
         if (accept(Tok::LParen)) {
-            AffineExpr e = parseAffineSum(num_vars);
+            Lin e = parseAffineSum(num_vars);
             expect(Tok::RParen);
             return e;
         }
         if (at(Tok::Ident)) {
-            Token t = toks_[pos_++];
-            auto v = vars_.find(t.text);
-            if (v != vars_.end()) {
+            std::string_view t = toks_[pos_++].text;
+            const Name *n = find(t);
+            if (n && n->kind == Kind::Var) {
                 if (num_vars == 0)
-                    fail("loop variable '" + t.text +
+                    fail("loop variable '" + std::string(t) +
                          "' is not allowed here");
-                return AffineExpr::variable(v->second, num_vars,
-                                            prog_.params.size());
+                return linUnit(num_vars, n->index, 1);
             }
-            auto p = params_.find(t.text);
-            if (p != params_.end())
-                return AffineExpr::parameter(p->second, num_vars,
-                                             prog_.params.size());
-            fail("unknown identifier '" + t.text +
+            if (n && n->kind == Kind::Param)
+                return linUnit(num_vars, num_vars + n->index, 1);
+            fail("unknown identifier '" + std::string(t) +
                  "' in an affine expression");
         }
         fail("expected an affine expression");
@@ -366,13 +498,13 @@ class Parser
     // --- statements ------------------------------------------------
 
     ir::ArrayRef
-    parseRef(const std::string &name)
+    parseRef(std::string_view name)
     {
-        auto it = arrays_.find(name);
-        if (it == arrays_.end())
-            fail("unknown array '" + name + "'");
+        const Name *n = find(name, Kind::Array);
+        if (!n)
+            fail("unknown array '" + std::string(name) + "'");
         ir::ArrayRef ref;
-        ref.arrayId = it->second;
+        ref.arrayId = n->index;
         expect(Tok::LBracket);
         do
             ref.subscripts.push_back(parseAffine(depth_));
@@ -384,10 +516,10 @@ class Parser
     void
     parseStatement()
     {
-        Token name = expect(Tok::Ident);
-        if (!arrays_.count(name.text))
+        std::string_view name = expect(Tok::Ident).text;
+        if (!find(name, Kind::Array))
             fail("statement must assign to an array element");
-        ir::ArrayRef lhs = parseRef(name.text);
+        ir::ArrayRef lhs = parseRef(name);
         expect(Tok::Assign);
         Expr rhs = parseExpr();
         prog_.nest.body().push_back({std::move(lhs), std::move(rhs)});
@@ -420,37 +552,34 @@ class Parser
     {
         if (accept(Tok::Minus))
             return Expr::binary('-', Expr::number_(0.0), parseFactor());
-        if (at(Tok::Float)) {
-            Token t = toks_[pos_++];
-            return Expr::number_(t.floatValue);
-        }
-        if (at(Tok::Integer)) {
-            Token t = toks_[pos_++];
-            return Expr::number_(double(t.intValue));
-        }
+        if (at(Tok::Float))
+            return Expr::number_(toks_[pos_++].floatValue);
+        if (at(Tok::Integer))
+            return Expr::number_(double(toks_[pos_++].intValue));
         if (accept(Tok::LParen)) {
             Expr e = parseExpr();
             expect(Tok::RParen);
             return e;
         }
         if (at(Tok::Ident)) {
-            Token t = toks_[pos_++];
-            if (arrays_.count(t.text))
-                return Expr::arrayRead(parseRef(t.text));
-            auto s = scalars_.find(t.text);
-            if (s != scalars_.end())
-                return Expr::scalar(s->second);
-            auto v = vars_.find(t.text);
-            if (v != vars_.end()) {
-                return Expr::indexValue(AffineExpr::variable(
-                    v->second, depth_, prog_.params.size()));
+            std::string_view t = toks_[pos_++].text;
+            const Name *n = find(t);
+            if (n) {
+                switch (n->kind) {
+                  case Kind::Array:
+                    return Expr::arrayRead(parseRef(t));
+                  case Kind::Scalar:
+                    return Expr::scalar(n->index);
+                  case Kind::Var:
+                    return Expr::indexValue(AffineExpr::variable(
+                        n->index, depth_, prog_.params.size()));
+                  case Kind::Param:
+                    return Expr::indexValue(AffineExpr::parameter(
+                        n->index, depth_, prog_.params.size()));
+                }
             }
-            auto p = params_.find(t.text);
-            if (p != params_.end()) {
-                return Expr::indexValue(AffineExpr::parameter(
-                    p->second, depth_, prog_.params.size()));
-            }
-            fail("unknown identifier '" + t.text + "' in expression");
+            fail("unknown identifier '" + std::string(t) +
+                 "' in expression");
         }
         fail("expected an expression");
     }

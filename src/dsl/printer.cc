@@ -1,45 +1,21 @@
 #include "dsl/printer.h"
 
-#include <sstream>
-
 #include "ir/printer.h"
 
 namespace anc::dsl {
 
 namespace {
 
-std::string
-boundList(const std::vector<ir::AffineExpr> &bounds, const char *comb,
-          const ir::NameTable &names)
+void
+appendNames(std::string &out, const std::vector<std::string> &names,
+            const char *kw)
 {
-    if (bounds.size() == 1)
-        return bounds[0].str(names);
-    std::ostringstream os;
-    os << comb << "(";
-    for (size_t i = 0; i < bounds.size(); ++i) {
-        if (i)
-            os << ", ";
-        os << bounds[i].str(names);
-    }
-    os << ")";
-    return os.str();
-}
-
-std::string
-distText(const ir::DistributionSpec &d)
-{
-    switch (d.kind) {
-      case ir::DistKind::Replicated:
-        return "";
-      case ir::DistKind::Wrapped:
-        return " distribute wrapped(" + std::to_string(d.dims[0]) + ")";
-      case ir::DistKind::Blocked:
-        return " distribute blocked(" + std::to_string(d.dims[0]) + ")";
-      case ir::DistKind::Block2D:
-        return " distribute block2d(" + std::to_string(d.dims[0]) + ", " +
-               std::to_string(d.dims[1]) + ")";
-    }
-    throw InternalError("unknown distribution kind");
+    if (names.empty())
+        return;
+    out += kw;
+    for (size_t i = 0; i < names.size(); ++i)
+        out.append(i ? ", " : " ").append(names[i]);
+    out += '\n';
 }
 
 } // namespace
@@ -48,46 +24,19 @@ std::string
 printDsl(const ir::Program &prog)
 {
     prog.validate();
-    std::ostringstream os;
+    // Render into a per-thread buffer and return an exactly-sized copy:
+    // callers keep many rendered sources alive, and a string grown by
+    // appending holds up to twice its length.
+    thread_local std::string out;
+    out.clear();
+    appendNames(out, prog.params, "param");
+    appendNames(out, prog.scalars, "scalar");
 
-    auto name_list = [&](const std::vector<std::string> &names,
-                         const char *kw) {
-        if (names.empty())
-            return;
-        os << kw << " ";
-        for (size_t i = 0; i < names.size(); ++i) {
-            if (i)
-                os << ", ";
-            os << names[i];
-        }
-        os << "\n";
-    };
-    name_list(prog.params, "param");
-    name_list(prog.scalars, "scalar");
-
-    ir::NameTable ext_names;
-    ext_names.params = prog.params;
-    for (const ir::ArrayDecl &a : prog.arrays) {
-        os << "array " << a.name << "(";
-        for (size_t d = 0; d < a.extents.size(); ++d) {
-            if (d)
-                os << ", ";
-            os << a.extents[d].str(ext_names);
-        }
-        os << ")" << distText(a.dist) << "\n";
-    }
-
-    ir::NameTable names = prog.names();
-    std::string indent;
-    for (const ir::Loop &l : prog.nest.loops()) {
-        os << indent << "for " << l.var << " = "
-           << boundList(l.lower, "max", names) << ", "
-           << boundList(l.upper, "min", names) << "\n";
-        indent += "  ";
-    }
-    for (const ir::Statement &s : prog.nest.body())
-        os << indent << printStatement(s, prog, names) << "\n";
-    return os.str();
+    ir::NameTable ext_names{{}, prog.params};
+    for (const ir::ArrayDecl &a : prog.arrays)
+        ir::appendArrayDecl(out, a, ext_names, /*dsl=*/true);
+    ir::appendNest(out, prog.nest, prog, prog.names());
+    return std::string(out);
 }
 
 } // namespace anc::dsl

@@ -1,6 +1,6 @@
 #include "ir/affine.h"
 
-#include <sstream>
+#include <charconv>
 
 #include "ratmath/error.h"
 
@@ -104,49 +104,68 @@ AffineExpr::operator==(const AffineExpr &o) const
 
 namespace {
 
-/** Append "+ c name" (or "- ...") to os, eliding unit coefficients. */
 void
-appendTerm(std::ostringstream &os, bool &first, const Rational &c,
+appendInt(std::string &out, Int v)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/** Append "+ c name" (or "- ...") to out, eliding unit coefficients. */
+void
+appendTerm(std::string &out, bool &first, const Rational &c,
            const std::string &name)
 {
     if (c.isZero())
         return;
-    Rational a = c.abs();
     if (first) {
         if (c.isNegative())
-            os << "-";
+            out += '-';
         first = false;
     } else {
-        os << (c.isNegative() ? " - " : " + ");
+        out += c.isNegative() ? " - " : " + ";
     }
-    if (name.empty()) {
-        os << a.str();
-    } else {
-        if (a != Rational(1))
-            os << a.str() << "*";
-        os << name;
+    // |c| through checkedNeg: rendering INT64_MIN fails as arithmetic
+    // does, with OverflowError.
+    Int num = c.isNegative() ? checkedNeg(c.num()) : c.num();
+    if (name.empty() || num != 1 || c.den() != 1) {
+        appendInt(out, num);
+        if (c.den() != 1) {
+            out += '/';
+            appendInt(out, c.den());
+        }
+        if (name.empty())
+            return;
+        out += '*';
     }
+    out += name;
 }
 
 } // namespace
 
-std::string
-AffineExpr::str(const NameTable &names) const
+void
+AffineExpr::appendTo(std::string &out, const NameTable &names) const
 {
     if (names.vars.size() != var_.size() ||
         names.params.size() != param_.size()) {
         throw InternalError("affine str: name table shape mismatch");
     }
-    std::ostringstream os;
     bool first = true;
     for (size_t k = 0; k < var_.size(); ++k)
-        appendTerm(os, first, var_[k], names.vars[k]);
+        appendTerm(out, first, var_[k], names.vars[k]);
     for (size_t p = 0; p < param_.size(); ++p)
-        appendTerm(os, first, param_[p], names.params[p]);
-    appendTerm(os, first, const_, "");
+        appendTerm(out, first, param_[p], names.params[p]);
+    appendTerm(out, first, const_, "");
     if (first)
-        return "0";
-    return os.str();
+        out += '0';
+}
+
+std::string
+AffineExpr::str(const NameTable &names) const
+{
+    std::string out;
+    appendTo(out, names);
+    return out;
 }
 
 } // namespace anc::ir

@@ -152,7 +152,11 @@ class AffineExpr
     bool operator==(const AffineExpr &o) const;
     bool operator!=(const AffineExpr &o) const { return !(*this == o); }
 
-    /** Render, e.g. "i + 2j - N + 1". */
+    /** Append the rendering, e.g. "i + 2*j - N + 1", to out. Throws
+     * OverflowError for a coefficient of INT64_MIN. */
+    void appendTo(std::string &out, const NameTable &names) const;
+
+    /** The rendering appendTo produces, as a string. */
     std::string str(const NameTable &names) const;
 
   private:

@@ -106,6 +106,21 @@ struct Expr
             k.forEachRefMut(fn);
     }
 
+    /** Visit every affine expression (subscripts and index values) in
+     * the tree. */
+    template <typename Fn>
+    void
+    forEachAffine(Fn &&fn) const
+    {
+        if (kind == Kind::Index)
+            fn(index);
+        if (kind == Kind::Ref)
+            for (const AffineExpr &s : ref.subscripts)
+                fn(s);
+        for (const Expr &k : kids)
+            k.forEachAffine(fn);
+    }
+
     /** Mutable visit over every affine expression (subscripts and index
      * values) in the tree. */
     template <typename Fn>
@@ -135,6 +150,16 @@ struct Statement
     {
         fn(lhs, /*is_write=*/true);
         rhs.forEachRef([&](const ArrayRef &r) { fn(r, false); });
+    }
+
+    /** Visit every affine expression in the statement. */
+    template <typename Fn>
+    void
+    forEachAffine(Fn &&fn) const
+    {
+        for (const AffineExpr &s : lhs.subscripts)
+            fn(s);
+        rhs.forEachAffine(fn);
     }
 
     /** Mutable visit over every affine expression in the statement. */

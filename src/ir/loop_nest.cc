@@ -44,8 +44,7 @@ LoopNest::validate(size_t num_params) const
             check_bound(e);
     }
     for (const Statement &s : body_) {
-        Statement copy = s;
-        copy.forEachAffineMut([&](AffineExpr &e) {
+        s.forEachAffine([&](const AffineExpr &e) {
             if (e.numVars() != n || e.numParams() != num_params)
                 throw UserError("statement expression has wrong shape");
         });

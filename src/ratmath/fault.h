@@ -80,6 +80,26 @@ namespace detail {
 /** Set while counting or armed; checked ops call point() only then. */
 extern thread_local bool active;
 
+} // namespace detail
+
+/**
+ * RAII pause: checked operations on this thread neither count nor
+ * fault while it lives, and the schedule resumes where it stopped. For
+ * redoing work that the schedule already saw once.
+ */
+struct ScopedPause
+{
+    ScopedPause() : was_(detail::active) { detail::active = false; }
+    ~ScopedPause() { detail::active = was_; }
+    ScopedPause(const ScopedPause &) = delete;
+    ScopedPause &operator=(const ScopedPause &) = delete;
+
+  private:
+    bool was_;
+};
+
+namespace detail {
+
 /** Count one operation and throw if its index is scheduled. */
 void point();
 

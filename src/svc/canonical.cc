@@ -142,12 +142,12 @@ shiftLevelToZero(ir::Program &p, size_t k,
 } // namespace
 
 CanonicalForm
-canonicalize(const ir::Program &prog)
+canonicalize(ir::Program prog)
 {
     prog.validate();
 
     CanonicalForm out;
-    out.program = prog;
+    out.program = std::move(prog);
     ir::Program &p = out.program;
     const size_t depth = p.nest.depth();
 
@@ -206,8 +206,7 @@ canonicalize(const ir::Program &prog)
         }
     }
 
-    p.validate();
-    out.text = dsl::printDsl(p);
+    out.text = dsl::printDsl(p); // validates p
     return out;
 }
 

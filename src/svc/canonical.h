@@ -62,12 +62,14 @@ struct CanonicalForm
 };
 
 /**
- * Canonicalize a structurally valid program. Throws UserError when the
- * input fails ir::Program::validate(); arithmetic faults (injected or
- * real) surface as OverflowError/MathError for the caller's recovery
- * policy, exactly like any other pipeline stage.
+ * Canonicalize a structurally valid program. The program is taken by
+ * value and rewritten in place into CanonicalForm::program, so a caller
+ * done with its program moves it in and nothing is copied. Throws
+ * UserError when the input fails ir::Program::validate(); arithmetic
+ * faults (injected or real) surface as OverflowError/MathError for the
+ * caller's recovery policy, exactly like any other pipeline stage.
  */
-CanonicalForm canonicalize(const ir::Program &prog);
+CanonicalForm canonicalize(ir::Program prog);
 
 /** Content-addressed cache key: hash of everything the compilation
  * depends on. */

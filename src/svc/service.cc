@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "ratmath/error.h"
+#include "ratmath/fault.h"
 
 namespace anc::svc {
 
@@ -126,14 +127,6 @@ Service::Service(ServiceOptions opts)
 }
 
 void
-Service::event(const std::string &request, const char *name,
-               std::vector<EventLog::Field> fields)
-{
-    if (opts_.events)
-        opts_.events->emit(request, name, fields);
-}
-
-void
 Service::finish(Response &r)
 {
     // Provenance: every diagnostic that leaves the service names the
@@ -144,16 +137,18 @@ Service::finish(Response &r)
     ++verdicts_[size_t(r.verdict)];
     retriesTotal_ += uint64_t(r.retries);
     stepsHist_.record(r.steps);
-    event(r.id, "verdict",
-          {{"verdict", obs::jsonStr(verdictName(r.verdict))},
-           {"tier", obs::jsonStr(r.tier)},
-           {"validated", r.validated ? "true" : "false"},
-           {"steps", obs::jsonNum(r.steps)},
-           {"retries", obs::jsonNum(uint64_t(r.retries))}});
+    event(r.id, "verdict", [&] {
+        return Fields{{"verdict", obs::jsonStr(verdictName(r.verdict))},
+                      {"tier", obs::jsonStr(r.tier)},
+                      {"validated", r.validated ? "true" : "false"},
+                      {"steps", obs::jsonNum(r.steps)},
+                      {"retries", obs::jsonNum(uint64_t(r.retries))}};
+    });
 }
 
 Response
-Service::serveGuarded(const std::string &id, const ir::Program &prog)
+Service::serveGuarded(const std::string &id, ir::Program prog,
+                      const std::function<ir::Program()> &rebuild)
 {
     Response r;
     r.id = id;
@@ -163,24 +158,30 @@ Service::serveGuarded(const std::string &id, const ir::Program &prog)
         for (;;) {
             try {
                 token.spend(); // canonicalization phase boundary
-                CanonicalForm canon = canonicalize(prog);
+                CanonicalForm canon = canonicalize(
+                    attempt == 0 ? std::move(prog) : rebuild());
                 r.key = planKey(canon, opts_.machine, opts_.compile.base);
                 r.hasKey = true;
+                const std::string keyHex = r.key.hex();
                 event(id, "canonicalize",
-                      {{"key", obs::jsonStr(r.key.hex())}});
+                      [&] { return Fields{{"key", obs::jsonStr(keyHex)}}; });
                 token.spend(); // keying + lookup phase boundary
                 if (const CachedPlan *hit = cache_.lookup(r.key)) {
-                    event(id, "cache", {{"outcome", obs::jsonStr("hit")}});
+                    event(id, "cache", [] {
+                        return Fields{{"outcome", obs::jsonStr("hit")}};
+                    });
                     r.verdict = Verdict::Cached;
                     r.tier = core::tierName(hit->compilation.tier);
                     r.degradedPlan = hit->compilation.degraded();
                     r.validated = hit->compilation.validated;
                     r.diagnostics.note(core::Stage::Driver,
                                        "served from plan cache",
-                                       "key " + r.key.hex());
+                                       "key " + keyHex);
                     break;
                 }
-                event(id, "cache", {{"outcome", obs::jsonStr("miss")}});
+                event(id, "cache", [] {
+                    return Fields{{"outcome", obs::jsonStr("miss")}};
+                });
                 core::ResilientOptions ropts = opts_.compile;
                 ropts.base.cancel = &token;
                 core::Compilation c =
@@ -188,27 +189,31 @@ Service::serveGuarded(const std::string &id, const ir::Program &prog)
                 r.tier = core::tierName(c.tier);
                 r.degradedPlan = c.degraded();
                 r.validated = c.validated;
-                event(id, "compile",
-                      {{"tier", obs::jsonStr(r.tier)},
-                       {"degraded", r.degradedPlan ? "true" : "false"}});
+                event(id, "compile", [&] {
+                    return Fields{
+                        {"tier", obs::jsonStr(r.tier)},
+                        {"degraded", r.degradedPlan ? "true" : "false"}};
+                });
                 if (c.search.ran)
-                    event(id, "search",
-                          {{"improved",
-                            c.search.improved ? "true" : "false"},
-                           {"enumerated",
-                            obs::jsonNum(c.search.enumerated)},
-                           {"scored", obs::jsonNum(c.search.scored)},
-                           {"winner",
-                            obs::jsonStr(c.search.winnerOrigin)}});
+                    event(id, "search", [&] {
+                        return Fields{
+                            {"improved",
+                             c.search.improved ? "true" : "false"},
+                            {"enumerated", obs::jsonNum(c.search.enumerated)},
+                            {"scored", obs::jsonNum(c.search.scored)},
+                            {"winner", obs::jsonStr(c.search.winnerOrigin)}};
+                    });
                 if (ropts.base.validate)
                     c.validated ? ++validatePassed_ : ++validateFailed_;
                 else
                     ++validateOff_;
-                event(id, "validate",
-                      {{"outcome",
-                        obs::jsonStr(!ropts.base.validate ? "off"
-                                     : c.validated        ? "passed"
-                                                          : "failed")}});
+                event(id, "validate", [&] {
+                    return Fields{
+                        {"outcome",
+                         obs::jsonStr(!ropts.base.validate ? "off"
+                                      : c.validated        ? "passed"
+                                                           : "failed")}};
+                });
                 r.verdict = r.degradedPlan ? Verdict::Degraded
                                            : Verdict::Compiled;
                 for (const core::Diagnostic &d : c.diagnostics.all())
@@ -218,7 +223,7 @@ Service::serveGuarded(const std::string &id, const ir::Program &prog)
                 // plan to serve.
                 try {
                     CachedPlan entry;
-                    entry.canonicalText = canon.text;
+                    entry.canonicalText = std::move(canon.text);
                     entry.compilation = std::move(c);
                     if (!cache_.insert(r.key, std::move(entry)))
                         r.diagnostics.note(
@@ -238,10 +243,12 @@ Service::serveGuarded(const std::string &id, const ir::Program &prog)
                     throw;
                 uint64_t backoff = opts_.retryBackoffSteps
                                    << uint64_t(attempt);
-                event(id, "retry",
-                      {{"attempt", obs::jsonNum(uint64_t(attempt) + 1)},
-                       {"backoffSteps", obs::jsonNum(backoff)},
-                       {"cause", obs::jsonStr(e.what())}});
+                event(id, "retry", [&] {
+                    return Fields{
+                        {"attempt", obs::jsonNum(uint64_t(attempt) + 1)},
+                        {"backoffSteps", obs::jsonNum(backoff)},
+                        {"cause", obs::jsonStr(e.what())}};
+                });
                 r.diagnostics.warning(
                     core::Stage::Driver,
                     "transient fault on attempt " +
@@ -278,8 +285,9 @@ Service::serveGuarded(const std::string &id, const ir::Program &prog)
 Response
 Service::serve(const std::string &id, const ir::Program &prog)
 {
-    event(id, "admit", {{"outcome", obs::jsonStr("accepted")}});
-    Response r = serveGuarded(id, prog);
+    event(id, "admit",
+          [] { return Fields{{"outcome", obs::jsonStr("accepted")}}; });
+    Response r = serveGuarded(id, prog, [&] { return prog; });
     finish(r);
     return r;
 }
@@ -289,10 +297,11 @@ Service::serveSource(const std::string &id, const std::string &source)
 {
     if (opts_.maxProgramBytes != 0 &&
         source.size() > opts_.maxProgramBytes) {
-        event(id, "admit",
-              {{"outcome", obs::jsonStr("shed")},
-               {"reason", obs::jsonStr("program-size")},
-               {"bytes", obs::jsonNum(uint64_t(source.size()))}});
+        event(id, "admit", [&] {
+            return Fields{{"outcome", obs::jsonStr("shed")},
+                          {"reason", obs::jsonStr("program-size")},
+                          {"bytes", obs::jsonNum(uint64_t(source.size()))}};
+        });
         Response r;
         r.id = id;
         r.verdict = Verdict::Shed;
@@ -306,15 +315,17 @@ Service::serveSource(const std::string &id, const std::string &source)
         return r;
     }
 
-    event(id, "admit",
-          {{"outcome", obs::jsonStr("accepted")},
-           {"bytes", obs::jsonNum(uint64_t(source.size()))}});
+    event(id, "admit", [&] {
+        return Fields{{"outcome", obs::jsonStr("accepted")},
+                      {"bytes", obs::jsonNum(uint64_t(source.size()))}};
+    });
 
     dsl::ParseResult parsed;
     try {
         parsed = dsl::parseProgramRecovering(source);
     } catch (const std::exception &e) {
-        event(id, "parse", {{"outcome", obs::jsonStr("failed")}});
+        event(id, "parse",
+              [] { return Fields{{"outcome", obs::jsonStr("failed")}}; });
         Response r;
         r.id = id;
         r.verdict = Verdict::Shed;
@@ -323,9 +334,11 @@ Service::serveSource(const std::string &id, const std::string &source)
         finish(r);
         return r;
     }
-    event(id, "parse",
-          {{"outcome", obs::jsonStr(parsed.program ? "ok" : "rejected")},
-           {"recovered", obs::jsonNum(uint64_t(parsed.diagnostics.size()))}});
+    event(id, "parse", [&] {
+        return Fields{
+            {"outcome", obs::jsonStr(parsed.program ? "ok" : "rejected")},
+            {"recovered", obs::jsonNum(uint64_t(parsed.diagnostics.size()))}};
+    });
 
     core::Diagnostics parseDiags;
     for (const dsl::ParseDiagnostic &d : parsed.diagnostics) {
@@ -353,7 +366,14 @@ Service::serveSource(const std::string &id, const std::string &source)
         return r;
     }
 
-    Response r = serveGuarded(id, *parsed.program);
+    // The parsed program moves into canonicalization. A retry parses
+    // the source again, outside the fault schedule, as the copy it
+    // stands in for would have been made.
+    Response r =
+        serveGuarded(id, std::move(*parsed.program), [&] {
+            fault::ScopedPause pause;
+            return std::move(*dsl::parseProgramRecovering(source).program);
+        });
     if (!parseDiags.empty()) {
         for (const core::Diagnostic &d : r.diagnostics.all())
             parseDiags.add(d);
@@ -371,9 +391,10 @@ Service::runBatch(const std::vector<BatchRequest> &batch)
     for (size_t i = 0; i < batch.size(); ++i) {
         const BatchRequest &q = batch[i];
         if (opts_.queueLimit != 0 && i >= opts_.queueLimit) {
-            event(q.id, "admit",
-                  {{"outcome", obs::jsonStr("shed")},
-                   {"reason", obs::jsonStr("queue-limit")}});
+            event(q.id, "admit", [] {
+                return Fields{{"outcome", obs::jsonStr("shed")},
+                              {"reason", obs::jsonStr("queue-limit")}};
+            });
             Response r;
             r.id = q.id;
             r.verdict = Verdict::Shed;

@@ -46,6 +46,7 @@
 #ifndef ANC_SVC_SERVICE_H
 #define ANC_SVC_SERVICE_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -218,11 +219,23 @@ class Service
     void fillMetrics(obs::MetricsRegistry &m) const;
 
   private:
-    Response serveGuarded(const std::string &id, const ir::Program &prog);
+    /** Canonicalize `prog` (moved in), then look up or compile. A
+     * retry canonicalizes a fresh copy from `rebuild`. */
+    Response serveGuarded(const std::string &id, ir::Program prog,
+                          const std::function<ir::Program()> &rebuild);
     void finish(Response &r);
-    /** Emit one lifecycle event when ServiceOptions::events is set. */
-    void event(const std::string &request, const char *name,
-               std::vector<EventLog::Field> fields = {});
+
+    using Fields = std::vector<EventLog::Field>;
+    /** Emit one lifecycle event when ServiceOptions::events is set;
+     * `fields` (a callable returning Fields) runs only then, so a
+     * service without a log renders no field. */
+    template <typename FieldsFn>
+    void
+    event(const std::string &request, const char *name, FieldsFn &&fields)
+    {
+        if (opts_.events)
+            opts_.events->emit(request, name, fields());
+    }
 
     ServiceOptions opts_;
     PlanCache cache_;

@@ -1,7 +1,6 @@
 #include "xform/transform.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "ir/printer.h"
 #include "ratmath/linalg.h"
@@ -168,37 +167,17 @@ printTransformedNest(const TransformedNest &nest, const ir::Program &prog)
         names.vars.push_back(l.var);
     names.params = prog.params;
 
-    auto bound_list = [&](const std::vector<AffineExpr> &bounds,
-                          const char *comb, const char *round) {
-        std::ostringstream os;
-        bool need_round = false;
-        for (const AffineExpr &b : bounds)
-            if (!b.hasIntegerCoeffs())
-                need_round = true;
-        if (bounds.size() > 1)
-            os << comb << "(";
-        for (size_t i = 0; i < bounds.size(); ++i) {
-            if (i)
-                os << ", ";
-            if (need_round && !bounds[i].hasIntegerCoeffs())
-                os << round << "(" << bounds[i].str(names) << ")";
-            else
-                os << bounds[i].str(names);
-        }
-        if (bounds.size() > 1)
-            os << ")";
-        return os.str();
-    };
-
-    std::ostringstream os;
-    std::string indent;
+    std::string out;
+    size_t indent = 0;
     for (size_t k = 0; k < nest.depth(); ++k) {
         const TransformedLoop &l = nest.loops()[k];
-        os << indent << "for " << l.var << " = "
-           << bound_list(l.lower, "max", "ceil") << ", "
-           << bound_list(l.upper, "min", "floor");
+        out.append(indent, ' ');
+        out += "for " + l.var + " = ";
+        ir::appendBoundList(out, l.lower, "max", names, "ceil");
+        out += ", ";
+        ir::appendBoundList(out, l.upper, "min", names, "floor");
         if (l.stride != 1) {
-            os << " step " << l.stride;
+            out += " step " + std::to_string(l.stride);
             // Report the congruence class when it is not simply 0.
             const IntMatrix &h = nest.lattice().hnf();
             bool anchored = false;
@@ -206,14 +185,17 @@ printTransformedNest(const TransformedNest &nest, const ir::Program &prog)
                 if (h(k, j) % l.stride != 0)
                     anchored = true;
             if (anchored)
-                os << " (aligned to lattice anchor)";
+                out += " (aligned to lattice anchor)";
         }
-        os << "\n";
-        indent += "  ";
+        out += '\n';
+        indent += 2;
     }
-    for (const ir::Statement &s : nest.body())
-        os << indent << printStatement(s, prog, names) << "\n";
-    return os.str();
+    for (const ir::Statement &s : nest.body()) {
+        out.append(indent, ' ');
+        ir::appendStatement(out, s, prog, names);
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace anc::xform

@@ -7,7 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "dsl/parser.h"
+#include "ir/printer.h"
+
+#ifndef ANC_SOURCE_DIR
+#define ANC_SOURCE_DIR "."
+#endif
 
 namespace anc::dsl {
 namespace {
@@ -209,6 +216,131 @@ TEST(Recovery, NeverThrowsOnTruncatedSource)
     std::string src = kValid;
     for (size_t len = 0; len < src.size(); ++len)
         EXPECT_NO_THROW(parseProgramRecovering(src.substr(0, len)));
+}
+
+// --- recorded diagnostics -------------------------------------------
+
+/** Every input above, each prefix, whitespace-token and character
+ * deletion of kValid, and lexer edge cases. */
+std::vector<std::string>
+diagnosticInputs()
+{
+    std::string v = kValid;
+    std::vector<std::string> out = {
+        v,
+        "param N\narray A(N)\nfor i = 0, N-1\n  A[q] = 1.0",
+        "array A(4)\nfor i = 0, 3\n A[i = 1.0",
+        "array A(4\nfor i = 0, 3\n A[i] = 1.0",
+        "array A(4)\nfor i = 0, 3\n A[i] = (1.0",
+        "array A(4)\nfor i = 0, 3\n A[i] = 1.0\n ) )",
+        "array A(4611686018427387904)\nfor i = 0, 3\n A[i] = 1.0",
+        "array A(4611686018427387904 * 4)\nfor i = 0, 3\n A[i] = 1.0",
+        "array A(99999999999999999999)\nfor i = 0, 3\n A[i] = 1.0",
+        "array A(4)\nfor i = 0, 3\n A[i] = 99999999999999999999",
+        "array A(4)\nfor i = 0, 3\n A[i] = 2.5 * 0.125 + 3",
+        "array A(4)\nfor i = 0, 3\n A[i] = 1. + .5",
+        "array A(4)\nfor i = 0, 3\n A[i] = $",
+        "array A(4)\n\tfor i = 0, 3 # comment\r\n A[i] = 1",
+        "param formax, param_, block2dx, N9\narray A(N9) distribute "
+        "block2d(0, 0)\nfor i = 0, N9-1\n A[i] = formax",
+        "param N\narray A(N, N) distribute block2d(0, 1)\n"
+        "for i = max(0, 1), min(N-1, N/2)\n for j = (2*i)/2, N-1\n"
+        "  A[i, j] = A[i, j] * (i + j) / 3 - -N",
+        "array A(8)\nfor i = 0, 3\n A[i / 0] = 1",
+        "array A(8)\nfor i = 0, 3\n A[i * i] = 1",
+        "array A(8)\nfor i = 0, 3\n A[i / i] = 1",
+        "array A(8)\nfor i = 0, 3\n A[1 / 2 * 2 + i] = 1",
+        "array A(8) distribute wrapped(3)\nfor i = 0, 3\n A[i] = 1",
+        "array A(8) distribute sideways(0)\nfor i = 0, 3\n A[i] = 1",
+        "array A(8)\nfor i = 0, i\n A[i] = 1",
+        "array A(8)\narray A(4)\nfor i = 0, 3\n A[i] = 1",
+        "array A(8)\nfor i = 0, 3\n B[i] = 1",
+        "array A(8)\nfor i = 0, 3\n",
+        "for i = 0, ***\n",
+        "",
+    };
+    for (size_t len = 0; len < v.size(); ++len)
+        out.push_back(v.substr(0, len));
+    for (size_t i = 0; i < v.size(); ++i)
+        out.push_back(v.substr(0, i) + v.substr(i + 1));
+    for (size_t i = 0; i < v.size();) {
+        while (i < v.size() && std::isspace((unsigned char)v[i]))
+            ++i;
+        size_t start = i;
+        while (i < v.size() && !std::isspace((unsigned char)v[i]))
+            ++i;
+        if (i > start)
+            out.push_back(v.substr(0, start) + v.substr(i));
+    }
+    // Affine arithmetic: integral steps, steps through a non-integral
+    // coefficient, and each way a coefficient can overflow.
+    for (const char *sub :
+         {"(2*i)/2 + i/2*2 + (i+1)/2 - i/2", "i * (1/2) * 2", "i/3 + i/6",
+          "-(-9223372036854775807 - 1) + i", "0 / (-9223372036854775807 - 1)",
+          "(-9223372036854775807 - 1) / -1", "9223372036854775807 + 1",
+          "4611686018427387904 * 2", "i * 4611686018427387904 * 2",
+          "(i / 2) * 4611686018427387904 * 4"})
+        out.push_back("array A(8)\nfor i = 0, 3\n A[" + std::string(sub) +
+                      "] = 1");
+    return out;
+}
+
+std::string
+oneLine(std::string s)
+{
+    for (size_t p; (p = s.find('\n')) != std::string::npos;)
+        s.replace(p, 1, "\\n");
+    return s;
+}
+
+/** What both entry points make of one input, on one line. */
+std::string
+outcome(const std::string &src)
+{
+    std::string out;
+    try {
+        out = "ok " + oneLine(ir::printProgram(parseProgram(src)));
+    } catch (const UserError &e) {
+        out = std::string("UserError ") + e.what();
+    } catch (const OverflowError &e) {
+        out = std::string("OverflowError ") + e.what();
+    } catch (const Error &e) {
+        out = std::string("Error ") + e.what();
+    } catch (const std::exception &e) {
+        out = std::string("exception ") + e.what();
+    }
+    out += " |";
+    try {
+        ParseResult r = parseProgramRecovering(src);
+        for (const ParseDiagnostic &d : r.diagnostics)
+            out += " " + std::to_string(d.line) + ": " + d.message + ";";
+        out += r.program ? " program" : " none";
+    } catch (const std::exception &e) {
+        out += std::string(" throws ") + e.what();
+    }
+    return out;
+}
+
+TEST(Robustness, DiagnosticsMatchRecorded)
+{
+    const std::string file =
+        ANC_SOURCE_DIR "/tests/dsl/robustness_diagnostics.txt";
+    std::vector<std::string> inputs = diagnosticInputs();
+    if (const char *path = std::getenv("ANC_WRITE_GOLDEN")) {
+        std::ofstream out(path);
+        for (const std::string &src : inputs)
+            out << oneLine(outcome(src)) << "\n";
+        GTEST_SKIP() << "wrote " << inputs.size() << " lines to " << path;
+    }
+    std::ifstream in(file);
+    ASSERT_TRUE(in) << file;
+    std::vector<std::string> want;
+    for (std::string l; std::getline(in, l);)
+        want.push_back(l);
+    ASSERT_EQ(want.size(), inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i)
+        EXPECT_EQ(oneLine(outcome(inputs[i])), want[i])
+            << "input " << i << ": " << inputs[i];
 }
 
 } // namespace

@@ -110,5 +110,36 @@ TEST(RoundTrip, DoubleRoundTripIsFixedPoint)
     EXPECT_EQ(once, twice);
 }
 
+TEST(RoundTrip, LiteralsReadBackExactly)
+{
+    // A literal renders as the shortest fixed-notation decimal that
+    // reads back to the same double: no digit is lost, and no exponent
+    // or 64-bit-overflowing integer the lexer cannot read is written.
+    const std::pair<double, const char *> cases[] = {
+        {1.0000001, "1.0000001"},
+        {1e6, "1000000"},
+        {1e20, "100000000000000000000.0"},
+        {0.25, "0.25"},
+        {1e-7, "0.0000001"},
+    };
+    for (auto [v, text] : cases) {
+        ir::ProgramBuilder b(1);
+        b.array("A", {b.cst(4)});
+        b.loop("i", b.cst(0), b.cst(3));
+        ir::ArrayRef a = b.ref(0, {b.var(0)});
+        b.assign(a, ir::Expr::binary('*', ir::Expr::arrayRead(a),
+                                     ir::Expr::number_(v)));
+        ir::Program p = b.build();
+        std::string src = printDsl(p);
+        EXPECT_NE(src.find(std::string("] * ") + text + "\n"),
+                  std::string::npos)
+            << src;
+        ir::Program q;
+        ASSERT_NO_THROW(q = parseProgram(src)) << src;
+        EXPECT_EQ(q.nest.body()[0].rhs.kids[1].number, v) << src;
+        EXPECT_EQ(printDsl(q), src);
+    }
+}
+
 } // namespace
 } // namespace anc::dsl

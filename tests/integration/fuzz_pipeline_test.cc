@@ -16,9 +16,11 @@
 #include <fstream>
 #include <random>
 
+#include "../dsl/print_oracle.h"
 #include "core/compiler.h"
 #include "deps/dependence.h"
 #include "dsl/parser.h"
+#include "dsl/printer.h"
 #include "executor_oracle.h"
 #include "ir/builder.h"
 #include "ir/interp.h"
@@ -480,6 +482,18 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         std::string tag =
             "run " + std::to_string(runs) + " seed " + std::to_string(seed);
         testutil::checkBoundsAgree(c.nest(), g.params, tag);
+        // The append-only renderer matches the ostringstream oracle on
+        // the source (or fails with the same error).
+        auto rendered = [](auto &&render) {
+            try {
+                return render();
+            } catch (const Error &e) {
+                return std::string("error: ") + e.what();
+            }
+        };
+        EXPECT_EQ(rendered([&] { return dsl::printDsl(g.prog); }),
+                  rendered([&] { return testutil::oracleDsl(g.prog); }))
+            << tag;
         ir::Bindings binds{g.params, {}};
         EXPECT_FALSE(testutil::checkSourceRun(g.prog, binds, tag));
         EXPECT_FALSE(testutil::checkNestRun(g.prog, c.nest(), binds, tag));

@@ -12,6 +12,7 @@
 
 #include <sstream>
 
+#include "dsl/parser.h"
 #include "ir/gallery.h"
 #include "ratmath/fault.h"
 #include "svc/service.h"
@@ -229,6 +230,25 @@ TEST_F(ServiceTest, TransientFaultBeforeCompileIsRetried)
         if (d.message.find("retrying") != std::string::npos)
             warned = true;
     EXPECT_TRUE(warned) << r.diagnostics.render();
+}
+
+TEST_F(ServiceTest, TransientFaultAfterParseRetriesFromTheSource)
+{
+    // The parsed program moves into canonicalization, so a retry after
+    // a fault there starts over from the source; it must key and serve
+    // exactly as the fault-free request does.
+    Response clean = Service(ServiceOptions{}).serveSource("a", kGemmSource);
+    fault::startCounting();
+    dsl::parseProgramRecovering(kGemmSource);
+    uint64_t parseOps = fault::opCount();
+    Service s(ServiceOptions{});
+    fault::armAt(parseOps + 1);
+    Response r = s.serveSource("a", kGemmSource);
+    fault::disarm();
+    EXPECT_EQ(r.verdict, Verdict::Compiled);
+    EXPECT_EQ(r.retries, 1);
+    EXPECT_EQ(r.key, clean.key);
+    EXPECT_EQ(r.tier, clean.tier);
 }
 
 TEST_F(ServiceTest, PersistentFaultExhaustsRetriesAndSheds)
@@ -542,6 +562,45 @@ TEST_F(ServiceTest, EventLogRecordsRetriesAndAdmissionSheds)
                   std::string::npos)
             << rlog.text();
     }
+}
+
+TEST_F(ServiceTest, LiteralsBeyondSixDigitsKeyApart)
+{
+    // The canonical text renders literals exactly, so two programs that
+    // differ only past a literal's sixth significant digit are distinct
+    // plans, not a cache hit of each other.
+    auto source = [](const char *literal) {
+        return std::string("array A(8) distribute wrapped(0)\n"
+                           "for i = 0, 7\n"
+                           "  A[i] = A[i] * ") +
+               literal + "\n";
+    };
+    Service s(ServiceOptions{});
+    Response a = s.serveSource("a", source("1.0000001"));
+    Response b = s.serveSource("b", source("1.0000002"));
+    EXPECT_EQ(a.verdict, Verdict::Compiled);
+    EXPECT_EQ(b.verdict, Verdict::Compiled);
+    EXPECT_NE(a.key, b.key);
+    EXPECT_EQ(s.cache().size(), 2u);
+    CanonicalForm c = canonicalize(
+        dsl::parseProgram(source("1.0000002")));
+    EXPECT_NE(c.text.find("A[c0] * 1.0000002\n"), std::string::npos)
+        << c.text;
+}
+
+TEST_F(ServiceTest, OutOfRangeIntegerLiteralIsShed)
+{
+    Service s(ServiceOptions{});
+    Response r = s.serveSource(
+        "big", "array A(99999999999999999999)\nfor i = 0, 3\n"
+               "  A[i] = 1.0\n");
+    EXPECT_EQ(r.verdict, Verdict::Shed);
+    EXPECT_FALSE(r.hasKey);
+    ASSERT_EQ(r.diagnostics.all().size(), 1u);
+    const core::Diagnostic &d = r.diagnostics.all()[0];
+    EXPECT_EQ(d.message, "request shed: parser failure");
+    EXPECT_EQ(d.detail, "line 1: integer literal '99999999999999999999' "
+                        "is out of range");
 }
 
 TEST_F(ServiceTest, VerdictNamesAreStable)
