@@ -114,9 +114,8 @@ CompiledAffine::numerator(const IntVec &u) const
 }
 
 Int
-CompiledAffine::eval(const IntVec &u) const
+CompiledAffine::valueOf(Int128 n) const
 {
-    Int128 n = numerator(u);
     if (den != 1) {
         Int rem = Int(n % den);
         if (rem != 0) {
@@ -132,9 +131,8 @@ CompiledAffine::eval(const IntVec &u) const
 }
 
 Int
-CompiledAffine::floorAt(const IntVec &u) const
+CompiledAffine::floorOf(Int128 n) const
 {
-    Int128 n = numerator(u);
     if (den == 1)
         return narrow128(n);
     Int128 q = n / den; // den > 0: adjust truncation toward -inf
@@ -144,15 +142,32 @@ CompiledAffine::floorAt(const IntVec &u) const
 }
 
 Int
-CompiledAffine::ceilAt(const IntVec &u) const
+CompiledAffine::ceilOf(Int128 n) const
 {
-    Int128 n = numerator(u);
     if (den == 1)
         return narrow128(n);
     Int128 q = n / den; // den > 0: adjust truncation toward +inf
     if (n % den != 0 && n > 0)
         ++q;
     return narrow128(q);
+}
+
+Int
+CompiledAffine::eval(const IntVec &u) const
+{
+    return valueOf(numerator(u));
+}
+
+Int
+CompiledAffine::floorAt(const IntVec &u) const
+{
+    return floorOf(numerator(u));
+}
+
+Int
+CompiledAffine::ceilAt(const IntVec &u) const
+{
+    return ceilOf(numerator(u));
 }
 
 bool

@@ -120,6 +120,12 @@ struct CompiledAffine
      * wrapping when the sum leaves the 128-bit range. */
     Int128 numerator(const IntVec &u) const;
 
+    /** eval / floorAt / ceilAt given the numerator at the point, for
+     * walkers that keep numerators up to date incrementally. */
+    Int valueOf(Int128 n) const;
+    Int floorOf(Int128 n) const;
+    Int ceilOf(Int128 n) const;
+
     /**
      * Exact integer change in value when variable k advances by stride
      * with deeper variables unchanged. Returns false when the change is
@@ -161,6 +167,18 @@ class LoopBounds
     Int lower(size_t k, const IntVec &u) const;
     /** floor of the min upper bound of level k at the point u. */
     Int upper(size_t k, const IntVec &u) const;
+
+    /** The compiled lower / upper bound forms of level k. */
+    const std::vector<CompiledAffine> &
+    lowers(size_t k) const
+    {
+        return levels_[k].lower;
+    }
+    const std::vector<CompiledAffine> &
+    uppers(size_t k) const
+    {
+        return levels_[k].upper;
+    }
 
   private:
     struct Level

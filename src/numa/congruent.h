@@ -65,7 +65,13 @@ class CongruentStepper
         }
         if (need % g_ != 0)
             return out;
-        Int j0 = Int((Int128(need / g_) * Int128(inv_)) % Int128(step_));
+        // need / g and inv are both below step, so under 2^31 the
+        // product fits 64 bits and skips the 128-bit remainder (a
+        // library call); the value is the same.
+        Int j0 = step_ < (Int(1) << 31)
+                     ? (need / g_) * inv_ % step_
+                     : Int((Int128(need / g_) * Int128(inv_)) %
+                           Int128(step_));
         if (uint64_t(j0) >= n)
             return out;
         out.hits = (n - 1 - uint64_t(j0)) / uint64_t(step_) + 1;

@@ -52,21 +52,23 @@ chargeTransferBatch(ProcStats &ps, const FaultOptions &f,
             // elements fall back to element-wise remote access.
             out.abandoned = drops;
             out.completed = total - drops;
-            ps.transferRetries += drops * uint64_t(rp.maxAttempts);
-            ps.recoveryElements +=
-                drops * uint64_t(rp.maxAttempts) * elemsPerTransfer;
-            ps.backoffUnits +=
-                drops * backoffUnitsFor(rp.maxAttempts - 1, rp.backoffBase);
-            ps.abandonedTransfers += drops;
+            uint64_t sends = mulCount(drops, uint64_t(rp.maxAttempts));
+            addCount(ps.transferRetries, sends);
+            addCount(ps.recoveryElements, mulCount(sends, elemsPerTransfer));
+            addCount(ps.backoffUnits,
+                     mulCount(drops, backoffUnitsFor(rp.maxAttempts - 1,
+                                                     rp.backoffBase)));
+            addCount(ps.abandonedTransfers, drops);
             chargeAbandonedElements(ps, arrayId, numArrays,
-                                    drops * elemsPerTransfer);
+                                    mulCount(drops, elemsPerTransfer));
         } else {
             // fpe failed sends, then success; the successful send is
             // the caller's fault-free charge.
-            ps.transferRetries += drops * uint64_t(fpe);
-            ps.recoveryElements +=
-                drops * uint64_t(fpe) * elemsPerTransfer;
-            ps.backoffUnits += drops * backoffUnitsFor(fpe, rp.backoffBase);
+            uint64_t sends = mulCount(drops, uint64_t(fpe));
+            addCount(ps.transferRetries, sends);
+            addCount(ps.recoveryElements, mulCount(sends, elemsPerTransfer));
+            addCount(ps.backoffUnits,
+                     mulCount(drops, backoffUnitsFor(fpe, rp.backoffBase)));
         }
     }
 
@@ -80,9 +82,9 @@ chargeTransferBatch(ProcStats &ps, const FaultOptions &f,
                                      f.corruptTransferAt,
                                      f.corruptTransferEvery, lo, hi);
     if (corrupt != 0) {
-        ps.transferRefetches += corrupt;
-        ps.recoveryElements += corrupt * elemsPerTransfer;
-        ps.backoffUnits += corrupt; // one unit before each re-fetch
+        addCount(ps.transferRefetches, corrupt);
+        addCount(ps.recoveryElements, mulCount(corrupt, elemsPerTransfer));
+        addCount(ps.backoffUnits, corrupt); // one unit before each re-fetch
     }
     return out;
 }
@@ -101,13 +103,16 @@ chargeRemoteBatch(ProcStats &ps, const FaultOptions &f,
     if (fpe >= rp.maxAttempts) {
         // maxAttempts - 1 retries fail too; the access escalates to a
         // synchronous acknowledged fetch (one sync) and succeeds.
-        ps.remoteRetries += faults * uint64_t(rp.maxAttempts - 1);
-        ps.backoffUnits +=
-            faults * backoffUnitsFor(rp.maxAttempts - 1, rp.backoffBase);
-        ps.syncs += faults;
+        addCount(ps.remoteRetries,
+                 mulCount(faults, uint64_t(rp.maxAttempts - 1)));
+        addCount(ps.backoffUnits,
+                 mulCount(faults, backoffUnitsFor(rp.maxAttempts - 1,
+                                                  rp.backoffBase)));
+        addCount(ps.syncs, faults);
     } else {
-        ps.remoteRetries += faults * uint64_t(fpe);
-        ps.backoffUnits += faults * backoffUnitsFor(fpe, rp.backoffBase);
+        addCount(ps.remoteRetries, mulCount(faults, uint64_t(fpe)));
+        addCount(ps.backoffUnits,
+                 mulCount(faults, backoffUnitsFor(fpe, rp.backoffBase)));
     }
 }
 

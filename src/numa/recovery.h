@@ -110,10 +110,10 @@ chargeAbandonedElements(ProcStats &ps, size_t array_id, size_t num_arrays,
 {
     if (elems == 0)
         return;
-    ps.remoteAccesses += elems;
+    addCount(ps.remoteAccesses, elems);
     if (ps.remoteByArray.empty())
         ps.remoteByArray.assign(num_arrays, 0);
-    ps.remoteByArray[array_id] += elems;
+    addCount(ps.remoteByArray[array_id], elems);
 }
 
 /**

@@ -33,6 +33,27 @@
 
 namespace anc::numa {
 
+/** counter += n, throwing OverflowError instead of wrapping: a run
+ * whose counters would leave uint64_t fails rather than returning
+ * wrong SimStats. Not a fault-injection site, so adding a counter
+ * charge never moves a fault schedule. */
+inline void
+addCount(uint64_t &counter, uint64_t n)
+{
+    if (__builtin_add_overflow(counter, n, &counter)) [[unlikely]]
+        anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+}
+
+/** a * b for counter charges, checked like addCount. */
+inline uint64_t
+mulCount(uint64_t a, uint64_t b)
+{
+    uint64_t r;
+    if (__builtin_mul_overflow(a, b, &r)) [[unlikely]]
+        anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+    return r;
+}
+
 /** Per-processor counters and simulated clock. */
 struct ProcStats
 {
@@ -85,10 +106,10 @@ struct ProcStats
     void
     noteRemote(size_t array_id, size_t num_arrays)
     {
-        remoteAccesses += 1;
+        addCount(remoteAccesses, 1);
         if (remoteByArray.empty())
             remoteByArray.assign(num_arrays, 0);
-        remoteByArray[array_id] += 1;
+        addCount(remoteByArray[array_id], 1);
     }
 };
 
@@ -116,14 +137,14 @@ struct alignas(64) ProcAccum
     void
     flushInto(ProcStats &p)
     {
-        p.iterations += iterations;
-        p.flops += flops;
-        p.localAccesses += localAccesses;
-        p.remoteAccesses += remoteAccesses;
-        p.blockTransfers += blockTransfers;
-        p.blockElements += blockElements;
-        p.guardChecks += guardChecks;
-        p.syncs += syncs;
+        addCount(p.iterations, iterations);
+        addCount(p.flops, flops);
+        addCount(p.localAccesses, localAccesses);
+        addCount(p.remoteAccesses, remoteAccesses);
+        addCount(p.blockTransfers, blockTransfers);
+        addCount(p.blockElements, blockElements);
+        addCount(p.guardChecks, guardChecks);
+        addCount(p.syncs, syncs);
         *this = ProcAccum{};
     }
 };

@@ -51,6 +51,13 @@ ThreadPool::workerLoop()
         seen = generation_;
         if (active_ >= maxWorkers_)
             continue; // job is capped below the full pool
+        // A worker that wakes after its job was fully claimed stays out:
+        // the caller may already have returned, and the next job would
+        // reset next_ under a worker that read the old counter and so
+        // run one of its indices twice. Inside, a worker holds the
+        // caller until it leaves, so fn_ and count_ stay put.
+        if (next_.load(std::memory_order_relaxed) >= count_)
+            continue;
         ++active_;
         lk.unlock();
         runChunk();
@@ -93,7 +100,7 @@ ThreadPool::parallelFor(size_t count, size_t maxThreads,
                    next_.load(std::memory_order_relaxed) >= count_;
         });
         err = error_;
-        fn_ = nullptr; // stale workers check next_ before touching fn_
+        fn_ = nullptr; // late workers see next_ >= count_ and stay out
     }
     if (err)
         std::rethrow_exception(err);

@@ -13,35 +13,21 @@ constexpr Int kMin = std::numeric_limits<Int>::min();
 
 } // namespace
 
-Int
-checkedAdd(Int a, Int b)
+namespace detail {
+
+void
+throwOverflow(const char *what)
 {
-    fault::detail::checkpoint();
-    Int r;
-    if (__builtin_add_overflow(a, b, &r))
-        throw OverflowError("integer overflow in addition");
-    return r;
+    throw OverflowError(what);
 }
 
-Int
-checkedSub(Int a, Int b)
+void
+throwMathError(const char *what)
 {
-    fault::detail::checkpoint();
-    Int r;
-    if (__builtin_sub_overflow(a, b, &r))
-        throw OverflowError("integer overflow in subtraction");
-    return r;
+    throw MathError(what);
 }
 
-Int
-checkedMul(Int a, Int b)
-{
-    fault::detail::checkpoint();
-    Int r;
-    if (__builtin_mul_overflow(a, b, &r))
-        throw OverflowError("integer overflow in multiplication");
-    return r;
-}
+} // namespace detail
 
 Int
 checkedNeg(Int a)
@@ -50,15 +36,6 @@ checkedNeg(Int a)
     if (a == kMin)
         throw OverflowError("integer overflow in negation");
     return -a;
-}
-
-Int
-narrow128(Int128 v)
-{
-    fault::detail::checkpoint();
-    if (v > Int128(kMax) || v < Int128(kMin))
-        throw OverflowError("128-bit value does not fit in 64 bits");
-    return Int(v);
 }
 
 Int
@@ -149,22 +126,6 @@ ceilDiv(Int a, Int b)
     if (r != 0 && ((r < 0) == (b < 0)))
         ++q;
     return q;
-}
-
-Int
-euclidMod(Int a, Int b)
-{
-    fault::detail::checkpoint();
-    if (b == 0)
-        throw MathError("euclidMod by zero");
-    if (b == 1 || b == -1)
-        return 0; // and kMin % -1 would trap in hardware
-    Int r = a % b;
-    // Adding |b| directly would overflow for b == kMin; subtracting a
-    // negative b is the same adjustment without forming |b|.
-    if (r < 0)
-        r = b < 0 ? checkedSub(r, b) : checkedAdd(r, b);
-    return r;
 }
 
 Int
