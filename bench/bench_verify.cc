@@ -79,7 +79,6 @@ struct Point
     double wallS = 0.0; //!< best of 3 (least interference)
     uint64_t steps = 0; //!< deterministic deadline charge
     bool passed = false;
-    bool crossChecked = false;
 };
 
 Point
@@ -89,19 +88,13 @@ measureValidation(const core::Compilation &c)
     pt.wallS = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
         core::CancelToken token(1u << 22);
-        verify::ValidateOptions vopts;
-        vopts.cancel = &token;
         bench::WallTimer timer;
         verify::ValidationReport r =
             verify::validate(c.program, c.nest(),
-                             c.normalization.depMatrix, vopts);
+                             c.normalization.depMatrix, &token);
         pt.wallS = std::min(pt.wallS, timer.seconds());
         pt.steps = token.steps();
         pt.passed = r.passed() && r.checks.size() == 3;
-        pt.crossChecked = false;
-        for (const verify::CheckResult &cr : r.checks)
-            if (cr.method == verify::CheckMethod::SymbolicAndEnumeration)
-                pt.crossChecked = true;
     }
     return pt;
 }
@@ -115,8 +108,8 @@ printVerifySweep()
 
     std::printf("\nsymbolic validation latency sweep (GEMM, concrete "
                 "bound M)\n");
-    std::printf("%14s %16s %12s %10s %14s\n", "M", "iterations",
-                "wall (us)", "steps", "cross-check");
+    std::printf("%14s %16s %12s %10s\n", "M", "iterations", "wall (us)",
+                "steps");
 
     double firstWall = 0.0, lastWall = 0.0;
     uint64_t firstSteps = 0, lastSteps = 0;
@@ -136,15 +129,12 @@ printVerifySweep()
             lastSteps = pt.steps;
         }
         double iters = double(m) * double(m) * double(m);
-        std::printf("%14lld %16.3g %12.1f %10llu %14s\n",
+        std::printf("%14lld %16.3g %12.1f %10llu\n",
                     static_cast<long long>(m), iters, pt.wallS * 1e6,
-                    static_cast<unsigned long long>(pt.steps),
-                    pt.crossChecked ? "enumerated" : "symbolic-only");
+                    static_cast<unsigned long long>(pt.steps));
         report.run("gemm_concrete", m, pt.wallS, 0.0, 0.0,
                    {{"steps", std::to_string(pt.steps)},
-                    {"passed", pt.passed ? "true" : "false"},
-                    {"cross_checked",
-                     pt.crossChecked ? "true" : "false"}});
+                    {"passed", pt.passed ? "true" : "false"}});
     }
 
     // The headline property: validation cost independent of trip count.
@@ -178,15 +168,12 @@ printVerifySweep()
         if (!pt.passed)
             throw InternalError(std::string("bench_verify: ") + name +
                                 " validation did not pass");
-        std::printf("%14s %16s %12.1f %10llu %14s\n", name, "symbolic",
+        std::printf("%14s %16s %12.1f %10llu\n", name, "symbolic",
                     pt.wallS * 1e6,
-                    static_cast<unsigned long long>(pt.steps),
-                    pt.crossChecked ? "enumerated" : "symbolic-only");
+                    static_cast<unsigned long long>(pt.steps));
         report.run(name, 0, pt.wallS, 0.0, 0.0,
                    {{"steps", std::to_string(pt.steps)},
-                    {"passed", pt.passed ? "true" : "false"},
-                    {"cross_checked",
-                     pt.crossChecked ? "true" : "false"}});
+                    {"passed", pt.passed ? "true" : "false"}});
     }
     report.write();
 }
@@ -195,12 +182,9 @@ void
 BM_Verify_SymbolicGemmSmall(benchmark::State &state)
 {
     core::Compilation c = core::compile(scaledGemm(10));
-    for (auto _ : state) {
-        verify::ValidateOptions vopts;
-        benchmark::DoNotOptimize(
-            verify::validate(c.program, c.nest(),
-                             c.normalization.depMatrix, vopts));
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(verify::validate(
+            c.program, c.nest(), c.normalization.depMatrix));
 }
 BENCHMARK(BM_Verify_SymbolicGemmSmall)->Unit(benchmark::kMicrosecond);
 
@@ -208,12 +192,9 @@ void
 BM_Verify_SymbolicGemmHuge(benchmark::State &state)
 {
     core::Compilation c = core::compile(scaledGemm(1000000000));
-    for (auto _ : state) {
-        verify::ValidateOptions vopts;
-        benchmark::DoNotOptimize(
-            verify::validate(c.program, c.nest(),
-                             c.normalization.depMatrix, vopts));
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(verify::validate(
+            c.program, c.nest(), c.normalization.depMatrix));
 }
 BENCHMARK(BM_Verify_SymbolicGemmHuge)->Unit(benchmark::kMicrosecond);
 
@@ -221,13 +202,9 @@ void
 BM_Verify_SymbolicSyr2kParametric(benchmark::State &state)
 {
     core::Compilation c = core::compile(ir::gallery::syr2kBanded());
-    for (auto _ : state) {
-        verify::ValidateOptions vopts;
-        vopts.crossCheck = false;
-        benchmark::DoNotOptimize(
-            verify::validate(c.program, c.nest(),
-                             c.normalization.depMatrix, vopts));
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(verify::validate(
+            c.program, c.nest(), c.normalization.depMatrix));
 }
 BENCHMARK(BM_Verify_SymbolicSyr2kParametric)
     ->Unit(benchmark::kMicrosecond);

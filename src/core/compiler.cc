@@ -312,10 +312,8 @@ runPipeline(ir::Program prog, const CompileOptions &opts, OnFailure policy)
                 stage = Stage::TranslationValidate;
                 tick(cancel);
                 auto s = pc.phase("translation-validate");
-                verify::ValidateOptions vopts;
-                vopts.cancel = cancel;
                 c.validation = verify::validate(
-                    c.program, c.nest(), c.normalization.depMatrix, vopts);
+                    c.program, c.nest(), c.normalization.depMatrix, cancel);
                 if (!c.validation.passed()) {
                     last_error = c.validation.firstFailure();
                     if (!degrade)

@@ -223,45 +223,6 @@ LoopBounds::upper(size_t k, const IntVec &u) const
     return best;
 }
 
-namespace {
-
-/** Add the points at and below level k to count, stopping once it
- * passes limit; the innermost level adds its trip count at once. */
-void
-countSource(const LoopBounds &b, IntVec &v, size_t k, uint64_t limit,
-            uint64_t &count)
-{
-    Int lo = b.lower(k, v);
-    Int hi = b.upper(k, v);
-    if (lo > hi)
-        return;
-    if (k + 1 == v.size()) {
-        Int128 span = Int128(hi) - lo + 1;
-        uint64_t room = limit - count;
-        count += span > Int128(room) ? room + 1 : uint64_t(span);
-        return;
-    }
-    for (Int i = lo; i <= hi && count <= limit; ++i) {
-        v[k] = i;
-        countSource(b, v, k + 1, limit, count);
-    }
-    v[k] = 0;
-}
-
-} // namespace
-
-uint64_t
-countIterations(const LoopNest &nest, const IntVec &params, uint64_t limit)
-{
-    if (nest.depth() == 0)
-        return 1;
-    LoopBounds bounds(nest.loops(), params);
-    IntVec vars(nest.depth(), 0);
-    uint64_t count = 0;
-    countSource(bounds, vars, 0, limit, count);
-    return count;
-}
-
 CompiledBody::CompiledBody(const std::vector<Statement> &body, size_t depth,
                            const Bindings &binds)
     : scalars_(binds.scalarValues)

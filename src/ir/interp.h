@@ -309,14 +309,6 @@ forEachIteration(const LoopNest &nest, const IntVec &params, Fn &&fn)
 }
 
 /**
- * The nest's iteration count, or limit + 1 once it exceeds limit. The
- * innermost level is counted in closed form and the walk stops as soon
- * as the limit is passed, so probing a huge space costs little.
- */
-uint64_t countIterations(const LoopNest &nest, const IntVec &params,
-                         uint64_t limit);
-
-/**
  * Run a whole program sequentially. Returns the iteration count.
  * The trace callback, when given, sees every access (write after reads
  * within a statement, statements in body order).

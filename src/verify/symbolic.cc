@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "deps/dependence.h"
 #include "ratmath/diophantine.h"
 #include "ratmath/hnf.h"
 #include "ratmath/linalg.h"
@@ -59,6 +60,51 @@ applyT(const IntMatrix &t, const IntVec &x)
         for (size_t j = 0; j < t.cols(); ++j)
             u[i] = checkedAdd(u[i], checkedMul(t(i, j), x[j]));
     return u;
+}
+
+/** -1, 0 or +1: the sign of the leading nonzero entry of v. */
+int
+lexSign(const IntVec &v)
+{
+    for (Int x : v)
+        if (x != 0)
+            return x < 0 ? -1 : 1;
+    return 0;
+}
+
+/**
+ * Why dependence family f fails under t: a member d = d0 + gens*z,
+ * z in [-2, 2]^k, whose image t*d has another lexicographic sign, or
+ * the family itself when no member in that box shows it (the exact
+ * family test decides over the rationals, in the safe direction).
+ */
+std::string
+familyViolation(const IntMatrix &t, const deps::DependenceFamily &f)
+{
+    std::string family = "family d0 + G*z with d0=" + pointStr(f.d0) +
+                         ", G=" + matStr(f.gens);
+    size_t k = f.gens.cols();
+    IntVec z(k, -2);
+    for (;;) {
+        IntVec d = f.d0;
+        for (size_t c = 0; c < k; ++c)
+            for (size_t i = 0; i < d.size(); ++i)
+                d[i] = checkedAdd(d[i], checkedMul(f.gens(i, c), z[c]));
+        IntVec td = applyT(t, d);
+        if (lexSign(d) != 0 && lexSign(td) != lexSign(d))
+            return "counterexample: dependence distance d=" + pointStr(d) +
+                   " of " + family + " maps to T*d=" + pointStr(td) +
+                   ", which reverses its lexicographic sign: the emitted "
+                   "loop order runs the dependent iteration first";
+        size_t c = 0;
+        while (c < k && z[c] == 2)
+            z[c++] = -2;
+        if (c == k)
+            break;
+        ++z[c];
+    }
+    return "cannot prove that every distance of dependence " + family +
+           " keeps its lexicographic sign under T";
 }
 
 void
@@ -716,17 +762,7 @@ checkDependencesSymbolic(const ir::Program &prog,
         for (size_t i = 0; i < dep_matrix.rows(); ++i)
             d[i] = dep_matrix(i, c);
         IntVec td = applyT(t, d);
-        Int leading = 0;
-        for (Int x : td) {
-            if (x != 0) {
-                leading = x;
-                break;
-            }
-        }
-        bool d_zero = true;
-        for (Int x : d)
-            d_zero = d_zero && x == 0;
-        if (leading < 0 || (leading == 0 && !d_zero)) {
+        if (lexSign(td) < 0 || (lexSign(td) == 0 && lexSign(d) != 0)) {
             v.detail = "counterexample: dependence column " +
                        std::to_string(c) + " d=" + pointStr(d) +
                        " maps to T*d=" + pointStr(td) +
@@ -737,7 +773,24 @@ checkDependencesSymbolic(const ir::Program &prog,
         }
     }
 
-    (void)prog;
+    // The columns are exact for constant distances and single-generator
+    // families. Where the source's dependence analysis is imprecise, a T
+    // can keep every column positive yet reverse a combination of them
+    // (d1 - d2, say), so each family is decided as a whole. The identity
+    // keeps every sign and needs no analysis.
+    if (!(t == IntMatrix::identity(n))) {
+        deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
+        if (dinfo.imprecise) {
+            for (const deps::DependenceFamily &f : dinfo.families) {
+                tick(opts);
+                if (!deps::preservesLexSign(t, f)) {
+                    v.detail = familyViolation(t, f);
+                    return v;
+                }
+            }
+        }
+    }
+
     v.passed = true;
     std::ostringstream os;
     os << dep_matrix.cols() << " dependence column(s) stay "

@@ -28,11 +28,16 @@
  *     binding.
  *
  *  2. Dependence preservation. T·d lex-positive per column (already
- *     symbolic), plus a symbolic re-derivation of the premise that the
- *     emitted nest really scans in lexicographic order: bounds at
- *     level k may reference only outer variables, and the lattice HNF
- *     is lower-triangular with positive diagonal, which makes the
- *     per-level ascending stride walk lexicographic by construction.
+ *     symbolic). When the source's dependence analysis is imprecise,
+ *     the columns only generate the distance families, and T may keep
+ *     every column positive while reversing a combination of them, so
+ *     each family is decided whole (deps::preservesLexSign, the exact
+ *     test normalization uses). Plus a symbolic re-derivation of the
+ *     premise that the emitted nest really scans in lexicographic
+ *     order: bounds at level k may reference only outer variables, and
+ *     the lattice HNF is lower-triangular with positive diagonal, which
+ *     makes the per-level ascending stride walk lexicographic by
+ *     construction.
  *
  *  3. Body equivalence. T·T⁻¹ == I exactly, and every emitted
  *     statement must equal the source statement with each affine
@@ -135,7 +140,8 @@ SymbolicVerdict checkLatticeSymbolic(const ir::Program &prog,
                                      const xform::TransformedNest &nest,
                                      const ProverOptions &opts = {});
 
-/** Check 2: T·d lex-positive and the scan order premise re-derived. */
+/** Check 2: T·d lex-positive for every column (and every member of an
+ * imprecise distance family) and the scan order premise re-derived. */
 SymbolicVerdict
 checkDependencesSymbolic(const ir::Program &prog,
                          const xform::TransformedNest &nest,

@@ -22,9 +22,11 @@
  *     emitted, emitted covers source) over integer points.
  *
  *  2. Dependence preservation -- the leading nonzero of T*d must be
- *     positive for every dependence column, and the premise that the
- *     emitted nest scans lexicographically is re-derived symbolically
- *     (triangular bounds, positive strides) instead of by enumeration.
+ *     positive for every dependence column and, where the source's
+ *     dependence analysis is imprecise, keep its sign for every member
+ *     of every distance family (deps::preservesLexSign); the premise
+ *     that the emitted nest scans lexicographically is re-derived
+ *     symbolically (triangular bounds, positive strides).
  *
  *  3. Differential execution -- T*T^-1 == I exactly and the emitted
  *     body equals the source body with every affine composed through
@@ -35,11 +37,11 @@
  * Every check returns pass or fail -- there is no skipped verdict and
  * no "incomplete" escape hatch. An obligation the prover can neither
  * prove nor refute is a conservative FAIL with the reason in the
- * detail. On spaces small enough to enumerate, the old point-by-point
- * oracle reruns as a cross-check (enumerationOracle()); a divergence
- * between the two is itself a validation failure. Internal arithmetic
- * faults are NOT swallowed: they propagate as anc::Error so a serving
- * path can degrade the request rather than cache an unvalidated plan.
+ * detail. The point-by-point enumeration oracle that agrees with these
+ * proofs lives with the tests (tests/oracle/), not in this decision.
+ * Internal arithmetic faults are NOT swallowed: they propagate as
+ * anc::Error so a serving path can degrade the request rather than
+ * cache an unvalidated plan.
  */
 
 #ifndef ANC_VERIFY_VERIFY_H
@@ -63,62 +65,22 @@ enum class CheckKind
 
 const char *checkName(CheckKind k);
 
-/** How a verdict was reached. */
-enum class CheckMethod
-{
-    Symbolic,               //!< symbolic proof only (any space size)
-    SymbolicAndEnumeration, //!< symbolic, cross-checked by enumeration
-};
-
-const char *methodName(CheckMethod m);
-
 /** Outcome of one check: always a verdict, never a skip. */
 struct CheckResult
 {
     CheckKind kind = CheckKind::LatticeEquivalence;
     /** The check found no violation. */
     bool passed = false;
-    /** How the verdict was reached. */
-    CheckMethod method = CheckMethod::Symbolic;
     /** Explanation; on failure, includes a concrete counterexample
      * (a point with its parameter binding, a dependence column, or
      * the offending bound/subscript). */
     std::string detail;
 };
 
-/** Options for one validation run. */
-struct ValidateOptions
-{
-    /** Parameter values tried by the enumeration cross-check until a
-     * binding is feasible. */
-    std::vector<Int> paramCandidates = {4, 3, 2, 6, 1, 8};
-    /** Iteration-count cap for the enumeration cross-check; larger
-     * spaces are validated symbolically only (the verdict does not
-     * change -- the cross-check is extra evidence, not a gate). */
-    uint64_t maxPoints = 1u << 18;
-    /** Per-array element cap for the differential cross-check. */
-    Int maxElements = 1 << 16;
-    /** Randomized bindings tried by the differential cross-check. */
-    int trials = 3;
-    /** Seed for the deterministic binding generator. */
-    uint64_t seed = 0x414e2d56; // "AN-V"
-    /** Run the enumeration cross-check when a small feasible binding
-     * exists (recommended; symbolic and concrete verdicts must agree,
-     * and a divergence is reported as a failure). */
-    bool crossCheck = true;
-    /** Deadline that validation work is charged to (may be null). The
-     * serving path passes the request's token so validation cannot
-     * outlive the request budget. */
-    core::CancelToken *cancel = nullptr;
-};
-
 /** The full validation verdict for one compiled nest. */
 struct ValidationReport
 {
     std::vector<CheckResult> checks;
-    /** Parameter binding used by the enumeration cross-check (empty
-     * when no cross-check ran or the program has no parameters). */
-    IntVec params;
 
     /** Every check passed. */
     bool passed() const;
@@ -132,7 +94,9 @@ struct ValidationReport
  * Validate that `nest` is an exact restructuring of `prog` under the
  * transformation it carries, and that it respects every dependence
  * column of `dep_matrix` (source-space distance vectors, one per
- * column, as produced by deps::DependenceInfo::matrix()).
+ * column, as produced by deps::DependenceInfo::matrix()). Validation
+ * work is charged to `cancel` when given: the serving path passes the
+ * request's token so validation cannot outlive the request budget.
  *
  * Never throws for a wrong nest -- wrongness is the verdict. Internal
  * arithmetic faults and deadline exhaustion DO propagate (anc::Error /
@@ -142,39 +106,7 @@ struct ValidationReport
 ValidationReport validate(const ir::Program &prog,
                           const xform::TransformedNest &nest,
                           const IntMatrix &dep_matrix,
-                          const ValidateOptions &opts = {});
-
-/**
- * The point-by-point enumeration oracle, exposed for cross-checking
- * and property tests. Unlike validate() it may be infeasible (no small
- * parameter binding fits under the caps); that is reported in
- * `feasible`/`reason`, never as a verdict.
- */
-struct EnumerationOracle
-{
-    bool feasible = false;  //!< a binding under the caps was found
-    std::string reason;     //!< why not, when !feasible
-    IntVec params;          //!< the binding used
-    bool latticeOk = false; //!< emitted points == T*(source points)
-    std::string latticeDetail;
-    bool orderOk = false; //!< emitted visit order strictly lex
-    std::string orderDetail;
-    /** The concrete differential run happened (it additionally needs
-     * the arrays to fit under maxElements at the binding). */
-    bool differentialRan = false;
-    bool differentialOk = false; //!< concrete footprints identical
-    std::string differentialDetail;
-
-    bool
-    allOk() const
-    {
-        return latticeOk && orderOk && (!differentialRan || differentialOk);
-    }
-};
-
-EnumerationOracle enumerationOracle(const ir::Program &prog,
-                                    const xform::TransformedNest &nest,
-                                    const ValidateOptions &opts = {});
+                          core::CancelToken *cancel = nullptr);
 
 } // namespace anc::verify
 

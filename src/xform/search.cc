@@ -562,10 +562,8 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             if (other != ev && other->total == ev->total)
                 tie = true;
         if (!ev->isHeuristic) {
-            verify::ValidateOptions vopts;
-            vopts.cancel = cancel;
-            verify::ValidationReport report = verify::validate(
-                prog, *nest, norm.depMatrix, vopts);
+            verify::ValidationReport report =
+                verify::validate(prog, *nest, norm.depMatrix, cancel);
             if (!report.passed()) {
                 t.verdict = "failed-validation";
                 t.detail = report.firstFailure();

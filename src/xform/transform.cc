@@ -37,53 +37,6 @@ TransformedNest::oldIteration(const IntVec &u) const
     return out;
 }
 
-namespace {
-
-/** Add the points at and below level k to count, stopping once it
- * passes limit; the innermost level adds its trip count at once. */
-void
-countLevel(const TransformedNest &nest, const ir::LoopBounds &b, IntVec &u,
-           IntVec &y, size_t k, uint64_t limit, uint64_t &count)
-{
-    Int lo = b.lower(k, u);
-    Int hi = b.upper(k, u);
-    if (lo > hi)
-        return;
-    Int s = nest.lattice().stride(k);
-    Int start = nest.startAt(k, lo, y);
-    if (k + 1 == u.size()) {
-        if (start <= hi) {
-            Int128 trips = (Int128(hi) - start) / s + 1;
-            uint64_t room = limit - count;
-            count += trips > Int128(room) ? room + 1 : uint64_t(trips);
-        }
-        return;
-    }
-    for (Int v = start; v <= hi && count <= limit; v += s) {
-        u[k] = v;
-        y.push_back(nest.lattice().solveY(k, v, y));
-        countLevel(nest, b, u, y, k + 1, limit, count);
-        y.pop_back();
-    }
-    u[k] = 0;
-}
-
-} // namespace
-
-uint64_t
-TransformedNest::countIterations(const IntVec &params, uint64_t limit) const
-{
-    if (depth() == 0)
-        return 1;
-    ir::LoopBounds bounds(loops_, params);
-    IntVec u(depth(), 0);
-    IntVec y;
-    y.reserve(depth());
-    uint64_t count = 0;
-    countLevel(*this, bounds, u, y, 0, limit, count);
-    return count;
-}
-
 uint64_t
 TransformedNest::run(const ir::Bindings &binds, ir::ArrayStorage &store,
                      const ir::TraceFn &trace) const

@@ -84,13 +84,6 @@ class TransformedNest
     }
 
     /**
-     * The iteration count, or limit + 1 once it exceeds limit. The
-     * innermost level is counted in closed form and the walk stops as
-     * soon as the limit is passed.
-     */
-    uint64_t countIterations(const IntVec &params, uint64_t limit) const;
-
-    /**
      * Execute the (rewritten) body over the whole space; semantically
      * equal to running the source program when the transformation is
      * legal. Returns the iteration count.

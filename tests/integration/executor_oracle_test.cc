@@ -29,6 +29,7 @@
 
 #include "core/compiler.h"
 #include "dsl/parser.h"
+#include "enumeration_oracle.h"
 #include "executor_oracle.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
@@ -126,8 +127,8 @@ small(const ir::Program &prog, const ir::Bindings &binds)
 {
     constexpr uint64_t kMaxPoints = 1 << 14;
     try {
-        if (ir::countIterations(prog.nest, binds.paramValues, kMaxPoints) >
-            kMaxPoints)
+        if (oracle::countIterations(prog.nest, binds.paramValues,
+                                    kMaxPoints) > kMaxPoints)
             return false;
         for (const ir::ArrayDecl &a : prog.arrays) {
             double elements = 1;
@@ -292,9 +293,11 @@ TEST(ExecutorOracleTest, CountIterationsStopsJustPastTheLimit)
         ASSERT_EQ(exact, emitted);
         for (uint64_t limit : {uint64_t(0), exact / 2, exact, exact * 2}) {
             uint64_t want = std::min(exact, limit + 1);
-            EXPECT_EQ(ir::countIterations(prog.nest, params, limit), want)
+            EXPECT_EQ(oracle::countIterations(prog.nest, params, limit),
+                      want)
                 << "N=" << n << " limit=" << limit;
-            EXPECT_EQ(c.nest().countIterations(params, limit), want)
+            EXPECT_EQ(oracle::countIterations(c.nest(), params, limit),
+                      want)
                 << "N=" << n << " limit=" << limit;
         }
     }
@@ -305,7 +308,7 @@ TEST(ExecutorOracleTest, CountIterationsStopsJustPastTheLimit)
     for (int k = 0; k < 3; ++k)
         b.loop("i" + std::to_string(k), b.cst(0), b.cst(m - 1));
     b.assign(b.ref(0, {b.cst(0)}), ir::Expr::number_(1.0));
-    EXPECT_EQ(ir::countIterations(b.build().nest, {}, 1 << 18),
+    EXPECT_EQ(oracle::countIterations(b.build().nest, {}, 1 << 18),
               (1u << 18) + 1);
 }
 

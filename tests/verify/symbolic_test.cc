@@ -1,14 +1,16 @@
 /**
  * @file
  * Property tests for the symbolic prover, differential against the
- * point-by-point enumeration oracle. The contract under test: on every
- * program whose iteration space is small enough to enumerate, the
- * symbolic verdict (computed with parameters as free symbols, never
- * looking at a single concrete point) must agree with the oracle --
- * both on clean compilations (everything passes) and on deliberately
- * miscompiled plans (both sides must refuse). Where the two disagree
- * by design -- the oracle has no dependence-preservation check -- the
- * test pins down that the symbolic layer is strictly stronger.
+ * point-by-point enumeration oracle (tests/oracle/, built only for the
+ * tests; validate() itself enumerates nothing). The contract under
+ * test: on every program whose iteration space is small enough to
+ * enumerate, the symbolic verdict (computed with parameters as free
+ * symbols, never looking at a single concrete point) must agree with
+ * the oracle -- both on clean compilations (everything passes) and on
+ * deliberately miscompiled plans (both sides must refuse). Where the
+ * two disagree by design -- the oracle has no dependence-preservation
+ * check -- the test pins down that the symbolic layer is strictly
+ * stronger.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "core/compiler.h"
 #include "deps/dependence.h"
+#include "enumeration_oracle.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
 #include "ir/interp.h"
@@ -26,6 +29,9 @@
 
 namespace anc::verify {
 namespace {
+
+using oracle::EnumerationOracle;
+using oracle::enumerationOracle;
 
 Rational
 rat(Int n, Int d = 1)
@@ -63,14 +69,6 @@ rebuild(const xform::TransformedNest &nest,
                                   nest.inverseTransform(), nest.lattice(),
                                   std::move(loops), std::move(body),
                                   nest.paramConditions());
-}
-
-ValidateOptions
-symbolicOnly()
-{
-    ValidateOptions o;
-    o.crossCheck = false;
-    return o;
 }
 
 TEST(SymbolicTest, ProverProvesAndRefutesBoxImplications)
@@ -118,7 +116,7 @@ TEST(SymbolicTest, ProverCoversEveryParameterValue)
 
 TEST(SymbolicTest, GalleryVerdictsAgreeWithTheEnumerationOracle)
 {
-    // Every gallery kernel: the symbolic-only verdict (no enumeration
+    // Every gallery kernel: the symbolic verdict (no enumeration
     // anywhere in the decision) and the independent point-by-point
     // oracle must both come back clean.
     using ir::Program;
@@ -139,12 +137,8 @@ TEST(SymbolicTest, GalleryVerdictsAgreeWithTheEnumerationOracle)
         SCOPED_TRACE(name);
         core::Compilation c = core::compile(make());
         ValidationReport r =
-            validate(c.program, c.nest(), c.normalization.depMatrix,
-                     symbolicOnly());
+            validate(c.program, c.nest(), c.normalization.depMatrix);
         EXPECT_TRUE(r.passed()) << r.render();
-        for (const CheckResult &cr : r.checks)
-            EXPECT_EQ(cr.method, CheckMethod::Symbolic)
-                << checkName(cr.kind);
 
         EnumerationOracle o = enumerationOracle(c.program, c.nest());
         if (!o.feasible)
@@ -296,7 +290,7 @@ generate(std::mt19937 &rng, size_t depth)
 
 TEST(SymbolicTest, FuzzedProgramsSymbolicAndOracleVerdictsAgree)
 {
-    // 40 random programs, every space enumerable: the symbolic-only
+    // 40 random programs, every space enumerable: the symbolic
     // verdict and the oracle must independently come back clean and
     // therefore agree -- no divergence on any check, ever.
     std::mt19937 rng(20260808);
@@ -306,8 +300,7 @@ TEST(SymbolicTest, FuzzedProgramsSymbolicAndOracleVerdictsAgree)
         core::Compilation c = core::compile(prog);
 
         ValidationReport r =
-            validate(c.program, c.nest(), c.normalization.depMatrix,
-                     symbolicOnly());
+            validate(c.program, c.nest(), c.normalization.depMatrix);
         EXPECT_TRUE(r.passed()) << r.render();
 
         EnumerationOracle o = enumerationOracle(c.program, c.nest());
@@ -342,9 +335,8 @@ TEST(SymbolicTest, FuzzedMiscompiledPlansFailOnBothSides)
         xform::TransformedNest bad =
             rebuild(c.nest(), std::move(loops), c.nest().body());
 
-        ValidationReport r = validate(c.program, bad,
-                                      c.normalization.depMatrix,
-                                      symbolicOnly());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
         EXPECT_FALSE(r.passed()) << r.render();
         EXPECT_FALSE(check(r, CheckKind::LatticeEquivalence).passed);
 
@@ -358,9 +350,9 @@ TEST(SymbolicTest, FuzzedMiscompiledPlansFailOnBothSides)
 
 TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
 {
-    // Three independent tamper shapes on gallery kernels; for each,
-    // the symbolic-only verdict and the oracle must agree that the
-    // plan is wrong, through the check that owns the breakage.
+    // Independent tamper shapes on gallery kernels; for each, the
+    // symbolic verdict and the oracle must agree that the plan is
+    // wrong, through the check that owns the breakage.
     {
         // Shifted lower bound: the emitted nest misses points.
         core::Compilation c =
@@ -370,9 +362,8 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
             loops.back().lower[0].constantTerm() + Rational(1);
         xform::TransformedNest bad =
             rebuild(c.nest(), std::move(loops), c.nest().body());
-        ValidationReport r = validate(c.program, bad,
-                                      c.normalization.depMatrix,
-                                      symbolicOnly());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
         EXPECT_FALSE(check(r, CheckKind::LatticeEquivalence).passed);
         EnumerationOracle o = enumerationOracle(c.program, bad);
         ASSERT_TRUE(o.feasible) << o.reason;
@@ -389,9 +380,8 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
             t2, c.nest().inverseTransform(), c.nest().lattice(),
             c.nest().loops(), c.nest().body(),
             c.nest().paramConditions());
-        ValidationReport r = validate(c.program, bad,
-                                      c.normalization.depMatrix,
-                                      symbolicOnly());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
         EXPECT_FALSE(r.passed()) << r.render();
         EnumerationOracle o = enumerationOracle(c.program, bad);
         ASSERT_TRUE(o.feasible) << o.reason;
@@ -407,9 +397,8 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         std::swap(body[0].lhs.subscripts[0], body[0].lhs.subscripts[1]);
         xform::TransformedNest bad =
             rebuild(c.nest(), c.nest().loops(), std::move(body));
-        ValidationReport r = validate(c.program, bad,
-                                      c.normalization.depMatrix,
-                                      symbolicOnly());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
         EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
         EXPECT_FALSE(
             check(r, CheckKind::DifferentialExecution).passed);
@@ -418,6 +407,76 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         EXPECT_TRUE(o.latticeOk) << o.latticeDetail;
         ASSERT_TRUE(o.differentialRan);
         EXPECT_FALSE(o.differentialOk);
+        EXPECT_EQ(r.passed(), o.allOk());
+    }
+    {
+        // Doubled innermost stride, lattice kept: the loop as written
+        // steps over every other point of T.Z^n.
+        core::Compilation c =
+            core::compile(ir::gallery::section3Example());
+        std::vector<xform::TransformedLoop> loops = c.nest().loops();
+        loops.back().stride *= 2;
+        xform::TransformedNest bad =
+            rebuild(c.nest(), std::move(loops), c.nest().body());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
+        const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
+        EXPECT_FALSE(lat.passed);
+        EXPECT_NE(lat.detail.find("declares stride"), std::string::npos)
+            << lat.detail;
+        EnumerationOracle o = enumerationOracle(c.program, bad);
+        ASSERT_TRUE(o.feasible) << o.reason;
+        EXPECT_FALSE(o.latticeOk) << o.latticeDetail;
+        EXPECT_EQ(r.passed(), o.allOk());
+    }
+    {
+        // A lattice taken from a different T: T' is T's HNF with one
+        // anchor entry moved, so the strides and the index agree but
+        // the emitted walk scans another coset pattern.
+        core::Compilation c =
+            core::compile(ir::gallery::section3Example());
+        IntMatrix h = c.nest().lattice().hnf();
+        size_t k = h.rows() - 1;
+        ASSERT_GT(h(k, k), 1) << "want a level with a nontrivial anchor";
+        h(k, 0) = (h(k, 0) + 1) % h(k, k);
+        xform::TransformedNest bad(
+            c.nest().transform(), c.nest().inverseTransform(), Lattice(h),
+            c.nest().loops(), c.nest().body(),
+            c.nest().paramConditions());
+        ASSERT_FALSE(bad.lattice().hnf() == c.nest().lattice().hnf());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
+        const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
+        EXPECT_FALSE(lat.passed);
+        EXPECT_NE(lat.detail.find("differs from the column HNF of T"),
+                  std::string::npos)
+            << lat.detail;
+        EnumerationOracle o = enumerationOracle(c.program, bad);
+        ASSERT_TRUE(o.feasible) << o.reason;
+        EXPECT_FALSE(o.latticeOk) << o.latticeDetail;
+        EXPECT_EQ(r.passed(), o.allOk());
+    }
+    {
+        // An outer bound that references an inner variable: the scan
+        // order is no longer defined by the outer prefix alone.
+        core::Compilation c = core::compile(ir::gallery::gemm());
+        std::vector<xform::TransformedLoop> loops = c.nest().loops();
+        ir::AffineExpr &up = loops.front().upper[0];
+        up = up - ir::AffineExpr::variable(1, up.numVars(), up.numParams());
+        xform::TransformedNest bad =
+            rebuild(c.nest(), std::move(loops), c.nest().body());
+        ValidationReport r =
+            validate(c.program, bad, c.normalization.depMatrix);
+        const CheckResult &dep =
+            check(r, CheckKind::DependencePreservation);
+        EXPECT_FALSE(dep.passed);
+        EXPECT_NE(dep.detail.find("scan order premise"), std::string::npos)
+            << dep.detail;
+        EnumerationOracle o = enumerationOracle(c.program, bad);
+        ASSERT_TRUE(o.feasible) << o.reason;
+        EXPECT_FALSE(o.orderOk) << o.orderDetail;
+        EXPECT_NE(o.orderDetail.find("ill-defined"), std::string::npos)
+            << o.orderDetail;
         EXPECT_EQ(r.passed(), o.allOk());
     }
 }
@@ -439,7 +498,7 @@ TEST(SymbolicTest, DependenceViolationIsCaughtOnlySymbolically)
     deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
 
     ValidationReport r =
-        validate(prog, nest, dinfo.matrix(2), symbolicOnly());
+        validate(prog, nest, dinfo.matrix(2));
     EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
     EXPECT_FALSE(check(r, CheckKind::DependencePreservation).passed);
 
@@ -447,6 +506,75 @@ TEST(SymbolicTest, DependenceViolationIsCaughtOnlySymbolically)
     ASSERT_TRUE(o.feasible) << o.reason;
     EXPECT_TRUE(o.latticeOk) << o.latticeDetail;
     EXPECT_TRUE(o.orderOk) << o.orderDetail;
+}
+
+TEST(SymbolicTest, DependenceFamilyViolationFailsOnBothSides)
+{
+    // X[i0-i1-i2+9, i0+i2] = X[i0-i1-i2+10, i0+i2] + Y[...] over a
+    // triangular space: the flow distances form the family
+    // (a, 2a+1, -a), so the analysis is imprecise and the dependence
+    // matrix holds only the columns (1,2,-1) and (0,1,0). T below keeps
+    // both columns lexicographically positive but maps their
+    // difference (1,1,-1), an anti-dependence, to (0,-1,0). The
+    // symbolic check must decide the family as a whole, and the
+    // oracle's concrete run must see the wrong values.
+    ir::ProgramBuilder b(3);
+    size_t ax = b.array("X", {b.cst(17), b.cst(13)},
+                        ir::DistributionSpec::blocked(1));
+    size_t ay = b.array("Y", {b.cst(17), b.cst(11)},
+                        ir::DistributionSpec::wrapped(1));
+    auto i0 = b.var(0), i1 = b.var(1), i2 = b.var(2);
+    b.loop("i0", b.cst(0), b.cst(6));
+    b.loop("i1", i0, b.cst(4));
+    b.loop("i2", i1, b.cst(5));
+    b.assign(b.ref(ax, {i0 - i1 - i2 + b.cst(9), i0 + i2}),
+             ir::Expr::binary(
+                 '+',
+                 ir::Expr::arrayRead(
+                     b.ref(ax, {i0 - i1 - i2 + b.cst(10), i0 + i2})),
+                 ir::Expr::arrayRead(
+                     b.ref(ay, {b.cst(10) - i0 - i1 + i2,
+                                b.cst(9) - i1 - i2}))));
+    ir::Program prog = b.build();
+    deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
+    ASSERT_TRUE(dinfo.imprecise);
+    IntMatrix t(3, 3);
+    t(0, 0) = 1, t(0, 2) = 1;
+    t(1, 0) = -1, t(1, 1) = 1, t(1, 2) = 1;
+    t(2, 1) = 1, t(2, 2) = 1;
+    ASSERT_TRUE(deps::isLegalTransformation(t, dinfo.matrix(3)))
+        << "want a T that every dependence column allows";
+    xform::TransformedNest nest = xform::applyTransform(prog, t);
+
+    ValidationReport r = validate(prog, nest, dinfo.matrix(3));
+    EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
+    const CheckResult &dep = check(r, CheckKind::DependencePreservation);
+    EXPECT_FALSE(dep.passed);
+    EXPECT_NE(dep.detail.find("reverses its lexicographic sign"),
+              std::string::npos)
+        << dep.detail;
+    EXPECT_TRUE(check(r, CheckKind::DifferentialExecution).passed);
+
+    EnumerationOracle o = enumerationOracle(prog, nest);
+    ASSERT_TRUE(o.feasible) << o.reason;
+    EXPECT_TRUE(o.latticeOk) << o.latticeDetail;
+    ASSERT_TRUE(o.differentialRan);
+    EXPECT_FALSE(o.differentialOk) << o.differentialDetail;
+    EXPECT_EQ(r.passed(), o.allOk());
+
+    // The plan search proposes this T (it filters candidates by the
+    // columns alone); validation must keep it from winning.
+    core::ResilientOptions ropts;
+    ropts.base.search.enabled = true;
+    ropts.base.search.hostThreads = 1;
+    core::Compilation c = core::compileResilient(prog, ropts);
+    ASSERT_TRUE(c.search.ran);
+    bool rejected = false;
+    for (const xform::SearchScore &s : c.search.trail)
+        if (s.transform == "[1 0 1; -1 1 1; 0 1 1]")
+            rejected = rejected || s.verdict == "failed-validation";
+    EXPECT_TRUE(rejected);
+    EXPECT_FALSE(c.nest().transform() == t);
 }
 
 } // namespace

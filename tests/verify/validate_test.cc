@@ -6,8 +6,8 @@
  * counterexample point (the ISSUE 5 acceptance criterion), an illegal
  * loop order by dependence preservation, and a tampered body -- which
  * leaves the iteration space intact -- by the body-equivalence check,
- * proving the checks are independent. Since ISSUE 8 every verdict is
- * pass or fail: oversized spaces are proven symbolically, never
+ * proving the checks are independent. Every verdict is pass or fail:
+ * spaces far too large to enumerate are proven symbolically, never
  * skipped, and the report has no "incomplete" state.
  */
 
@@ -15,6 +15,8 @@
 
 #include "core/compiler.h"
 #include "deps/dependence.h"
+#include "enumeration_oracle.h"
+#include "ir/builder.h"
 #include "ir/gallery.h"
 #include "verify/verify.h"
 #include "xform/transform.h"
@@ -24,9 +26,9 @@ namespace {
 
 ValidationReport
 validateCompilation(const core::Compilation &c,
-                    const ValidateOptions &opts = {})
+                    core::CancelToken *cancel = nullptr)
 {
-    return validate(c.program, c.nest(), c.normalization.depMatrix, opts);
+    return validate(c.program, c.nest(), c.normalization.depMatrix, cancel);
 }
 
 const CheckResult &
@@ -36,6 +38,28 @@ check(const ValidationReport &r, CheckKind kind)
         if (c.kind == kind)
             return c;
     throw std::logic_error("check kind missing from report");
+}
+
+/** GEMM with a concrete trip count M per level: M^3 iterations. */
+ir::Program
+scaledGemm(Int m)
+{
+    ir::ProgramBuilder b(3);
+    auto M = b.cst(m);
+    auto c1 = b.cst(1);
+    size_t arr_c = b.array("C", {M, M}, ir::DistributionSpec::wrapped(1));
+    size_t arr_a = b.array("A", {M, M}, ir::DistributionSpec::wrapped(1));
+    size_t arr_b = b.array("B", {M, M}, ir::DistributionSpec::wrapped(1));
+    b.loop("i", b.cst(0), M - c1);
+    b.loop("j", b.cst(0), M - c1);
+    b.loop("k", b.cst(0), M - c1);
+    auto vi = b.var(0), vj = b.var(1), vk = b.var(2);
+    ir::Expr rhs = ir::Expr::binary(
+        '+', ir::Expr::arrayRead(b.ref(arr_c, {vi, vj})),
+        ir::Expr::binary('*', ir::Expr::arrayRead(b.ref(arr_a, {vi, vk})),
+                         ir::Expr::arrayRead(b.ref(arr_b, {vk, vj}))));
+    b.assign(b.ref(arr_c, {vi, vj}), rhs);
+    return b.build();
 }
 
 /** Rebuild a nest with mutated loops/body through the public ctor. */
@@ -61,12 +85,6 @@ TEST(ValidateTest, CleanGalleryProgramsPassEveryCheck)
         for (const CheckResult &cr : r.checks) {
             EXPECT_TRUE(cr.passed) << checkName(cr.kind) << ": "
                                    << cr.detail;
-            // Small gallery spaces: symbolic proof plus the
-            // enumeration cross-check must both have run (the
-            // differential part is a concrete execution, so the
-            // method records the combination).
-            EXPECT_EQ(cr.method, CheckMethod::SymbolicAndEnumeration)
-                << checkName(cr.kind) << ": " << cr.detail;
         }
         EXPECT_EQ(r.firstFailure(), "");
         EXPECT_NE(r.render().find("PASS"), std::string::npos);
@@ -153,7 +171,7 @@ TEST(ValidateTest, TamperedBodyCaughtByDifferentialCheckAlone)
 {
     // Swapping the write's subscripts (C[u][v] -> C[v][u]) keeps the
     // iteration space and the loop order intact; only the body check
-    // (and its concrete cross-check) can tell them apart.
+    // can tell them apart.
     core::Compilation c = core::compile(ir::gallery::gemm());
     std::vector<ir::Statement> body = c.nest().body();
     ASSERT_GE(body[0].lhs.subscripts.size(), 2u);
@@ -173,23 +191,19 @@ TEST(ValidateTest, TamperedBodyCaughtByDifferentialCheckAlone)
 
 TEST(ValidateTest, OversizedSpaceIsProvenSymbolicallyNeverSkipped)
 {
-    // The point of ISSUE 8: a space far over any enumeration budget
-    // still gets a real verdict. Forcing the enumeration cap to 2
-    // points disables the cross-check entirely; the symbolic proof
-    // must still PASS every check, and the report must never contain
-    // the word "skipped".
-    core::Compilation c = core::compile(ir::gallery::gemm());
-    ValidateOptions opts;
-    opts.paramCandidates = {4}; // the only binding tried: 64 points,
-    opts.maxPoints = 2;         // far over the enumeration budget
-    ValidationReport r = validateCompilation(c, opts);
+    // A space far over any enumeration budget still gets a real
+    // verdict: GEMM at M = 10^9 has 10^27 iterations, which the
+    // enumeration oracle refuses to walk. The symbolic proof must still
+    // PASS every check, and the report must never say "skipped".
+    core::Compilation c = core::compile(scaledGemm(1000000000));
+    oracle::EnumerationOracle o =
+        oracle::enumerationOracle(c.program, c.nest());
+    ASSERT_FALSE(o.feasible) << "want a space enumeration cannot reach";
+    ValidationReport r = validateCompilation(c);
     EXPECT_TRUE(r.passed()) << r.render();
-    for (const CheckResult &cr : r.checks) {
-        EXPECT_TRUE(cr.passed) << checkName(cr.kind);
-        EXPECT_EQ(cr.method, CheckMethod::Symbolic)
-            << checkName(cr.kind) << ": the cross-check should not "
-            << "have run under a 2-point cap";
-    }
+    ASSERT_EQ(r.checks.size(), 3u);
+    for (const CheckResult &cr : r.checks)
+        EXPECT_TRUE(cr.passed) << checkName(cr.kind) << ": " << cr.detail;
     EXPECT_EQ(r.render().find("skipped"), std::string::npos)
         << r.render();
 }
@@ -197,23 +211,26 @@ TEST(ValidateTest, OversizedSpaceIsProvenSymbolicallyNeverSkipped)
 TEST(ValidateTest, TamperedPlanFailsEvenWhenEnumerationIsImpossible)
 {
     // The serving-path guarantee: a miscompiled plan for a space too
-    // big to enumerate must FAIL, not slip through as skipped.
-    core::Compilation c = core::compile(ir::gallery::gemm());
+    // big to enumerate must FAIL, not slip through as skipped, and the
+    // failure must name a concrete point and the binding it holds at.
+    core::Compilation c = core::compile(scaledGemm(1000000000));
     std::vector<xform::TransformedLoop> loops = c.nest().loops();
     loops.back().upper[0].constantTerm() =
         loops.back().upper[0].constantTerm() + Rational(1);
     xform::TransformedNest bad = rebuild(c.nest(), std::move(loops),
                                          c.nest().body());
-    ValidateOptions opts;
-    opts.paramCandidates = {4}; // the only binding tried: 64 points,
-    opts.maxPoints = 2;         // enumeration cross-check cannot run
-    ValidationReport r = validate(c.program, bad,
-                                  c.normalization.depMatrix, opts);
+    ASSERT_FALSE(oracle::enumerationOracle(c.program, bad).feasible);
+    ValidationReport r =
+        validate(c.program, bad, c.normalization.depMatrix);
     EXPECT_FALSE(r.passed()) << r.render();
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     EXPECT_FALSE(lat.passed);
-    EXPECT_EQ(lat.method, CheckMethod::Symbolic);
     EXPECT_NE(lat.detail.find("counterexample"), std::string::npos)
+        << lat.detail;
+    // Concrete bounds: the binding is the empty one, named as such.
+    EXPECT_NE(lat.detail.find("(no parameters)"), std::string::npos)
+        << lat.detail;
+    EXPECT_NE(lat.detail.find("1000000000"), std::string::npos)
         << lat.detail;
 }
 
@@ -228,10 +245,8 @@ TEST(ValidateTest, SymbolicCounterexampleNamesParameterBinding)
         loops.back().upper[0].constantTerm() + Rational(1);
     xform::TransformedNest bad = rebuild(c.nest(), std::move(loops),
                                          c.nest().body());
-    ValidateOptions opts;
-    opts.crossCheck = false;
-    ValidationReport r = validate(c.program, bad,
-                                  c.normalization.depMatrix, opts);
+    ValidationReport r =
+        validate(c.program, bad, c.normalization.depMatrix);
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     ASSERT_FALSE(lat.passed);
     EXPECT_NE(lat.detail.find("N="), std::string::npos) << lat.detail;
@@ -280,13 +295,10 @@ TEST(ValidateTest, ValidationChargesTheCancelToken)
     // DeadlineExceeded rather than returning a free verdict.
     core::Compilation c = core::compile(ir::gallery::gemm());
     core::CancelToken token(3);
-    ValidateOptions opts;
-    opts.cancel = &token;
-    EXPECT_THROW(validateCompilation(c, opts), core::DeadlineExceeded);
+    EXPECT_THROW(validateCompilation(c, &token), core::DeadlineExceeded);
 
     core::CancelToken roomy(1u << 20);
-    opts.cancel = &roomy;
-    ValidationReport r = validateCompilation(c, opts);
+    ValidationReport r = validateCompilation(c, &roomy);
     EXPECT_TRUE(r.passed()) << r.render();
     EXPECT_GT(roomy.steps(), 0u);
 }

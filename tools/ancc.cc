@@ -149,9 +149,9 @@ const OptSpec kOptSpecs[] = {
     {"--validate", Arg::None, "",
      "independently validate the compiled nest: symbolic proofs of "
      "lattice equivalence, dependence preservation, and body "
-     "equivalence covering all parameter values, cross-checked by "
-     "enumeration on small spaces; every check passes or fails (never "
-     "skips); exit 3 when any check fails at any ladder tier"},
+     "equivalence covering all parameter values; every check passes or "
+     "fails (never skips); exit 3 when any check fails at any ladder "
+     "tier"},
     {"--diag", Arg::None, "",
      "print machine-readable diagnostics to stdout"},
     {"--help", Arg::None, "", "print this help and exit"},
