@@ -97,36 +97,45 @@ struct StmtEval
 };
 
 /**
- * The middle-loop fold of a run (see runSlice). Under wrapped
- * distributions ownership is periodic in the middle variable, so once a
- * first period has settled the hoist keys, every later whole period
- * charges the same counter deltas.
+ * One piece of a middle run (see Simulator::planMiddleRun): the
+ * positions t = t0 + stride * s, s in [0, len), at each of which the
+ * inner run is non-empty, starts at inner lattice index
+ * first + firstStep * s and makes trips + tripStep * s iterations.
  */
-struct MiddleFold
+struct RunPiece
 {
-    bool usable = false;
-    Int procs = 1;
-    /** Nonzero steps, modulo procs, of the wrapped distribution
-     * subscripts over one lattice stride of the middle variable. */
-    std::vector<Int> steps;
-    /** period(1): the fold period of a middle level >= 1. */
-    uint64_t middlePeriod = 0;
-
-    /** lcm over steps of procs / gcd(step * mult mod procs, procs):
-     * the period in positions when one position advances the middle
-     * variable by mult lattice strides. */
-    uint64_t
-    period(Int mult) const
-    {
-        Int l = 1;
-        for (Int d : steps) {
-            Int dm = Int(Int128(d) * Int128(mult) % procs);
-            if (dm != 0)
-                l = std::lcm(l, procs / std::gcd(dm, procs));
-        }
-        return uint64_t(l);
-    }
+    uint64_t t0 = 0, stride = 1, len = 0;
+    Int128 first = 0, firstStep = 0;
+    Int128 trips = 0, tripStep = 0;
 };
+
+/** What one reference is charged over a middle run. */
+struct RefCharge
+{
+    uint64_t local = 0, remote = 0;
+    /** Positions with at least one remote element, and the last one. */
+    uint64_t remotePositions = 0, lastPos = 0;
+    /** Inner iterations from the run's start through its last remote
+     * element (the hoist key an innermost-level hoist ends on). */
+    uint64_t lastTick = 0;
+};
+
+/** One inner bound in lattice-index space: at middle position t it is
+ * round((top + slope * t) / den), ceil for a lower bound, floor for an
+ * upper one. */
+struct InnerBound
+{
+    Int128 top, slope, den;
+    bool lower;
+    /** In one residue class t = r + M * tau: the rounded value at
+     * tau = 0 and its exact change per tau. */
+    Int128 base, perTau;
+};
+
+/** Thrown inside planMiddleRun when the run's geometry leaves 128 bits
+ * or a value the walk would reject turns up: the run is walked. */
+struct Decline
+{};
 
 } // namespace
 
@@ -150,7 +159,33 @@ struct Simulator::Compiled
     std::vector<ir::CompiledAffine> forms;
     std::vector<std::vector<FormTerm>> formsOf; //!< per loop variable
     std::vector<std::vector<size_t>> lowerForms, upperForms; //!< per level
-    MiddleFold fold;
+    /** Middle runs may be charged in closed form (planClosedMiddle),
+     * and their inner bounds ignore the middle variable. */
+    bool closedMiddle = false, fixedInner = false;
+};
+
+/**
+ * One middle run: its position and the walk state it starts from (in),
+ * and what planMiddleRun charges for it (out). A walk reuses one, so
+ * its vectors stop allocating after the first run.
+ */
+struct Simulator::MiddleRun
+{
+    size_t mid = 0;     //!< level of the middle loop
+    Int first = 0;      //!< middle variable at position 0
+    Int128 step = 0;    //!< its change per position
+    uint64_t trip = 0;  //!< positions
+    Int anchor = 0;     //!< lattice anchor of the inner level
+    bool clamp = false; //!< two-deep OwnerBlock2D clamp of the inner level
+    Int clampLo = 0, clampHi = 0;
+    /** The walk's point and the numerators of Compiled::forms there. */
+    const IntVec *u = nullptr;
+    const std::vector<Int128> *num = nullptr;
+
+    uint64_t iterations = 0;
+    std::vector<RefCharge> refs; //!< by RefEval::globalIdx
+    std::vector<RunPiece> pieces;
+    std::vector<InnerBound> bounds;
 };
 
 Simulator::Simulator(const ir::Program &prog,
@@ -303,7 +338,7 @@ Simulator::planClasses(const Compiled &c) const
                 in.outerEmpty = false;
                 in.outerStart = base;
                 in.outerStep = s;
-                in.outerCount = (hi - base) / s + 1;
+                in.outerCount = narrow128((Int128(hi) - base) / s + 1);
             }
         }
     }
@@ -341,39 +376,505 @@ Simulator::planClasses(const Compiled &c) const
     return planSymmetryClasses(in);
 }
 
-uint64_t
-Simulator::outerFoldPeriod(const Compiled &c, const OuterSlice &slice,
-                           Int idxStep) const
+namespace {
+
+// The run geometry is 128-bit, but its values nearly always fit 64
+// bits, where a division is one instruction instead of a library call.
+
+bool
+fitsInt(Int128 v)
 {
-    if (!c.fold.usable || c.depth != 2 || slice.step % c.strides[0] != 0)
-        return 0;
-    const Int procs = c.fold.procs;
-    Int mult = Int(Int128((slice.step / c.strides[0]) % procs) *
-                   (idxStep % procs) % procs);
-    return c.fold.period(mult);
+    return v >= Int128(INT64_MIN) && v <= Int128(INT64_MAX);
 }
 
-uint64_t
-Simulator::foldPeriod(const ir::Bindings &binds, Int p) const
+Int128
+gcd128(Int128 a, Int128 b)
+{
+    a = a < 0 ? -a : a;
+    b = b < 0 ? -b : b;
+    if (a <= Int128(INT64_MAX) && b <= Int128(INT64_MAX))
+        return std::gcd(Int(a), Int(b));
+    while (b != 0) {
+        Int128 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+Int128
+floorDiv128(Int128 a, Int128 b) // b > 0
+{
+    if (b == 1)
+        return a;
+    if (fitsInt(a) && fitsInt(b)) {
+        Int q = Int(a) / Int(b);
+        return Int(a) % Int(b) != 0 && a < 0 ? q - 1 : q;
+    }
+    Int128 q = a / b;
+    return a % b != 0 && a < 0 ? q - 1 : q;
+}
+
+Int128
+ceilDiv128(Int128 a, Int128 b) // b > 0
+{
+    return -floorDiv128(-a, b);
+}
+
+/** a mod m in [0, m), m > 0. */
+Int
+mod128(Int128 a, Int m)
+{
+    Int r = fitsInt(a) ? Int(a) % m : Int(a % m);
+    return r < 0 ? r + m : r;
+}
+
+/** Run-geometry arithmetic: a result past 128 bits declines the run.
+ * A product of two 64-bit values always fits, and skips the checked
+ * multiply (a library call). */
+Int128
+geoMul(Int128 a, Int128 b)
+{
+    if (fitsInt(a) && fitsInt(b))
+        return a * b;
+    Int128 r;
+    if (__builtin_mul_overflow(a, b, &r))
+        throw Decline{};
+    return r;
+}
+
+Int128
+geoAdd(Int128 a, Int128 b)
+{
+    Int128 r;
+    if (__builtin_add_overflow(a, b, &r))
+        throw Decline{};
+    return r;
+}
+
+/** Sum of c0 + c1 * s over s in [0, n). */
+Int128
+affineSum(Int128 c0, Int128 c1, uint64_t n)
+{
+    if (n == 0)
+        return 0;
+    return CongruentStepper::sumAffine({n, n - 1}, 1, c0, c1);
+}
+
+Int
+coeffOf(const ir::CompiledAffine &f, size_t k)
+{
+    return k < f.num.size() ? f.num[k] : 0;
+}
+
+} // namespace
+
+bool
+Simulator::worthSolving(const Compiled &c, uint64_t trip) const
+{
+    // Short runs cost less to walk than to solve: the plan search's
+    // small nests have middle runs of one to five positions. Solve from
+    // three positions on and, where the inner bounds move with the
+    // middle variable, from as many positions as inner bound forms
+    // (each a potential piece).
+    const size_t in = c.depth - 1;
+    return c.closedMiddle && trip >= 3 &&
+           (c.fixedInner ||
+            trip >= c.lowerForms[in].size() + c.upperForms[in].size());
+}
+
+bool
+Simulator::planMiddleRun(const Compiled &c, Int p, MiddleRun &run) const
+{
+    try {
+        solveMiddleRun(c, p, run);
+    } catch (const Decline &) {
+        return false;
+    }
+    return true;
+}
+
+void
+Simulator::solveMiddleRun(const Compiled &c, Int p, MiddleRun &run) const
+{
+    const size_t mid = run.mid, in = c.depth - 1;
+    const Int s = c.strides[in];
+    const uint64_t trip = run.trip;
+    const IntVec &u = *run.u;
+    const std::vector<Int128> &num = *run.num;
+    // The middle variable is first + step * t at position t, and the
+    // numerators describe u, so a form's numerator there is
+    // num + coeff * (shift + step * t).
+    const Int128 shift = Int128(run.first) - u[mid];
+
+    run.pieces.clear();
+    if (c.fixedInner) {
+        // Every position runs the same inner run: one piece, or none.
+        if (c.lowerForms[in].empty() || c.upperForms[in].empty())
+            throw Decline{}; // the walk reports the malformed loop
+        Int lo = INT64_MIN, hi = INT64_MAX;
+        for (size_t f : c.lowerForms[in])
+            lo = std::max(lo, c.forms[f].ceilOf(num[f]));
+        for (size_t f : c.upperForms[in])
+            hi = std::min(hi, c.forms[f].floorOf(num[f]));
+        if (run.clamp) {
+            lo = std::max(lo, run.clampLo);
+            hi = std::min(hi, run.clampHi);
+        }
+        const Int128 k_lo = ceilDiv128(Int128(lo) - run.anchor, s);
+        const Int128 k_hi = floorDiv128(Int128(hi) - run.anchor, s);
+        if (k_lo <= k_hi) {
+            RunPiece pc;
+            pc.len = trip;
+            pc.first = k_lo;
+            pc.trips = k_hi - k_lo + 1;
+            run.pieces.push_back(pc);
+        }
+    } else {
+        // The inner bounds. The walk narrows each to 64 bits at every
+        // position; each is monotone in t, so checking both ends suffices.
+        const Int128 last_shift =
+            geoAdd(shift, geoMul(run.step, Int128(trip - 1)));
+        run.bounds.clear();
+        auto add_bound = [&](Int128 at0, Int128 at_last, Int128 slope,
+                             Int den, bool lower) {
+            // ceil(v / den) fits Int iff den * (MIN - 1) < v <= den * MAX;
+            // floor(v / den) iff den * MIN <= v < den * (MAX + 1).
+            const Int128 lo_end = Int128(den) * INT64_MIN - (lower ? den : 0);
+            const Int128 hi_end = Int128(den) * INT64_MAX + (lower ? 0 : den);
+            auto fits = [&](Int128 v) {
+                return lower ? v > lo_end && v <= hi_end
+                             : v >= lo_end && v < hi_end;
+            };
+            if (!fits(at0) || !fits(at_last))
+                throw Decline{};
+            run.bounds.push_back({geoAdd(at0, -geoMul(run.anchor, den)),
+                                  slope, geoMul(den, s), lower, 0, 0});
+        };
+        for (bool lower : {true, false}) {
+            const std::vector<size_t> &forms =
+                lower ? c.lowerForms[in] : c.upperForms[in];
+            if (forms.empty())
+                throw Decline{}; // the walk reports the malformed loop
+            for (size_t f : forms) {
+                const Int cm = coeffOf(c.forms[f], mid);
+                add_bound(geoAdd(num[f], geoMul(cm, shift)),
+                          geoAdd(num[f], geoMul(cm, last_shift)),
+                          geoMul(cm, run.step), c.forms[f].den, lower);
+            }
+        }
+        if (run.clamp) {
+            add_bound(run.clampLo, run.clampLo, 0, 1, true);
+            add_bound(run.clampHi, run.clampHi, 0, 1, false);
+        }
+
+        // Along t = r + M * tau every bound is exactly affine in tau once M
+        // clears each bound's denominator from its slope. Past the trip
+        // count every class holds one position (M = trip, slopes unused).
+        Int128 mres = 1;
+        for (const InnerBound &b : run.bounds) {
+            if (b.den == 1 || b.slope == 0)
+                continue;
+            Int128 need = b.den / gcd128(b.slope, b.den);
+            Int128 g = gcd128(mres, need);
+            if (need / g > Int128(trip) / mres) {
+                mres = trip;
+                break;
+            }
+            mres = mres / g * need;
+        }
+        const uint64_t M = uint64_t(mres);
+
+        // Sweep each residue class into pieces: the lower bound is the max
+        // of its forms, the upper the min, so each stays one affine form
+        // until another with a steeper slope overtakes it; within that
+        // stretch the trip count is affine and positive on one interval.
+        for (InnerBound &b : run.bounds)
+            b.perTau =
+                M == trip ? 0 : floorDiv128(geoMul(b.slope, mres), b.den);
+        for (uint64_t r = 0; r < M; ++r) {
+            const uint64_t tr = (trip - 1 - r) / M + 1;
+            for (InnerBound &b : run.bounds) {
+                Int128 x = geoAdd(b.top, geoMul(b.slope, Int128(r)));
+                b.base = b.lower ? ceilDiv128(x, b.den) : floorDiv128(x, b.den);
+            }
+            uint64_t tau = 0;
+            while (tau < tr) {
+                auto at = [tau](const InnerBound &b) {
+                    return b.base + b.perTau * Int128(tau);
+                };
+                const InnerBound *lo = nullptr, *hi = nullptr;
+                for (const InnerBound &b : run.bounds) {
+                    const InnerBound *&w = b.lower ? lo : hi;
+                    if (!w) {
+                        w = &b;
+                        continue;
+                    }
+                    // Ties go to the steeper form, which stays ahead longer.
+                    Int128 vb = at(b), vw = at(*w);
+                    bool wins =
+                        b.lower
+                            ? vb > vw || (vb == vw && b.perTau > w->perTau)
+                            : vb < vw || (vb == vw && b.perTau < w->perTau);
+                    if (wins)
+                        w = &b;
+                }
+                uint64_t end = tr;
+                for (const InnerBound &b : run.bounds) {
+                    const InnerBound &w = b.lower ? *lo : *hi;
+                    Int128 gap = b.lower ? at(w) - at(b) : at(b) - at(w);
+                    Int128 gain = b.lower ? b.perTau - w.perTau
+                                          : w.perTau - b.perTau;
+                    if (gain <= 0)
+                        continue;
+                    Int128 cross = Int128(tau) + floorDiv128(gap, gain) + 1;
+                    if (cross < Int128(end))
+                        end = uint64_t(cross);
+                }
+                const Int128 k0 = at(*lo), c0 = at(*hi) - k0 + 1;
+                const Int128 c1 = hi->perTau - lo->perTau;
+                Int128 from = 0, to = end - tau;
+                if (c0 < 1 && c1 <= 0)
+                    to = 0;
+                else if (c0 < 1)
+                    from = ceilDiv128(1 - c0, c1);
+                else if (c1 < 0)
+                    to = std::min(to, floorDiv128(c0 - 1, -c1) + 1);
+                if (from < to) {
+                    RunPiece pc;
+                    pc.t0 = r + M * (tau + uint64_t(from));
+                    pc.stride = M;
+                    pc.len = uint64_t(to - from);
+                    pc.first = k0 + lo->perTau * from;
+                    pc.firstStep = lo->perTau;
+                    pc.trips = c0 + c1 * from;
+                    pc.tripStep = c1;
+                    run.pieces.push_back(pc);
+                }
+                tau = end;
+            }
+        }
+    }
+
+    Int128 total = 0;
+    for (const RunPiece &pc : run.pieces)
+        total = addCount128(total, affineSum(pc.trips, pc.tripStep, pc.len));
+    if (total > Int128(UINT64_MAX))
+        anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+    run.iterations = uint64_t(total);
+    // Inner iterations at the positions before t.
+    auto before = [&](uint64_t t) {
+        Int128 sum = 0;
+        for (const RunPiece &pc : run.pieces)
+            if (t > pc.t0)
+                sum += affineSum(
+                    pc.trips, pc.tripStep,
+                    std::min(pc.len, (t - pc.t0 - 1) / pc.stride + 1));
+        return uint64_t(sum);
+    };
+
+    run.refs.assign(c.numRefs, RefCharge{});
+    if (run.pieces.empty())
+        return;
+    const Int procs = opts_.processors;
+    for (const StmtEval &se : c.stmts) {
+        for (const RefEval &r : se.refs) {
+            RefCharge &q = run.refs[r.globalIdx];
+            if (r.distSubs.empty()) {
+                q.local = run.iterations; // replicated: always local
+                continue;
+            }
+            const Distribution &dist = c.dists[r.arrayId];
+            const bool wrapped = dist.spec().kind == ir::DistKind::Wrapped;
+            // A non-wrapped owner is the same at every element of the run
+            // (Invariant) or moves with the inner variable only (Stepped):
+            // charge one inner run and repeat it, since planClosedMiddle
+            // keeps Stepped references to fixedInner runs, whose single
+            // piece repeats one inner run.
+            Int fixed_owner = -1;
+            uint64_t step_local = 0, step_remote = 0, step_last = 0;
+            if (!wrapped) {
+                const Int128 w0 = geoAdd(run.anchor,
+                                         geoMul(s, run.pieces[0].first));
+                Int coord[2] = {0, 0};
+                for (size_t d = 0; d < r.distSubs.size(); ++d) {
+                    const ir::CompiledAffine &f = c.forms[r.distSubs[d].form];
+                    coord[d] = f.valueOf(geoAdd(
+                        num[r.distSubs[d].form],
+                        geoMul(coeffOf(f, in), w0 - u[in])));
+                }
+                if (r.innerKind == InnerKind::Stepped) {
+                    const RunPiece &pc = run.pieces[0];
+                    for (uint64_t j = 0; j < uint64_t(pc.trips); ++j) {
+                        Int own = dist.ownerOfDistCoords(coord[0], coord[1]);
+                        if (own < 0 || own == p) {
+                            ++step_local;
+                        } else {
+                            ++step_remote;
+                            step_last = j;
+                        }
+                        for (size_t d = 0; d < r.distSubs.size(); ++d)
+                            coord[d] += r.distSubs[d].innerDelta;
+                    }
+                } else {
+                    fixed_owner = dist.ownerOfDistCoords(coord[0], coord[1]);
+                }
+            }
+            const bool moving = wrapped && r.innerKind == InnerKind::Wrapped &&
+                                r.stepper.period() > 1;
+            // A wrapped owner at the start of each inner run: a0 + a1 * s
+            // (a1 reduced modulo P) over the piece's positions.
+            const ir::CompiledAffine &f0 = c.forms[r.distSubs[0].form];
+            const Int cm = coeffOf(f0, mid), ci = coeffOf(f0, in);
+            Int128 base = 0;
+            if (wrapped)
+                base = geoAdd(geoAdd(num[r.distSubs[0].form],
+                                     geoMul(cm, shift)),
+                              geoMul(ci, Int128(run.anchor) - u[in]));
+            const Int128 gt = geoMul(cm, run.step), gk = Int128(ci) * s;
+            auto start_owner = [&](const RunPiece &pc, Int &a0, Int &a1) {
+                Int128 n0 = geoAdd(geoAdd(base, geoMul(gt, Int128(pc.t0))),
+                                   geoMul(gk, pc.first));
+                Int128 n1 = geoAdd(geoMul(gt, Int128(pc.stride)),
+                                   geoMul(gk, pc.firstStep));
+                if (pc.len == 1)
+                    n1 = 0;
+                // The walk evaluates the subscript at every run start:
+                // it must be integral and fit 64 bits there.
+                Int128 v0 = floorDiv128(n0, f0.den);
+                Int128 v1 = floorDiv128(n1, f0.den);
+                if (v0 * f0.den != n0 || v1 * f0.den != n1 || !fitsInt(v0) ||
+                    !fitsInt(geoAdd(v0, geoMul(v1, Int128(pc.len - 1)))))
+                    throw Decline{};
+                a0 = Int(v0);
+                a1 = mod128(v1, procs);
+            };
+
+            bool has_last = false;
+            size_t last_piece = 0;
+            uint64_t last_s = 0;
+            for (size_t i = 0; i < run.pieces.size(); ++i) {
+                const RunPiece &pc = run.pieces[i];
+                Int128 local = 0;
+                // Positions without a remote element, and whether the
+                // piece's last position is one. Such positions are all
+                // of the piece, none of it, one position or a
+                // congruence class of period >= 2, so when the last one
+                // has no remote element the one before it has.
+                uint64_t clean = 0;
+                bool last_clean = false;
+                if (!wrapped) {
+                    bool all_local = r.innerKind == InnerKind::Stepped
+                                         ? step_remote == 0
+                                         : fixed_owner < 0 ||
+                                               fixed_owner == p;
+                    local = r.innerKind == InnerKind::Stepped
+                                ? Int128(pc.len) * step_local
+                                : (all_local ? affineSum(pc.trips,
+                                                         pc.tripStep, pc.len)
+                                             : 0);
+                    clean = all_local ? pc.len : 0;
+                    last_clean = all_local;
+                } else {
+                    Int a0, a1;
+                    start_owner(pc, a0, a1);
+                    CongruentStepper along(a1, procs);
+                    CongruentCount starts = along.count(a0, pc.len, p);
+                    if (!moving) {
+                        local = CongruentStepper::sumAffine(
+                            starts, along.period(), pc.trips, pc.tripStep);
+                        clean = starts.hits;
+                        last_clean = starts.hits > 0 &&
+                                     starts.jLast == pc.len - 1;
+                    } else if (a1 == 0 && pc.tripStep == 0) {
+                        // Every position runs the same inner run.
+                        uint64_t hits =
+                            r.stepper.count(a0, uint64_t(pc.trips), p).hits;
+                        local = Int128(hits) * pc.len;
+                        if (pc.trips == 1 && hits == 1) {
+                            clean = pc.len;
+                            last_clean = true;
+                        }
+                    } else {
+                        local = r.stepper.sumHits(a0, a1, pc.len, pc.trips,
+                                                  pc.tripStep, p);
+                        // Only a one-iteration run that starts on p.
+                        if (pc.tripStep == 0) {
+                            if (pc.trips == 1) {
+                                clean = starts.hits;
+                                last_clean = starts.hits > 0 &&
+                                             starts.jLast == pc.len - 1;
+                            }
+                        } else if ((1 - pc.trips) % pc.tripStep == 0) {
+                            Int128 at = (1 - pc.trips) / pc.tripStep;
+                            if (at >= 0 && at < Int128(pc.len) &&
+                                mod128(Int128(a0) + Int128(a1) * at,
+                                       procs) == p) {
+                                clean = 1;
+                                last_clean = at == Int128(pc.len - 1);
+                            }
+                        }
+                    }
+                }
+                q.local += uint64_t(local);
+                if (clean == pc.len)
+                    continue;
+                q.remotePositions += pc.len - clean;
+                uint64_t sl = last_clean ? pc.len - 2 : pc.len - 1;
+                uint64_t t = pc.t0 + pc.stride * sl;
+                if (!has_last || t > q.lastPos) {
+                    has_last = true;
+                    q.lastPos = t;
+                    last_piece = i;
+                    last_s = sl;
+                }
+            }
+            q.remote = run.iterations - q.local;
+            if (!has_last || r.hoistLevel != int(in) || r.isWrite ||
+                !opts_.blockTransfers)
+                continue;
+            // An innermost-level hoist ends on the key of the last remote
+            // element: evaluate that position directly.
+            const RunPiece &pc = run.pieces[last_piece];
+            const uint64_t trips =
+                uint64_t(pc.trips + pc.tripStep * Int128(last_s));
+            uint64_t j = trips - 1;
+            if (!wrapped && r.innerKind == InnerKind::Stepped) {
+                j = step_last;
+            } else if (moving) {
+                Int a0, a1;
+                start_owner(pc, a0, a1);
+                Int a = mod128(Int128(a0) + Int128(a1) * last_s, procs);
+                CongruentCount hit = r.stepper.count(a, trips, p);
+                if (hit.hits > 0 && hit.jLast == trips - 1)
+                    j = trips - 2;
+            }
+            q.lastTick = before(q.lastPos) + j + 1;
+        }
+    }
+}
+
+bool
+Simulator::closedFormMiddle(const ir::Bindings &binds, Int p) const
 {
     if (binds.paramValues.size() != prog_.params.size())
         throw UserError("wrong number of parameter values");
     Compiled c = compile(binds, false);
     OuterSlice slice = outerSlice(c, p);
-    if (slice.count() == 0)
-        return 0;
-    uint64_t period = 0;
-    Int128 trip = 0;
+    if (slice.count() == 0 || !c.closedMiddle)
+        return false;
+    MiddleRun run;
+    IntVec u(c.depth, 0), y;
     if (c.depth == 2) {
-        period = outerFoldPeriod(c, slice, 1);
-        trip = slice.count();
+        run.first = slice.start;
+        run.step = slice.step;
+        run.trip = uint64_t(slice.count());
+        run.clamp = slice.clamp1;
+        run.clampLo = slice.clamp1Lo;
+        run.clampHi = slice.clamp1Hi;
     } else {
-        // The first middle loop of the slice: every level above it at
+        // The first middle run of the slice: every level above it at
         // its first point, as the walk reaches it.
-        period = c.fold.middlePeriod;
-        if (period == 0)
-            return 0;
-        IntVec u(c.depth, 0), y;
         for (size_t k = 0;; ++k) {
             Int lo = k == 0 ? slice.start : c.bounds.lower(k, u);
             Int hi = k == 0 ? slice.hi : c.bounds.upper(k, u);
@@ -383,16 +884,28 @@ Simulator::foldPeriod(const ir::Bindings &binds, Int p) const
             }
             Int start = k == 0 ? lo : nest_.startAt(k, lo, y);
             if (start > hi)
-                return 0;
+                return false;
             if (k == c.depth - 2) {
-                trip = (Int128(hi) - start) / c.strides[k] + 1;
+                run.mid = k;
+                run.first = start;
+                run.step = c.strides[k];
+                run.trip = uint64_t((Int128(hi) - start) / c.strides[k] + 1);
                 break;
             }
             u[k] = start;
             y.push_back(nest_.lattice().solveY(k, start, y));
         }
     }
-    return trip / 3 < Int128(period) ? 0 : period;
+    if (!worthSolving(c, run.trip))
+        return false;
+    y.push_back(0); // the middle level's entry: H(inner, middle) == 0
+    run.anchor = nest_.lattice().anchor(c.depth - 1, y);
+    std::vector<Int128> num;
+    for (const ir::CompiledAffine &f : c.forms)
+        num.push_back(f.numerator(u));
+    run.u = &u;
+    run.num = &num;
+    return planMiddleRun(c, p, run);
 }
 
 void
@@ -874,63 +1387,70 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         addCount(ticks[n - 1], count);
     };
 
-    // Middle-loop fold (see SimOptions::fastInner). fold_walk walks
-    // positions [0, trip) of the loop at level n - 2, visit(i) walking
-    // position i. With period L and trip >= 3L it walks the first
-    // period, which settles every hoist key that stays constant across
-    // the loop, then the second, and takes the change of all the state
-    // that crosses positions: the counters, remoteByArray, the middle
-    // and inner ticks and the hoist keys (fresh keys are ticks, so they
-    // move by the ticks' change). It charges that change once for each
-    // of the q - 2 further whole periods (q = trip / L) and walks the
-    // remainder.
-    struct FoldMark
-    {
-        ProcAccum acc;
-        std::vector<uint64_t> remoteByArray, lastKey;
-        uint64_t midTicks = 0, innerTicks = 0;
-    } mark;
-    auto fold_walk = [&](uint64_t trip, uint64_t period, auto &&visit) {
-        if (period == 0 || trip / 3 < period) {
-            for (uint64_t i = 0; i < trip; ++i)
-                visit(i);
-            return;
+    // A middle run charged in closed form (see planMiddleRun): the
+    // counters, remoteByArray, the hoist keys and the middle and inner
+    // ticks end where the walk of its positions leaves them.
+    MiddleRun mrun;
+    auto closed_run = [&](size_t k, Int first, Int128 step,
+                          uint64_t trip) {
+        if (!worthSolving(c, trip))
+            return false;
+        mrun.mid = k;
+        mrun.first = first;
+        mrun.step = step;
+        mrun.trip = trip;
+        mrun.anchor = 0;
+        if (track_y) {
+            y.push_back(0); // the middle entry: H(inner, middle) == 0
+            mrun.anchor = nest_.lattice().anchor(n - 1, y);
+            y.pop_back();
         }
-        uint64_t i = 0;
-        for (; i < period; ++i)
-            visit(i);
-        mark.acc = acc;
-        mark.remoteByArray = stats.remoteByArray;
-        mark.lastKey = lastKey;
-        mark.midTicks = ticks[n - 2];
-        mark.innerTicks = ticks[n - 1];
-        for (; i < 2 * period; ++i)
-            visit(i);
-        uint64_t whole = trip / period;
-        uint64_t skip = whole - 2;
-        auto repeat = [skip](uint64_t &now, uint64_t before) {
-            if (now < before)
-                throw InternalError("middle-loop fold: state went back");
-            addCount(now, mulCount(skip, now - before));
-        };
-        repeat(acc.iterations, mark.acc.iterations);
-        repeat(acc.flops, mark.acc.flops);
-        repeat(acc.localAccesses, mark.acc.localAccesses);
-        repeat(acc.remoteAccesses, mark.acc.remoteAccesses);
-        repeat(acc.blockTransfers, mark.acc.blockTransfers);
-        repeat(acc.blockElements, mark.acc.blockElements);
-        repeat(acc.guardChecks, mark.acc.guardChecks);
-        repeat(acc.syncs, mark.acc.syncs);
-        for (size_t a = 0; a < stats.remoteByArray.size(); ++a)
-            repeat(stats.remoteByArray[a], mark.remoteByArray.empty()
-                                               ? 0
-                                               : mark.remoteByArray[a]);
-        for (size_t g = 0; g < lastKey.size(); ++g)
-            repeat(lastKey[g], mark.lastKey[g]);
-        repeat(ticks[n - 2], mark.midTicks);
-        repeat(ticks[n - 1], mark.innerTicks);
-        for (i = whole * period; i < trip; ++i)
-            visit(i);
+        mrun.clamp = n == 2 && clamp1;
+        mrun.clampLo = clamp1_lo;
+        mrun.clampHi = clamp1_hi;
+        mrun.u = &u;
+        mrun.num = &num;
+        if (!planMiddleRun(c, p, mrun))
+            return false;
+        const uint64_t mid_ticks = ticks[k], inner_ticks = ticks[n - 1];
+        addCount(acc.iterations, mrun.iterations);
+        for (const StmtEval &se : c.stmts) {
+            addCount(acc.flops, mulCount(se.flops, mrun.iterations));
+            for (const RefEval &r : se.refs) {
+                const RefCharge &q = mrun.refs[r.globalIdx];
+                addCount(acc.localAccesses, q.local);
+                if (q.remote == 0)
+                    continue;
+                if (r.isWrite || !opts_.blockTransfers ||
+                    r.hoistLevel == kNoHoist) {
+                    charge_remote_elems(r, kCommByCaller, q.remote);
+                    continue;
+                }
+                addCount(acc.blockElements, q.remote);
+                uint64_t &last = lastKey[r.globalIdx];
+                if (r.hoistLevel == int(n) - 1) {
+                    // Every remote element is a fresh one-element block.
+                    addCount(acc.blockTransfers, q.remote);
+                    last = inner_ticks + q.lastTick;
+                } else if (r.hoistLevel == int(k)) {
+                    // One block per position with a remote element.
+                    addCount(acc.blockTransfers, q.remotePositions);
+                    last = mid_ticks + q.lastPos + 1;
+                } else {
+                    // A key above the run: at most one new block.
+                    uint64_t key = r.hoistLevel < 0
+                                       ? 1
+                                       : ticks[size_t(r.hoistLevel)];
+                    if (last != key) {
+                        addCount(acc.blockTransfers, 1);
+                        last = key;
+                    }
+                }
+            }
+        }
+        addCount(ticks[k], trip);
+        addCount(ticks[n - 1], mrun.iterations);
+        return true;
     };
 
     // The naive walk: bounds, anchors and owners evaluated from scratch
@@ -960,7 +1480,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     };
 
     // The fast walk of levels 1 .. n - 1: incremental bounds, the
-    // innermost level in closed form, the middle level folded.
+    // innermost level in closed form, the middle level too where it can.
     auto fast_walk = [&](auto &self, size_t k) -> void {
         Int lo = lower_now(k);
         Int hi = upper_now(k);
@@ -978,7 +1498,10 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
             run_inner(start, hi, s);
             return;
         }
-        auto visit = [&](uint64_t i) {
+        uint64_t trip = trip_count(start, hi, s);
+        if (k == n - 2 && closed_run(k, start, s, trip))
+            return;
+        for (uint64_t i = 0; i < trip; ++i) {
             Int v = Int(Int128(start) + Int128(i) * s);
             set_var(k, v);
             ticks[k] += 1;
@@ -987,9 +1510,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
             self(self, k + 1);
             if (track_y)
                 y.pop_back();
-        };
-        fold_walk(trip_count(start, hi, s),
-                  k == n - 2 ? c.fold.middlePeriod : 0, visit);
+        }
     };
 
     // Walk the requested positions of the slice (positions are 0-based
@@ -999,7 +1520,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     // execution strategy agrees bit-for-bit -- with the counter deltas
     // (element counts of the closed-form bulk charges included) as
     // args, and instant events for any recovery work inside it. A
-    // two-deep nest folds these positions (never when tracing).
+    // two-deep nest charges these positions as one middle run when it
+    // can (never when tracing).
     ProcStats snap;
     auto position = [&](uint64_t j) {
         Int idx = fromIdx + Int(j) * idxStep;
@@ -1069,8 +1591,20 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                     snap.abandonedTransfers);
         }
     };
-    fold_walk(uint64_t((toIdx - 1 - fromIdx) / idxStep) + 1,
-              outerFoldPeriod(c, slice, idxStep), position);
+    const uint64_t positions = uint64_t((toIdx - 1 - fromIdx) / idxStep) + 1;
+    bool closed = false;
+    if (n == 2 && worthSolving(c, positions)) {
+        // The walk's arithmetic at the first and last positions.
+        Int first = checkedAdd(slice.start, checkedMul(fromIdx, slice.step));
+        Int last_idx = fromIdx + Int(positions - 1) * idxStep;
+        checkedAdd(slice.start, checkedMul(last_idx, slice.step));
+        closed = closed_run(0, first, Int128(slice.step) * idxStep,
+                            positions);
+        if (closed && !plan_.outerParallel)
+            addCount(acc.syncs, positions);
+    }
+    for (uint64_t j = 0; !closed && j < positions; ++j)
+        position(j);
     acc.flushInto(stats);
     // Fold the slice's comm cells into the processor's sparse row
     // (owner-sorted, duplicates from earlier slices -- e.g. the
@@ -1235,52 +1769,51 @@ Simulator::compile(const ir::Bindings &binds, bool values) const
         for (size_t f = 0; f < c.forms.size(); ++f)
             if (c.forms[f].dependsOnVar(k))
                 c.formsOf[k].push_back({f, c.forms[f].num[k]});
-    planFold(c, values);
+    planClosedMiddle(c, values);
     return c;
 }
 
 void
-Simulator::planFold(Compiled &c, bool values) const
+Simulator::planClosedMiddle(Compiled &c, bool values) const
 {
-    // The fold needs the fast walk, counters that are the whole state
-    // crossing middle iterations (no fault streams, per-reference or
-    // per-owner cells), and a middle level whose inner runs do not
-    // move with it. A two-deep nest folds its outer slice, whose
-    // positions each carry their own trace span.
-    MiddleFold &f = c.fold;
-    f.procs = opts_.processors;
+    // Middle runs are charged in closed form on the fast walk when the
+    // counters are the whole state crossing positions (no fault
+    // streams, per-reference or per-owner cells; a two-deep nest's
+    // positions each carry their own trace span), the inner lattice
+    // anchor stays put along the middle loop, and every owner is a
+    // closed form of the position: replicated, wrapped, or a
+    // non-wrapped one that ignores the middle variable and, when it
+    // moves along the inner run, sees the same inner run everywhere.
     if (!opts_.fastInner || values || c.depth < 2 ||
         opts_.faults.anyMessage() || opts_.perReference ||
         opts_.commMatrix || (c.depth == 2 && opts_.trace))
         return;
-    size_t mid = c.depth - 2, in = c.depth - 1;
-    for (const auto *level : {&c.lowerForms[in], &c.upperForms[in]})
-        for (size_t b : *level)
-            if (c.forms[b].dependsOnVar(mid))
-                return;
+    const size_t mid = c.depth - 2, in = c.depth - 1;
     if (nest_.lattice().hnf()(in, mid) != 0)
         return; // the inner anchor moves with the middle variable
+    bool fixed_geometry = true;
+    for (const auto *level : {&c.lowerForms[in], &c.upperForms[in]})
+        for (size_t b : *level)
+            fixed_geometry = fixed_geometry && !c.forms[b].dependsOnVar(mid);
     for (const StmtEval &se : c.stmts) {
         for (const RefEval &r : se.refs) {
             if (r.innerKind == InnerKind::Reeval)
                 return;
-            bool wrapped =
-                c.dists[r.arrayId].spec().kind == ir::DistKind::Wrapped;
-            for (const DistSub &ds : r.distSubs) {
-                const ir::CompiledAffine &a = c.forms[ds.form];
-                if (!a.dependsOnVar(mid))
-                    continue;
-                Int128 scaled = Int128(a.num[mid]) * c.strides[mid];
-                if (scaled % a.den != 0 || !wrapped)
+            if (r.distSubs.empty() ||
+                c.dists[r.arrayId].spec().kind == ir::DistKind::Wrapped) {
+                if (r.innerKind == InnerKind::Stepped)
                     return;
-                Int128 d = scaled / a.den % f.procs;
-                if (d != 0)
-                    f.steps.push_back(Int(d < 0 ? d + f.procs : d));
+                continue;
             }
+            for (const DistSub &ds : r.distSubs)
+                if (c.forms[ds.form].dependsOnVar(mid))
+                    return;
+            if (r.innerKind == InnerKind::Stepped && !fixed_geometry)
+                return;
         }
     }
-    f.usable = true;
-    f.middlePeriod = f.period(1);
+    c.closedMiddle = true;
+    c.fixedInner = fixed_geometry;
 }
 
 SimStats

@@ -15,13 +15,15 @@
  * Simulated processors are independent, so the walks run concurrently
  * on a host thread pool (SimOptions::hostThreads). The innermost loop
  * is strength-reduced and, where ownership is constant or
- * wrapped-periodic, charged in closed form; one level up, a middle loop
- * whose ownership is wrapped-periodic is folded: its first two periods
- * are walked and each further whole period is charged the second
- * period's counter change at once (both SimOptions::fastInner). Each
- * processor's clock is derived once from its integer event counters,
- * so every execution strategy yields bit-identical SimStats; a run
- * whose counters would leave uint64_t throws OverflowError.
+ * wrapped-periodic, charged in closed form; one level up, a whole
+ * middle run (one pass of the loop above the innermost) is charged in
+ * closed form too: its positions split into pieces on which the inner
+ * start and trip count are affine, and each reference's local and
+ * remote elements, transfers and last hoist key over a piece come from
+ * floor sums (both SimOptions::fastInner). Each processor's clock is
+ * derived once from its integer event counters, so every execution
+ * strategy yields bit-identical SimStats; a run whose counters would
+ * leave uint64_t throws OverflowError.
  *
  * The block-transfer model assumes each element of a fetched block is
  * used once per block epoch (true of the paper's workloads, where the
@@ -72,19 +74,27 @@ struct SimOptions
      * is constant or wrapped-periodic across the innermost loop are
      * charged in closed form without iterating at all. Bounds and
      * subscripts of the enclosing levels are kept up to date
-     * incrementally. The loop one level up (the outer slice of a
-     * two-deep nest) is folded when ownership is periodic along it:
-     * with period L = lcm of P / gcd(step mod P, P) over the wrapped
-     * subscripts that step along it and a trip count of at least 3L,
-     * the walk covers two periods, charges the second period's change
-     * of every counter for each further whole period, and walks the
-     * remainder. The fold declines, and every position is walked, when
-     * the inner bounds or lattice anchor move with the middle variable,
-     * a non-wrapped subscript steps along it, message faults are armed,
-     * perReference / commMatrix is on, or a two-deep nest is traced
-     * (each outer position has its own span). Produces bit-identical
-     * stats to the naive walk (it counts exactly what the naive walk
-     * counts, and simulated time is derived from the counts).
+     * incrementally. Every middle run -- one complete pass of the loop
+     * one level up (the outer slice of a two-deep nest) with the outer
+     * variables fixed -- is charged in closed form as well: the
+     * positions split into pieces, by the crossings of the inner
+     * bounds' max/min forms, by emptiness, and by residue where a
+     * denominator or stride makes the bounds floor-affine; on a piece
+     * the inner start and trip count are affine, so iterations and each
+     * reference's local elements are degree-2 sums or floor sums (a
+     * wrapped owner moving along the inner run), and transfers follow
+     * from where the hoist key sits. The closed form declines, and
+     * every position is walked, under value execution, message faults,
+     * perReference or commMatrix, for a traced two-deep nest, for an
+     * inner lattice anchor that moves with the middle variable, and for
+     * a reference that must be re-evaluated per point, a non-wrapped
+     * subscript that moves with the middle variable, or a non-wrapped
+     * one that moves along an inner run whose bounds do. Runs of
+     * fewer than three positions, or of fewer positions than inner
+     * bound forms where those move with the middle variable, are
+     * walked too: that costs less. Produces bit-identical stats to the
+     * naive walk (it counts exactly what the naive walk counts, and
+     * simulated time is derived from the counts).
      */
     bool fastInner = true;
     /**
@@ -175,13 +185,12 @@ class Simulator
                  ir::ArrayStorage *storage = nullptr) const;
 
     /**
-     * The fold period a value-free run under these bindings uses for
-     * the first middle loop of processor p's own slice (for a two-deep
-     * nest, the slice itself): 0 when that loop takes the per-position
-     * walk, because the run cannot fold or because the loop's trip
-     * count is below three periods. For tests and diagnostics.
+     * Whether a value-free run under these bindings charges the first
+     * middle run of processor p's own slice (for a two-deep nest, the
+     * slice itself) in closed form rather than walking its positions.
+     * For tests and diagnostics.
      */
-    uint64_t foldPeriod(const ir::Bindings &binds, Int p = 0) const;
+    bool closedFormMiddle(const ir::Bindings &binds, Int p = 0) const;
 
   private:
     const ir::Program &prog_;
@@ -195,9 +204,25 @@ class Simulator
      * executes statement values. */
     Compiled compile(const ir::Bindings &binds, bool values) const;
 
-    /** Decide whether and with which steps the run folds its middle
-     * loop (Compiled::fold). */
-    void planFold(Compiled &c, bool values) const;
+    /** Decide whether the run may charge middle runs in closed form
+     * (Compiled::closedMiddle). */
+    void planClosedMiddle(Compiled &c, bool values) const;
+
+    struct MiddleRun; // one middle run: where it starts, what it charges
+
+    /** Whether a middle run of `trip` positions is charged in closed
+     * form rather than walked. */
+    bool worthSolving(const Compiled &c, uint64_t trip) const;
+
+    /**
+     * Work out in closed form what one middle run charges: fill run's
+     * charges from its position and the walk state, or return false
+     * when the run must be walked. Reads the walk state and writes only
+     * run; the caller applies the charges. solveMiddleRun is its body,
+     * which throws a private Decline where the run is walked.
+     */
+    bool planMiddleRun(const Compiled &c, Int p, MiddleRun &run) const;
+    void solveMiddleRun(const Compiled &c, Int p, MiddleRun &run) const;
 
     /** One processor's share of the distributed outer loop. */
     struct OuterSlice
@@ -207,23 +232,19 @@ class Simulator
         bool clamp1 = false;      //!< also clamp loop level 1 (2D owner)
         Int clamp1Lo = 0, clamp1Hi = -1;
 
-        /** Number of outer iterations in the slice. */
+        /** Number of outer iterations in the slice, taken in 128 bits;
+         * throws OverflowError when it leaves Int. */
         Int count() const
         {
             if (empty || step <= 0 || start > hi)
                 return 0;
-            return (hi - start) / step + 1;
+            return narrow128((Int128(hi) - start) / step + 1);
         }
     };
 
     /** Processor p's slice of the distributed outer loop under the
      * plan's partition scheme (empty when p has no work). */
     OuterSlice outerSlice(const Compiled &c, Int p) const;
-
-    /** Fold period of one walk over `slice` whose positions advance by
-     * idxStep (0 = no fold at the outer level). */
-    uint64_t outerFoldPeriod(const Compiled &c, const OuterSlice &slice,
-                             Int idxStep) const;
 
     /** Plan symmetry classes for this run (see numa/symmetry.h);
      * !usable when the structure cannot be bounded and the run must

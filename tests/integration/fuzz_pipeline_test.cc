@@ -499,14 +499,17 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         ir::Bindings binds{g.params, {}};
         EXPECT_FALSE(testutil::checkSourceRun(g.prog, binds, tag));
         EXPECT_FALSE(testutil::checkNestRun(g.prog, c.nest(), binds, tag));
-        // The folded simulator walk completes wherever the naive walk
-        // does, and then equals it. Only the naive walk may fail alone:
-        // it evaluates every point, so it alone may meet an overflowing
-        // subscript.
-        for (Int p : {1, 3, 4}) {
+        // The fast simulator walk (closed-form middle runs) completes
+        // wherever the naive walk does, and then equals it, also on the
+        // symmetry-aggregated path at P = 256. Only the naive walk may
+        // fail alone: it evaluates every point, so it alone may meet an
+        // overflowing subscript.
+        for (Int p : {1, 3, 4, 256}) {
             numa::SimOptions opts;
             opts.processors = p;
             opts.hostThreads = 1;
+            if (p == 256)
+                opts.symmetry = numa::SymmetryMode::Force;
             std::string failure;
             auto simulate = [&](bool fast) -> std::optional<numa::SimStats> {
                 opts.fastInner = fast;
@@ -517,15 +520,15 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
                     return std::nullopt;
                 }
             };
-            std::optional<numa::SimStats> folded = simulate(true);
-            std::string folded_failure = failure;
+            std::optional<numa::SimStats> fast = simulate(true);
+            std::string fast_failure = failure;
             std::optional<numa::SimStats> naive = simulate(false);
             if (!naive)
                 continue;
-            ASSERT_TRUE(folded) << tag << " P=" << p << ": folded walk failed "
-                                << "where the naive walk completed: "
-                                << folded_failure;
-            EXPECT_EQ(testutil::statsDiff(*folded, *naive), "")
+            ASSERT_TRUE(fast) << tag << " P=" << p << ": fast walk failed "
+                              << "where the naive walk completed: "
+                              << fast_failure;
+            EXPECT_EQ(testutil::statsDiff(*fast, *naive), "")
                 << tag << " P=" << p;
         }
         ++runs;

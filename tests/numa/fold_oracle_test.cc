@@ -1,22 +1,31 @@
 /**
  * @file
- * Oracle for the simulator's middle-loop fold (part of
- * SimOptions::fastInner): a folded run must equal, bit for bit, the
- * naive walk over a grid of gallery kernels, sizes, processor counts
- * and both transfer models; runs the fold must decline, which take the
- * per-position fast walk, must still match; and the fold must really
- * engage where ownership is periodic.
+ * Oracle for the simulator's closed-form middle runs (part of
+ * SimOptions::fastInner): a run whose middle runs are charged in closed
+ * form must equal, bit for bit, the naive walk over a grid of gallery
+ * kernels, every distinct search-candidate nest, hand-built nests with
+ * empty pieces and one-iteration runs, sizes, processor counts and both
+ * transfer models; runs the closed form must decline, which walk every
+ * position, must still match; and the closed form must really engage,
+ * on every configuration the periodic fold it replaced engaged on
+ * (fold_engaged_configs.txt) and on the non-rectangular kernels the
+ * fold never covered.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
+#include <set>
+#include <sstream>
 
+#include "codegen/planner.h"
 #include "core/compiler.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
 #include "numa/simulator.h"
 #include "sim_oracle.h"
+#include "xform/search.h"
 
 namespace anc::numa {
 namespace {
@@ -51,34 +60,61 @@ bindingFor(const ir::Program &prog, Int n)
             std::vector<double>(prog.scalars.size(), 1.0)};
 }
 
-/** Run c under opts with the fast walk (folded where it can) and the
- * naive walk, and expect both identical. Returns the fast run. */
+/** Run the nest under opts with the fast walk (closed-form middle runs
+ * where it can) and the naive walk, and expect both identical. Returns
+ * the fast run. */
 SimStats
-expectFoldMatches(const core::Compilation &c, SimOptions opts,
-                  const ir::Bindings &binds, const std::string &what)
+expectMatch(const ir::Program &prog, const xform::TransformedNest &nest,
+            const ExecutionPlan &plan, SimOptions opts,
+            const ir::Bindings &binds, const std::string &what)
 {
     opts.fastInner = true;
-    SimStats fast = core::simulate(c, opts, binds);
+    SimStats fast = Simulator(prog, nest, plan, opts).run(binds);
     opts.fastInner = false;
-    SimStats naive = core::simulate(c, opts, binds);
+    SimStats naive = Simulator(prog, nest, plan, opts).run(binds);
     EXPECT_EQ(testutil::statsDiff(fast, naive), "") << what;
     return fast;
 }
 
-uint64_t
-foldPeriodOf(const core::Compilation &c, const SimOptions &opts,
-             const ir::Bindings &binds, Int p = 0)
+SimStats
+expectFoldMatches(const core::Compilation &c, SimOptions opts,
+                  const ir::Bindings &binds, const std::string &what)
 {
-    return Simulator(c.program, c.nest(), c.plan, opts).foldPeriod(binds, p);
+    return expectMatch(c.program, c.nest(), c.plan, opts, binds, what);
+}
+
+bool
+closedOf(const core::Compilation &c, const SimOptions &opts,
+         const ir::Bindings &binds, Int p = 0)
+{
+    return Simulator(c.program, c.nest(), c.plan, opts)
+        .closedFormMiddle(binds, p);
+}
+
+/** The configurations of GalleryGridMatchesNaiveWalk on which the
+ * periodic middle-loop fold engaged (Simulator::foldPeriod > 0 for
+ * processor 0), recorded before the closed form replaced it. */
+std::set<std::string>
+foldEngagedConfigs()
+{
+    std::ifstream in(ANC_SOURCE_DIR "/tests/numa/fold_engaged_configs.txt");
+    std::set<std::string> out;
+    std::string line;
+    while (std::getline(in, line))
+        if (!line.empty() && line[0] != '#')
+            out.insert(line);
+    return out;
 }
 
 TEST(FoldOracle, GalleryGridMatchesNaiveWalk)
 {
     // 11 kernels x {identity, normalized} x 3 sizes x 10 processor
     // counts x {block transfers, element-wise} = 1320 configurations.
+    const std::set<std::string> folded = foldEngagedConfigs();
+    ASSERT_EQ(folded.size(), 500u);
     const Int sizes[] = {7, 24, 61};
     const Int procs[] = {1, 2, 3, 4, 5, 6, 8, 12, 13, 32};
-    size_t configs = 0, folding = 0;
+    size_t configs = 0, closed = 0, folded_seen = 0;
     for (const Kernel &k : galleryKernels()) {
         for (bool identity : {true, false}) {
             core::CompileOptions co;
@@ -94,11 +130,15 @@ TEST(FoldOracle, GalleryGridMatchesNaiveWalk)
                         opts.hostThreads = 1;
                         std::string what =
                             k.name + (identity ? " identity" : " normalized") +
-                            " N=" + std::to_string(n) +
-                            " P=" + std::to_string(p) +
-                            (blocks ? " B" : " T");
+                            " " + std::to_string(n) + " " +
+                            std::to_string(p) + (blocks ? " B" : " T");
                         expectFoldMatches(c, opts, binds, what);
-                        folding += foldPeriodOf(c, opts, binds) > 0;
+                        bool engaged = closedOf(c, opts, binds);
+                        closed += engaged;
+                        if (folded.count(what)) {
+                            ++folded_seen;
+                            EXPECT_TRUE(engaged) << what;
+                        }
                         ++configs;
                     }
                 }
@@ -106,14 +146,14 @@ TEST(FoldOracle, GalleryGridMatchesNaiveWalk)
         }
     }
     EXPECT_EQ(configs, 1320u);
-    EXPECT_GT(folding, configs / 4);
+    EXPECT_EQ(folded_seen, folded.size());
+    EXPECT_GT(closed, folded.size());
 }
 
 TEST(FoldOracle, FoldEngagesForGemmGerGemvAtSmallP)
 {
-    // Ownership under the wrapped distributions is periodic in the
-    // middle variable with period P / gcd(step, P) <= P, so at N = 24
-    // and P <= 4 every middle loop has at least three whole periods.
+    // Rectangular nests: every middle run is one piece, whatever the
+    // owners do along it.
     for (const Kernel &k : galleryKernels()) {
         if (k.name != "gemm" && k.name != "ger" && k.name != "gemv")
             continue;
@@ -125,13 +165,9 @@ TEST(FoldOracle, FoldEngagesForGemmGerGemvAtSmallP)
             for (Int p : {1, 2, 3, 4}) {
                 SimOptions opts;
                 opts.processors = p;
-                uint64_t period = foldPeriodOf(c, opts, binds);
-                std::string what = k.name +
-                                   (identity ? " identity" : " normalized") +
-                                   " P=" + std::to_string(p);
-                EXPECT_GT(period, 0u) << what;
-                EXPECT_LE(period, uint64_t(p)) << what;
-                EXPECT_LE(3 * period, 24u) << what;
+                EXPECT_TRUE(closedOf(c, opts, binds))
+                    << k.name << (identity ? " identity" : " normalized")
+                    << " P=" << p;
             }
         }
     }
@@ -146,21 +182,94 @@ TEST(FoldOracle, BlockedArraySteppingAlongTheMiddleDoesNotFold)
     for (Int p : {2, 3, 4}) {
         SimOptions opts;
         opts.processors = p;
-        EXPECT_EQ(foldPeriodOf(c, opts, binds), 0u) << "P=" << p;
+        EXPECT_FALSE(closedOf(c, opts, binds)) << "P=" << p;
         expectFoldMatches(c, opts, binds, "blocked P=" + std::to_string(p));
     }
 }
 
-TEST(FoldOracle, BandedSyr2kDoesNotFold)
+TEST(FoldOracle, SteppedReferenceOfFixedGeometryChargesInClosedForm)
 {
-    // Its inner bounds move with the middle variable.
-    core::Compilation c = core::compile(ir::gallery::syr2kBanded());
-    ir::Bindings binds{{40, 9}, {1.5, 0.5}};
-    for (Int p : {1, 3, 4}) {
-        SimOptions opts;
-        opts.processors = p;
-        EXPECT_EQ(foldPeriodOf(c, opts, binds), 0u) << "P=" << p;
-        expectFoldMatches(c, opts, binds, "syr2k P=" + std::to_string(p));
+    // B[k, j] blocked on k: its owner moves along the inner run but
+    // ignores the middle variable, and GEMM's inner runs all look alike.
+    ir::Program prog = ir::gallery::gemm();
+    prog.arrays[2].dist = ir::DistributionSpec::blocked(0);
+    for (bool identity : {true, false}) {
+        core::CompileOptions co;
+        co.identityTransform = identity;
+        core::Compilation c = core::compile(prog, co);
+        ir::Bindings binds = bindingFor(prog, 24);
+        for (Int p : {2, 3, 4, 7}) {
+            for (bool blocks : {true, false}) {
+                SimOptions opts;
+                opts.processors = p;
+                opts.blockTransfers = blocks;
+                std::string what =
+                    std::string(identity ? "identity" : "normalized") +
+                    " P=" + std::to_string(p);
+                // The normalized nest moves k off the inner level.
+                if (identity) {
+                    EXPECT_TRUE(closedOf(c, opts, binds)) << what;
+                }
+                expectFoldMatches(c, opts, binds, what);
+            }
+        }
+    }
+}
+
+TEST(FoldOracle, BandedSyr2kChargesInClosedForm)
+{
+    // Its inner bounds move with the middle variable: several pieces
+    // per middle run, each with its own affine start and trip count.
+    for (bool identity : {true, false}) {
+        core::CompileOptions co;
+        co.identityTransform = identity;
+        core::Compilation c = core::compile(ir::gallery::syr2kBanded(), co);
+        for (const ir::Bindings &binds :
+             {ir::Bindings{{40, 9}, {1.5, 0.5}},
+              ir::Bindings{{23, 30}, {1.5, 0.5}}}) {
+            for (Int p : {1, 3, 4, 13}) {
+                for (bool blocks : {true, false}) {
+                    SimOptions opts;
+                    opts.processors = p;
+                    opts.blockTransfers = blocks;
+                    std::string what =
+                        std::string(identity ? "identity" : "normalized") +
+                        " N=" + std::to_string(binds.paramValues[0]) +
+                        " P=" + std::to_string(p);
+                    EXPECT_TRUE(closedOf(c, opts, binds)) << what;
+                    expectFoldMatches(c, opts, binds, what);
+                }
+            }
+        }
+    }
+}
+
+TEST(FoldOracle, Figure1AndSection5ChargeInClosedForm)
+{
+    // section5's normalized middle runs are shorter than its six inner
+    // bound forms, so they are walked; they must still match.
+    for (const Kernel &k : galleryKernels()) {
+        if (k.name != "figure1" && k.name != "section5")
+            continue;
+        for (bool identity : {true, false}) {
+            core::CompileOptions co;
+            co.identityTransform = identity;
+            core::Compilation c = core::compile(k.prog, co);
+            for (Int n : {7, 24}) {
+                ir::Bindings binds = bindingFor(k.prog, n);
+                for (Int p : {1, 3, 4}) {
+                    SimOptions opts;
+                    opts.processors = p;
+                    std::string what =
+                        k.name + (identity ? " identity" : " normalized") +
+                        " N=" + std::to_string(n) + " P=" + std::to_string(p);
+                    if (k.name == "figure1" || identity) {
+                        EXPECT_TRUE(closedOf(c, opts, binds)) << what;
+                    }
+                    expectFoldMatches(c, opts, binds, what);
+                }
+            }
+        }
     }
 }
 
@@ -170,7 +279,7 @@ TEST(FoldOracle, ObservedAndFaultyRunsDoNotFoldAndStillMatch)
     ir::Bindings binds = bindingFor(c.program, 24);
     SimOptions base;
     base.processors = 4;
-    ASSERT_GT(foldPeriodOf(c, base, binds), 0u);
+    ASSERT_TRUE(closedOf(c, base, binds));
 
     SimOptions faulty = base;
     faulty.faults.dropTransferEvery = 3;
@@ -184,7 +293,7 @@ TEST(FoldOracle, ObservedAndFaultyRunsDoNotFoldAndStillMatch)
          {std::pair<const char *, SimOptions>{"faults", faulty},
           {"perReference", per_ref},
           {"commMatrix", comm}}) {
-        EXPECT_EQ(foldPeriodOf(c, opts, binds), 0u) << name;
+        EXPECT_FALSE(closedOf(c, opts, binds)) << name;
         for (bool blocks : {true, false}) {
             SimOptions o = opts;
             o.blockTransfers = blocks;
@@ -195,62 +304,309 @@ TEST(FoldOracle, ObservedAndFaultyRunsDoNotFoldAndStillMatch)
 
 TEST(FoldOracle, FailStopKillWithSliceAdoptionFolds)
 {
-    for (const char *kernel : {"gemm", "ger"}) {
-        ir::Program prog = std::string(kernel) == "gemm"
-                               ? ir::gallery::gemm()
-                               : ir::gallery::ger();
+    // ger is two deep, so the adopted positions (every survivors-th of
+    // the victim's slice) are themselves one closed-form middle run.
+    for (const char *kernel : {"gemm", "ger", "syr2k"}) {
+        std::string name = kernel;
+        ir::Program prog = name == "gemm"  ? ir::gallery::gemm()
+                           : name == "ger" ? ir::gallery::ger()
+                                           : ir::gallery::syr2kBanded();
         core::Compilation c = core::compile(prog);
         ir::Bindings binds = bindingFor(prog, 30);
-        SimOptions opts;
-        opts.processors = 3;
-        opts.faults.killProc = 1;
-        opts.faults.killAfterSlices = 2;
-        ASSERT_GT(foldPeriodOf(c, opts, binds), 0u) << kernel;
-        SimStats s = expectFoldMatches(c, opts, binds, kernel);
-        uint64_t adopted = 0;
-        for (const ProcStats &ps : s.perProc)
-            adopted += ps.reassignedSlices;
-        EXPECT_GT(adopted, 0u) << kernel;
+        if (name == "syr2k")
+            binds = {{30, 7}, {1.5, 0.5}};
+        for (Int procs : {3, 4}) {
+            SimOptions opts;
+            opts.processors = procs;
+            opts.faults.killProc = 1;
+            opts.faults.killAfterSlices = 2;
+            ASSERT_TRUE(closedOf(c, opts, binds)) << kernel;
+            SimStats s = expectFoldMatches(c, opts, binds, kernel);
+            uint64_t adopted = 0;
+            for (const ProcStats &ps : s.perProc)
+                adopted += ps.reassignedSlices;
+            EXPECT_GT(adopted, 0u) << kernel;
+        }
     }
 }
 
 TEST(FoldOracle, TraceIsByteIdenticalWithFastInnerOnAndOff)
 {
-    core::Compilation c = core::compile(ir::gallery::gemm());
-    ir::Bindings binds = bindingFor(c.program, 24);
-    auto traced = [&](bool fast) {
-        obs::Trace trace;
-        SimOptions opts;
-        opts.processors = 4;
-        opts.fastInner = fast;
-        opts.trace = &trace;
-        opts.tracePid = trace.process("gemm");
-        core::simulate(c, opts, binds);
-        return trace.renderEvents(opts.tracePid);
-    };
-    SimOptions plain;
-    plain.processors = 4;
-    obs::Trace probe;
-    plain.trace = &probe;
-    ASSERT_GT(foldPeriodOf(c, plain, binds), 0u);
-    std::string folded = traced(true);
-    EXPECT_FALSE(folded.empty());
-    EXPECT_EQ(folded, traced(false));
+    // Three-deep nests keep their closed-form middle runs under tracing:
+    // the spans sit at outer positions, where the counters agree.
+    for (const char *kernel : {"gemm", "syr2k"}) {
+        std::string name = kernel;
+        core::Compilation c = core::compile(
+            name == "gemm" ? ir::gallery::gemm() : ir::gallery::syr2kBanded());
+        ir::Bindings binds = name == "gemm"
+                                 ? bindingFor(c.program, 24)
+                                 : ir::Bindings{{24, 5}, {1.5, 0.5}};
+        auto traced = [&](bool fast) {
+            obs::Trace trace;
+            SimOptions opts;
+            opts.processors = 4;
+            opts.fastInner = fast;
+            opts.trace = &trace;
+            opts.tracePid = trace.process(name);
+            core::simulate(c, opts, binds);
+            return trace.renderEvents(opts.tracePid);
+        };
+        SimOptions plain;
+        plain.processors = 4;
+        obs::Trace probe;
+        plain.trace = &probe;
+        ASSERT_GE(c.nest().depth(), 3u);
+        ASSERT_TRUE(closedOf(c, plain, binds)) << kernel;
+        std::string fast = traced(true);
+        EXPECT_FALSE(fast.empty());
+        EXPECT_EQ(fast, traced(false)) << kernel;
+    }
 }
 
 TEST(FoldOracle, AggregatedRunsMatch)
 {
     // Symmetry aggregation simulates class representatives through the
-    // same walk; force it at small P so the naive oracle stays cheap.
-    core::Compilation c = core::compile(ir::gallery::gemm());
-    ir::Bindings binds = bindingFor(c.program, 30);
-    for (Int p : {3, 4, 8}) {
-        SimOptions opts;
-        opts.processors = p;
-        opts.symmetry = SymmetryMode::Force;
-        SimStats s = expectFoldMatches(c, opts, binds,
-                                       "aggregated P=" + std::to_string(p));
-        EXPECT_TRUE(s.aggregated);
+    // same walk; force it at small and at paper-scale P.
+    for (const Kernel &k : galleryKernels()) {
+        if (k.name != "gemm" && k.name != "syr2k" && k.name != "figure1" &&
+            k.name != "ger")
+            continue;
+        for (bool identity : {true, false}) {
+            core::CompileOptions co;
+            co.identityTransform = identity;
+            core::Compilation c = core::compile(k.prog, co);
+            ir::Bindings binds = bindingFor(k.prog, 30);
+            if (k.name == "syr2k")
+                binds = {{30, 7}, {1.5, 0.5}};
+            for (Int p : {3, 4, 8, 256, 4096}) {
+                for (bool blocks : {true, false}) {
+                    SimOptions opts;
+                    opts.processors = p;
+                    opts.blockTransfers = blocks;
+                    opts.symmetry = SymmetryMode::Force;
+                    SimStats s = expectFoldMatches(
+                        c, opts, binds,
+                        k.name + (identity ? " identity" : " normalized") +
+                            " aggregated P=" + std::to_string(p));
+                    EXPECT_TRUE(s.aggregated);
+                }
+            }
+        }
+    }
+}
+
+TEST(FoldOracle, SearchCandidateNestsMatchNaiveWalk)
+{
+    // Every distinct candidate the plan search enumerates for the
+    // gallery: permuted, sign-flipped and padded transformations, with
+    // the planner's scheme or forced round-robin, so non-unit lattices,
+    // rational bounds and every partition scheme reach the closed form.
+    size_t nests = 0, closed = 0;
+    for (const Kernel &k : galleryKernels()) {
+        core::Compilation base = core::compile(k.prog);
+        const xform::NormalizeResult &norm = base.normalization;
+        xform::SearchOptions so;
+        so.enabled = true;
+        std::set<std::pair<std::string, bool>> seen;
+        for (const xform::SearchCandidate &cand :
+             xform::enumerateSearchCandidates(k.prog, norm, so)) {
+            std::ostringstream key;
+            for (size_t i = 0; i < cand.transform.rows(); ++i)
+                for (size_t j = 0; j < cand.transform.cols(); ++j)
+                    key << (j == 0 ? (i == 0 ? "[" : "; ") : " ")
+                        << cand.transform(i, j);
+            key << "]";
+            if (!seen.insert({key.str(), cand.forceRoundRobin}).second)
+                continue;
+            std::optional<xform::TransformedNest> nest;
+            ExecutionPlan plan;
+            try {
+                nest.emplace(xform::applyTransform(k.prog, cand.transform));
+                plan = codegen::planCodegen(k.prog, *nest, norm.depMatrix,
+                                            &norm.access);
+            } catch (const Error &) {
+                continue; // the search rejects it too
+            }
+            if (cand.forceRoundRobin) {
+                plan.scheme = PartitionScheme::RoundRobin;
+                plan.alignedArray.reset();
+            }
+            ++nests;
+            for (Int n : {7, 24}) {
+                ir::Bindings binds = bindingFor(k.prog, n);
+                for (Int p : {3, 4, 32}) {
+                    SimOptions opts;
+                    opts.processors = p;
+                    opts.hostThreads = 1;
+                    std::string what = k.name + " " + key.str() +
+                                       (cand.forceRoundRobin ? " rr" : "") +
+                                       " N=" + std::to_string(n) +
+                                       " P=" + std::to_string(p);
+                    expectMatch(k.prog, *nest, plan, opts, binds, what);
+                    closed +=
+                        Simulator(k.prog, *nest, plan, opts)
+                            .closedFormMiddle(binds);
+                }
+            }
+        }
+    }
+    EXPECT_GT(nests, 50u);
+    EXPECT_GT(closed, nests);
+}
+
+/**
+ * A nest whose middle runs split into many pieces: for i = 0..1,
+ * j = 0..N, inner k over
+ *   shape 0: max(j - 3, 0) .. min(j, 5)   (growing, capped, then empty)
+ *   shape 1: ceil(j / 3) .. floor(j / 2)  (residues of j mod 6; empty
+ *                                          and one-iteration runs)
+ *   shape 2: j .. N - j                   (shrinking to one, then empty)
+ *   shape 3: j .. j                       (one iteration everywhere)
+ * with wrapped references stepping along k, along j, along both and
+ * along neither, a blocked one fixed for the whole run, and a
+ * replicated one. depth 2 drops the i loop, so the outer slice is the
+ * middle run.
+ */
+ir::Program
+piecewiseNest(int shape, size_t depth)
+{
+    ir::ProgramBuilder b(depth);
+    size_t pn = b.param("N");
+    auto N = b.par(pn);
+    auto c0 = b.cst(0);
+    auto ext = N.scaled(Rational(4)) + b.cst(8);
+    size_t a = b.array("A", {ext}, ir::DistributionSpec::wrapped(0));
+    size_t bb = b.array("B", {ext, ext}, ir::DistributionSpec::wrapped(1));
+    size_t cc = b.array("C", {ext}, ir::DistributionSpec::wrapped(0));
+    size_t d = b.array("D", {ext}, ir::DistributionSpec::wrapped(0));
+    size_t e = b.array("E", {ext}, ir::DistributionSpec::blocked(0));
+    size_t r = b.array("R", {ext}, ir::DistributionSpec::replicated());
+    if (depth == 3)
+        b.loop("i", c0, b.cst(1));
+    size_t lj = b.loop("j", c0, N);
+    auto vj = b.var(lj);
+    size_t lk = 0;
+    switch (shape) {
+      case 0:
+        lk = b.loop("k", vj - b.cst(3), vj);
+        b.addLower(lk, c0);
+        b.addUpper(lk, b.cst(5));
+        break;
+      case 1:
+        lk = b.loop("k", vj.scaled(Rational(1, 3)),
+                    vj.scaled(Rational(1, 2)));
+        break;
+      case 2:
+        lk = b.loop("k", vj, N - vj);
+        break;
+      default:
+        lk = b.loop("k", vj, vj);
+        break;
+    }
+    auto vk = b.var(lk);
+    auto vi = depth == 3 ? b.var(0) : c0;
+    ir::Expr rhs = ir::Expr::binary(
+        '+',
+        ir::Expr::binary('+', ir::Expr::arrayRead(b.ref(a, {vk + b.cst(2)})),
+                         ir::Expr::arrayRead(b.ref(cc, {vj + vk}))),
+        ir::Expr::binary(
+            '+',
+            ir::Expr::binary('*', ir::Expr::arrayRead(b.ref(d, {vj})),
+                             ir::Expr::arrayRead(
+                                 b.ref(bb, {vk, vk.scaled(Rational(2)) - vj +
+                                                    N}))),
+            ir::Expr::binary('*', ir::Expr::arrayRead(b.ref(e, {vi})),
+                             ir::Expr::arrayRead(b.ref(r, {vk})))));
+    b.assign(b.ref(bb, {vi + vj, vk + vi}), rhs);
+    return b.build();
+}
+
+TEST(FoldOracle, EmptyPiecesAndOneIterationRunsMatchNaiveWalk)
+{
+    for (int shape = 0; shape < 4; ++shape) {
+        for (size_t depth : {2u, 3u}) {
+            ir::Program prog = piecewiseNest(shape, depth);
+            for (bool identity : {true, false}) {
+                core::CompileOptions co;
+                co.identityTransform = identity;
+                std::optional<core::Compilation> c;
+                try {
+                    c.emplace(core::compile(prog, co));
+                } catch (const Error &) {
+                    ASSERT_FALSE(identity) << shape;
+                    continue;
+                }
+                for (Int n : {0, 1, 7, 13, 24}) {
+                    ir::Bindings binds = bindingFor(prog, n);
+                    for (Int p : {1, 2, 3, 4, 5, 8}) {
+                        for (bool blocks : {true, false}) {
+                            SimOptions opts;
+                            opts.processors = p;
+                            opts.blockTransfers = blocks;
+                            std::string what =
+                                "shape " + std::to_string(shape) + " depth " +
+                                std::to_string(depth) +
+                                (identity ? " identity" : " normalized") +
+                                " N=" + std::to_string(n) +
+                                " P=" + std::to_string(p) +
+                                (blocks ? " B" : " T");
+                            expectFoldMatches(*c, opts, binds, what);
+                            // Processor 0's first run has at least five
+                            // positions, more than shape 0's four bound
+                            // forms (the compiler caps j at 8 there).
+                            if (identity && n == 24 &&
+                                (depth == 3 || p <= 2)) {
+                                EXPECT_TRUE(closedOf(*c, opts, binds)) << what;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FoldOracle, HoistsAtEveryLevelMatchNaiveWalk)
+{
+    // The planner hoists only reads whose distribution coordinate stays
+    // put along the inner loop. Hoist every read at every level here --
+    // above the nest, above the middle loop, at the middle level and at
+    // the innermost -- so each transfer rule meets every owner shape:
+    // fixed, moving along the inner run, one-iteration runs whose only
+    // element may be local.
+    for (int shape = 0; shape < 4; ++shape) {
+        for (size_t depth : {2u, 3u}) {
+            ir::Program prog = piecewiseNest(shape, depth);
+            core::CompileOptions co;
+            co.identityTransform = true;
+            core::Compilation c = core::compile(prog, co);
+            for (int level = -1; level < int(depth); ++level) {
+                ExecutionPlan plan = c.plan;
+                plan.hoists.clear();
+                for (size_t read = 0; read < 6; ++read)
+                    plan.hoists.push_back({0, read, level});
+                for (Int n : {7, 24}) {
+                    ir::Bindings binds = bindingFor(prog, n);
+                    for (Int p : {1, 2, 3, 4, 5, 8}) {
+                        SimOptions opts;
+                        opts.processors = p;
+                        std::string what =
+                            "shape " + std::to_string(shape) + " depth " +
+                            std::to_string(depth) + " level " +
+                            std::to_string(level) + " N=" + std::to_string(n) +
+                            " P=" + std::to_string(p);
+                        expectMatch(c.program, c.nest(), plan, opts, binds,
+                                    what);
+                        if (n == 24 && (depth == 3 || p <= 2)) {
+                            EXPECT_TRUE(
+                                Simulator(c.program, c.nest(), plan, opts)
+                                    .closedFormMiddle(binds))
+                                << what;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -290,6 +646,50 @@ TEST(FoldOracle, CountersThatLeaveUint64Throw)
     // leave uint64_t. The run must fail, not report wrapped counters.
     EXPECT_THROW(core::simulate(c, opts, {{Int(1) << 62}, {}}),
                  OverflowError);
+}
+
+/** for i = -N..N, for j = 0..0: B[j] = B[j] + A[j], untransformed: the
+ * outer loop carries the dependence, so every outer position syncs. */
+core::Compilation
+wideOuterLoop()
+{
+    ir::ProgramBuilder b(2);
+    size_t pn = b.param("N");
+    auto N = b.par(pn);
+    size_t a = b.array("A", {b.cst(1)}, ir::DistributionSpec::wrapped(0));
+    size_t bb = b.array("B", {b.cst(1)}, ir::DistributionSpec::wrapped(0));
+    b.loop("i", b.cst(0) - N, N);
+    b.loop("j", b.cst(0), b.cst(0));
+    auto vj = b.var(1);
+    b.assign(b.ref(bb, {vj}),
+             ir::Expr::binary('+', ir::Expr::arrayRead(b.ref(bb, {vj})),
+                              ir::Expr::arrayRead(b.ref(a, {vj}))));
+    core::CompileOptions co;
+    co.identityTransform = true;
+    return core::compile(b.build(), co);
+}
+
+TEST(FoldOracle, HugeOuterRangesThrowInsteadOfSimulatingNothing)
+{
+    core::Compilation c = wideOuterLoop();
+    SimOptions direct;
+    direct.processors = 1;
+    SimOptions aggregated;
+    aggregated.processors = 4096;
+    aggregated.symmetry = SymmetryMode::Force;
+    // N = 2^61: 2^62 + 1 outer positions, each one sync, in closed form.
+    Int n = Int(1) << 61;
+    ASSERT_TRUE(closedOf(c, direct, {{n}, {}}));
+    SimStats s = core::simulate(c, direct, {{n}, {}});
+    EXPECT_EQ(s.perProc[0].syncs, (uint64_t(1) << 62) + 1);
+    EXPECT_EQ(s.perProc[0].iterations, (uint64_t(1) << 62) + 1);
+    EXPECT_EQ(core::simulate(c, aggregated, {{n}, {}}).totalIterations(),
+              (uint64_t(1) << 62) + 1);
+    // N = 2^62: 2^63 + 1 outer positions do not fit the slice arithmetic.
+    for (const SimOptions &opts : {direct, aggregated})
+        EXPECT_THROW(core::simulate(c, opts, {{Int(1) << 62}, {}}),
+                     OverflowError)
+            << opts.processors;
 }
 
 } // namespace
