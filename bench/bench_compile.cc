@@ -3,8 +3,9 @@
  * Compiler-pass cost ablation: how the paper's algorithms scale with
  * nest depth and matrix size. Not a paper figure -- a design-choice
  * ablation for the exact-arithmetic implementation (DESIGN.md): Hermite
- * normal form, Fourier-Motzkin elimination, the legality algorithms,
- * and the full pipeline.
+ * normal form, Fourier-Motzkin elimination (both of its callers: the
+ * loop-bound solve and the validator's implication proofs), the
+ * legality algorithms, and the full pipeline.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,8 +18,9 @@
 #include "ratmath/hnf.h"
 #include "ratmath/linalg.h"
 #include "ratmath/smith.h"
-#include "xform/fourier_motzkin.h"
+#include "verify/symbolic.h"
 #include "xform/legal.h"
+#include "xform/transform.h"
 
 namespace {
 
@@ -96,13 +98,34 @@ BENCHMARK(BM_Compile_MatrixInverse)->DenseRange(2, 8, 2);
 void
 BM_Compile_FourierMotzkin(benchmark::State &state)
 {
-    ir::Program p = deepNest(size_t(state.range(0)));
-    auto cons = p.nest.constraints(1);
+    // The bounds side of the engine: solveBounds on a bound-free nest.
+    size_t depth = size_t(state.range(0));
+    ir::Program p = deepNest(depth);
+    xform::TransformedNest body =
+        xform::transformBody(p, IntMatrix::identity(depth));
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            xform::fourierMotzkin(cons, p.nest.depth(), 1));
+        benchmark::DoNotOptimize(xform::solveBounds(p, body));
 }
 BENCHMARK(BM_Compile_FourierMotzkin)->DenseRange(2, 6, 1)
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_Compile_ProveBound(benchmark::State &state)
+{
+    // The prove side: the source bounds imply i_{depth-1} >= 0 only
+    // through the whole chain i_{depth-1} >= ... >= i_0 >= 0, so the
+    // proof projects every level.
+    size_t depth = size_t(state.range(0));
+    ir::Program p = deepNest(depth);
+    std::vector<verify::SymConstraint> sys;
+    for (const ir::AffineExpr &e : p.nest.constraints(1))
+        sys.push_back(verify::makeConstraint(e, ""));
+    verify::SymConstraint goal = verify::makeConstraint(
+        ir::AffineExpr::variable(depth - 1, depth, 1), "");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(verify::proveImplies(sys, goal));
+}
+BENCHMARK(BM_Compile_ProveBound)->DenseRange(2, 6, 1)
     ->Unit(benchmark::kMicrosecond);
 
 void

@@ -4,17 +4,17 @@
 
 namespace anc::ir {
 
-std::vector<LinearConstraint>
+std::vector<AffineExpr>
 LoopNest::constraints(size_t num_params) const
 {
-    std::vector<LinearConstraint> out;
+    std::vector<AffineExpr> out;
     size_t n = depth();
     for (size_t k = 0; k < n; ++k) {
         AffineExpr ik = AffineExpr::variable(k, n, num_params);
         for (const AffineExpr &lb : loops_[k].lower)
-            out.push_back(LinearConstraint::fromAffine(ik - lb));
+            out.push_back(ik - lb);
         for (const AffineExpr &ub : loops_[k].upper)
-            out.push_back(LinearConstraint::fromAffine(ub - ik));
+            out.push_back(ub - ik);
     }
     return out;
 }

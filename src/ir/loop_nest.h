@@ -29,42 +29,6 @@ struct Loop
     std::vector<AffineExpr> upper; //!< i <= min(upper...)
 };
 
-/**
- * An affine inequality  varCoeffs . i + paramCoeffs . N + constant >= 0.
- */
-struct LinearConstraint
-{
-    RatVec varCoeffs;
-    RatVec paramCoeffs;
-    Rational constant;
-
-    /** Build from an affine expression e, meaning e >= 0. */
-    static LinearConstraint
-    fromAffine(const AffineExpr &e)
-    {
-        return {e.varCoeffs(), e.paramCoeffs(), e.constantTerm()};
-    }
-
-    /** Back to an affine expression. */
-    AffineExpr
-    toAffine() const
-    {
-        AffineExpr e(varCoeffs.size(), paramCoeffs.size());
-        for (size_t k = 0; k < varCoeffs.size(); ++k)
-            e.varCoeff(k) = varCoeffs[k];
-        for (size_t p = 0; p < paramCoeffs.size(); ++p)
-            e.paramCoeff(p) = paramCoeffs[p];
-        e.constantTerm() = constant;
-        return e;
-    }
-
-    bool operator==(const LinearConstraint &o) const
-    {
-        return varCoeffs == o.varCoeffs && paramCoeffs == o.paramCoeffs &&
-               constant == o.constant;
-    }
-};
-
 /** A perfect loop nest with a list of body statements. */
 class LoopNest
 {
@@ -79,12 +43,11 @@ class LoopNest
     const std::vector<Statement> &body() const { return body_; }
 
     /**
-     * All bound inequalities of the nest as linear constraints over
-     * (loop variables, parameters):
-     *   i_k - lb >= 0 for every lower bound, ub - i_k >= 0 for every
-     *   upper bound.
+     * All bound inequalities of the nest as affine expressions e over
+     * (loop variables, parameters), each meaning e >= 0:
+     *   i_k - lb for every lower bound, ub - i_k for every upper bound.
      */
-    std::vector<LinearConstraint> constraints(size_t num_params) const;
+    std::vector<AffineExpr> constraints(size_t num_params) const;
 
     /**
      * Structural validation: bounds at level k reference only variables

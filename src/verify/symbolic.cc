@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <sstream>
 
 #include "deps/dependence.h"
@@ -10,6 +9,7 @@
 #include "ratmath/hnf.h"
 #include "ratmath/linalg.h"
 #include "ratmath/smith.h"
+#include "xform/fm.h"
 
 namespace anc::verify {
 
@@ -114,60 +114,8 @@ tick(const ProverOptions &opts, uint64_t n = 1)
         opts.cancel->spend(n);
 }
 
-/**
- * One working row of the eliminator: coefficients over the combined
- * unknown vector z = [params..., vars...] plus a constant. Putting the
- * variables at the high indices makes the default elimination order
- * (highest index first) eliminate loop variables innermost-first and
- * parameters last, so the witness search assigns parameters first.
- */
-struct Row
-{
-    IntVec z;
-    Int cst = 0;
-};
-
-/**
- * Integer tightening: divide by the gcd of the coefficients and floor
- * the constant (a Gomory cut; preserves the integer solution set and
- * only strengthens the rational relaxation). Rows whose coefficients
- * are all zero are left alone -- the caller inspects their constants.
- */
-void
-tighten(Row &r)
-{
-    Int g = 0;
-    for (Int v : r.z)
-        g = gcdInt(g, v);
-    if (g <= 1)
-        return;
-    for (Int &v : r.z)
-        v /= g;
-    r.cst = floorDiv(r.cst, g);
-}
-
-Row
-toRow(const SymConstraint &c, size_t m, size_t n)
-{
-    Row r;
-    r.z.resize(m + n, 0);
-    for (size_t p = 0; p < m; ++p)
-        r.z[p] = c.param[p];
-    for (size_t k = 0; k < n; ++k)
-        r.z[m + k] = c.var[k];
-    r.cst = c.cst;
-    tighten(r);
-    return r;
-}
-
-bool
-isConstantRow(const Row &r)
-{
-    for (Int v : r.z)
-        if (v != 0)
-            return false;
-    return true;
-}
+namespace fm = xform::fm;
+using fm::Row;
 
 /**
  * The full Fourier-Motzkin elimination cascade of a row system.
@@ -184,71 +132,23 @@ struct Cascade
 };
 
 Cascade
-eliminate(std::vector<Row> rows, size_t total, const ProverOptions &opts)
+eliminate(const std::vector<Row> &rows, size_t total,
+          const ProverOptions &opts)
 {
     Cascade cas;
     cas.levels.resize(total);
-
-    // Dedup rows by coefficient vector, keeping the tightest constant
-    // (smaller constant == stronger constraint for a·z + c >= 0).
-    auto compact = [&](std::vector<Row> &rs) {
-        std::map<IntVec, Int> best;
-        for (Row &r : rs) {
-            if (isConstantRow(r)) {
-                if (r.cst < 0)
-                    cas.contradiction = true;
-                continue;
-            }
-            auto [it, inserted] = best.emplace(r.z, r.cst);
-            if (!inserted)
-                it->second = std::min(it->second, r.cst);
-        }
-        rs.clear();
-        for (auto &[zz, c] : best)
-            rs.push_back(Row{zz, c});
-        if (rs.size() > opts.maxRows)
-            rs.resize(opts.maxRows);
-    };
-
-    compact(rows);
+    // Integer rows: every derived constant is floored (a Gomory cut).
+    fm::System sys(fm::Rounding::Floor, opts.maxRows);
+    for (const Row &r : rows)
+        sys.add(r);
     for (size_t k = total; k-- > 0;) {
         tick(opts);
-        if (cas.contradiction)
-            return cas;
-        cas.levels[k] = rows;
-        std::vector<Row> lower, upper, rest;
-        for (Row &r : rows) {
-            if (r.z[k] > 0)
-                lower.push_back(std::move(r));
-            else if (r.z[k] < 0)
-                upper.push_back(std::move(r));
-            else
-                rest.push_back(std::move(r));
-        }
-        if (!lower.empty() && !upper.empty()) {
-            for (const Row &l : lower) {
-                for (const Row &u : upper) {
-                    // b*l + a*u with a = l.z[k] > 0, b = -u.z[k] > 0
-                    // cancels z_k; the result is a consequence.
-                    Int a = l.z[k], b = -u.z[k];
-                    Row c;
-                    c.z.resize(total, 0);
-                    for (size_t j = 0; j < total; ++j)
-                        c.z[j] = checkedAdd(checkedMul(b, l.z[j]),
-                                            checkedMul(a, u.z[j]));
-                    c.cst = checkedAdd(checkedMul(b, l.cst),
-                                       checkedMul(a, u.cst));
-                    tighten(c);
-                    rest.push_back(std::move(c));
-                }
-            }
-        }
-        // When one side is empty z_k is unbounded on that side: every
-        // row mentioning it is satisfiable by pushing z_k far enough,
-        // so the projection is exactly `rest`.
-        rows = std::move(rest);
-        compact(rows);
+        if (sys.contradiction())
+            break;
+        cas.levels[k] = sys.rows();
+        sys = sys.eliminate(k);
     }
+    cas.contradiction = sys.contradiction();
     return cas;
 }
 
@@ -444,46 +344,13 @@ SymConstraint::evaluate(const IntVec &x, const IntVec &p) const
 SymConstraint
 makeConstraint(const ir::AffineExpr &e, std::string origin)
 {
-    size_t n = e.numVars(), m = e.numParams();
+    size_t m = e.numParams();
+    Row r = fm::toRow(e, fm::Rounding::Floor);
     SymConstraint c;
-    c.var.assign(n, 0);
-    c.param.assign(m, 0);
+    c.param.assign(r.z.begin(), r.z.begin() + std::ptrdiff_t(m));
+    c.var.assign(r.z.begin() + std::ptrdiff_t(m), r.z.end());
+    c.cst = r.cst;
     c.origin = std::move(origin);
-
-    if (e.isConstant()) {
-        // Pure constant: keep only the truth value.
-        c.cst = e.constantTerm().isNegative() ? -1 : 0;
-        return c;
-    }
-
-    // Scale by the lcm of every denominator (constant included), then
-    // tighten: divide the coefficients by their gcd and floor the
-    // constant, which is exact over integer points.
-    Int den = e.constantTerm().den();
-    for (size_t k = 0; k < n; ++k)
-        den = lcmInt(den, e.varCoeff(k).den());
-    for (size_t p = 0; p < m; ++p)
-        den = lcmInt(den, e.paramCoeff(p).den());
-    Int g = 0;
-    for (size_t k = 0; k < n; ++k) {
-        c.var[k] = checkedMul(e.varCoeff(k).num(),
-                              den / e.varCoeff(k).den());
-        g = gcdInt(g, c.var[k]);
-    }
-    for (size_t p = 0; p < m; ++p) {
-        c.param[p] = checkedMul(e.paramCoeff(p).num(),
-                                den / e.paramCoeff(p).den());
-        g = gcdInt(g, c.param[p]);
-    }
-    c.cst = checkedMul(e.constantTerm().num(),
-                       den / e.constantTerm().den());
-    if (g > 1) {
-        for (Int &v : c.var)
-            v /= g;
-        for (Int &v : c.param)
-            v /= g;
-        c.cst = floorDiv(c.cst, g);
-    }
     return c;
 }
 
@@ -495,20 +362,24 @@ proveImplies(const std::vector<SymConstraint> &sys,
     size_t total = m + n;
     tick(opts);
 
+    // Rows over z = [params..., vars...], the engine's unknown order.
+    auto row = [&](const SymConstraint &c) {
+        Row r;
+        r.z = c.param;
+        r.z.insert(r.z.end(), c.var.begin(), c.var.end());
+        r.cst = c.cst;
+        return r;
+    };
     std::vector<Row> rows;
     rows.reserve(sys.size() + 1);
     for (const SymConstraint &c : sys)
-        rows.push_back(toRow(c, m, n));
+        rows.push_back(row(c));
     // Negate the goal over integers: goal < 0  <=>  -goal - 1 >= 0.
-    SymConstraint neg;
-    neg.var.resize(n);
-    neg.param.resize(m);
-    for (size_t k = 0; k < n; ++k)
-        neg.var[k] = checkedNeg(goal.var[k]);
-    for (size_t p = 0; p < m; ++p)
-        neg.param[p] = checkedNeg(goal.param[p]);
-    neg.cst = checkedSub(checkedNeg(goal.cst), 1);
-    rows.push_back(toRow(neg, m, n));
+    Row neg = row(goal);
+    for (Int &v : neg.z)
+        v = checkedNeg(v);
+    neg.cst = checkedSub(checkedNeg(neg.cst), 1);
+    rows.push_back(std::move(neg));
 
     Cascade cas = eliminate(rows, total, opts);
     ProofResult res;
@@ -620,8 +491,7 @@ checkLatticeSymbolic(const ir::Program &prog,
     // x, and T.Z^n membership becomes free (x ranges over all of Z^n).
     std::vector<SymConstraint> source;
     ir::NameTable snames = prog.names();
-    for (const ir::LinearConstraint &c : prog.nest.constraints(m)) {
-        ir::AffineExpr e = c.toAffine();
+    for (const ir::AffineExpr &e : prog.nest.constraints(m)) {
         source.push_back(
             makeConstraint(e, "bound " + e.str(snames) + " >= 0"));
     }

@@ -22,7 +22,9 @@
  *     (nothing is invented). Implications are proved by
  *     Fourier-Motzkin refutation over variables AND parameters — a
  *     rational contradiction of {system, ¬bound} is a proof valid for
- *     every parameter value. A failed proof triggers an integer
+ *     every parameter value. The projection is xform/fm.h, the engine
+ *     that also solves the emitted bounds, run with floored constants
+ *     (Gomory cuts). A failed proof triggers an integer
  *     witness search down the elimination cascade; a witness is a
  *     concrete counterexample iteration, reported with its parameter
  *     binding.
@@ -107,9 +109,15 @@ struct ProofResult
 /** Budgets for one prover run. */
 struct ProverOptions
 {
-    /** Working-set cap per Fourier-Motzkin level; beyond it the
-     * elimination keeps only the tightest rows (soundness is
-     * unaffected -- derived rows are consequences either way). */
+    /** Working-set cap per Fourier-Motzkin level (fm::System): the
+     * elimination keeps the first maxRows row directions in insertion
+     * order -- at each level the rows without the eliminated unknown,
+     * then the combinations, lower-major -- each at its tightest
+     * constant, and drops rows in any further direction. Soundness is
+     * unaffected: kept rows are consequences, so Proven stays a proof,
+     * and a witness is checked against the original rows, so Refuted
+     * stays a counterexample. A cap that drops a needed row turns a
+     * provable implication into Unknown. */
     size_t maxRows = 4096;
     /** Integer candidates tried per level of the witness search. */
     Int candidateSpan = 24;

@@ -4,9 +4,10 @@
  *
  * Given a source nest and an invertible integer matrix T, the transformed
  * iteration space is  T(P) ∩ T.Z^n : the rational image polyhedron (whose
- * per-level bounds come from Fourier-Motzkin elimination of A T^{-1} u)
- * intersected with the image lattice (whose strides and congruence
- * anchors come from the column HNF of T). The body's subscripts are
+ * per-level bounds come from Fourier-Motzkin elimination of A T^{-1} u,
+ * projected by the integer-row engine of xform/fm.h that the validator's
+ * prover shares) intersected with the image lattice (whose strides and
+ * congruence anchors come from the column HNF of T). The body's subscripts are
  * rewritten through x = T^{-1} u; their coefficients may become rational
  * but are integral at every enumerated point.
  *
@@ -22,7 +23,6 @@
 
 #include "ir/interp.h"
 #include "ratmath/lattice.h"
-#include "xform/fourier_motzkin.h"
 
 namespace anc::xform {
 
@@ -41,8 +41,7 @@ class TransformedNest
   public:
     TransformedNest(IntMatrix t, RatMatrix t_inv, Lattice lattice,
                     std::vector<TransformedLoop> loops,
-                    std::vector<ir::Statement> body,
-                    std::vector<ir::AffineExpr> param_conditions);
+                    std::vector<ir::Statement> body);
 
     size_t depth() const { return loops_.size(); }
     const IntMatrix &transform() const { return t_; }
@@ -50,11 +49,6 @@ class TransformedNest
     const Lattice &lattice() const { return lattice_; }
     const std::vector<TransformedLoop> &loops() const { return loops_; }
     const std::vector<ir::Statement> &body() const { return body_; }
-    const std::vector<ir::AffineExpr> &
-    paramConditions() const
-    {
-        return paramConditions_;
-    }
 
     /**
      * First admissible value >= the concrete lower bound at level k,
@@ -125,24 +119,25 @@ class TransformedNest
     Lattice lattice_;
     std::vector<TransformedLoop> loops_;
     std::vector<ir::Statement> body_;
-    std::vector<ir::AffineExpr> paramConditions_;
 };
 
 /**
  * The bound-free part of applyTransform: the inverse, the image lattice
  * and the body rewritten through x = T^{-1} u. Every loop has its name
- * and stride but no bounds, and there are no parameter conditions. The
- * planner and the stride analysis read nothing else, so the plan search
- * ranks candidates on this nest before paying for Fourier-Motzkin.
+ * and stride but no bounds. The planner and the stride analysis read
+ * nothing else, so the plan search ranks candidates on this nest before
+ * paying for Fourier-Motzkin.
  * Throws MathError if t is singular.
  */
 TransformedNest transformBody(const ir::Program &prog, const IntMatrix &t);
 
 /**
  * The bounds part of applyTransform: substitute the source constraints
- * through the nest's inverse and solve them by Fourier-Motzkin, filling
- * every loop's lower/upper bounds and the parameter conditions of a
- * transformBody nest. Throws UserError if the space is unbounded.
+ * through the nest's inverse and project them level by level
+ * (xform/fm.h, exact constants), filling every loop's lower/upper bounds
+ * of a transformBody nest. Throws UserError if the space is unbounded
+ * and OverflowError if a projected row leaves 64 bits. In a provably
+ * empty space a level missing one side is left without bounds.
  */
 TransformedNest solveBounds(const ir::Program &prog, TransformedNest nest);
 

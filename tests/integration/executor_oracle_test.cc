@@ -228,7 +228,7 @@ TEST(ExecutorOracleTest, NonIntegralSubscriptsFailAlike)
     loops[0].stride = 1;
     xform::TransformedNest bad(good.transform(), good.inverseTransform(),
                                Lattice(IntMatrix::identity(1)), loops,
-                               good.body(), good.paramConditions());
+                               good.body());
     ir::Bindings binds = bindingFor(prog, 0);
     EXPECT_FALSE(checkNestRun(prog, bad, binds, "tampered lattice"));
     testutil::Observation o = testutil::observe(

@@ -70,8 +70,7 @@ rebuild(const xform::TransformedNest &nest,
 {
     return xform::TransformedNest(nest.transform(),
                                   nest.inverseTransform(), nest.lattice(),
-                                  std::move(loops), std::move(body),
-                                  nest.paramConditions());
+                                  std::move(loops), std::move(body));
 }
 
 TEST(ValidateTest, CleanGalleryProgramsPassEveryCheck)
@@ -301,6 +300,38 @@ TEST(ValidateTest, ValidationChargesTheCancelToken)
     ValidationReport r = validateCompilation(c, &roomy);
     EXPECT_TRUE(r.passed()) << r.render();
     EXPECT_GT(roomy.steps(), 0u);
+}
+
+TEST(ValidateTest, OverflowInTheProjectionPropagates)
+{
+    // A[K*i + (K-1)*j, i + j, k] with K just below sqrt(2^63): T = [K K-1
+    // 0; 1 1 0; 0 0 1] rewrites the body and solves its bounds within 64
+    // bits, but proving the bounds combines rows whose products leave 64
+    // bits. The fault must escape validate(), never become a verdict.
+    const Int k = 3037000499;
+    ir::ProgramBuilder b(3);
+    auto n = b.par(b.param("N"));
+    size_t arr = b.array("A", {n, n, n}, ir::DistributionSpec::wrapped(0));
+    for (const char *v : {"i", "j", "k"})
+        b.loop(v, b.cst(0), n - b.cst(1));
+    ir::ArrayRef ref =
+        b.ref(arr, {b.var(0).scaled(Rational(k)) +
+                        b.var(1).scaled(Rational(k - 1)),
+                    b.var(0) + b.var(1), b.var(2)});
+    b.assign(ref, ir::Expr::binary('+', ir::Expr::arrayRead(ref),
+                                   ir::Expr::number_(1.0)));
+    ir::Program prog = b.build();
+    IntMatrix t{{k, k - 1, 0}, {1, 1, 0}, {0, 0, 1}};
+    xform::TransformedNest nest = xform::applyTransform(prog, t);
+    IntMatrix deps = deps::analyzeDependences(prog).matrix(3);
+    EXPECT_THROW(validate(prog, nest, deps), OverflowError);
+    // A validating ladder treats it as a math fault: the full rung is
+    // dropped, never served as validated.
+    core::ResilientOptions o;
+    o.base.validate = true;
+    core::Compilation c = core::compileResilient(prog, o);
+    EXPECT_NE(c.tier, core::CompileTier::Full);
+    EXPECT_TRUE(c.validated);
 }
 
 } // namespace

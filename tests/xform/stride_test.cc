@@ -179,7 +179,7 @@ TEST(StrideTest, DepthOneIdentityMatchesSourceAnalysis)
 TEST(StrideTest, ZeroDepthTransformedNestYieldsNoStrides)
 {
     TransformedNest empty(IntMatrix(0, 0), RatMatrix(0, 0),
-                          Lattice(IntMatrix(0, 0)), {}, {}, {});
+                          Lattice(IntMatrix(0, 0)), {}, {});
     EXPECT_TRUE(analyzeInnerStrides(empty).empty());
 }
 
