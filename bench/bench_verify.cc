@@ -22,8 +22,10 @@
  * production-shaped reference (symbolic over free parameters N, b).
  *
  * Output: BENCH_verify.json with per-point wall time, prover steps,
- * and verdict; tools/check_bench.py gates every point's wall time
- * against the committed baseline's gate block.
+ * prover calls and verdict; tools/check_bench.py gates every point's
+ * wall time and prover calls against the committed baseline's gate
+ * block (a bound implication that loses its certificate shows up as a
+ * prover call).
  */
 
 #include <benchmark/benchmark.h>
@@ -33,6 +35,7 @@
 #include "deps/dependence.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
+#include "verify/symbolic.h"
 #include "verify/verify.h"
 
 namespace {
@@ -78,6 +81,9 @@ struct Point
 {
     double wallS = 0.0; //!< best of 3 (least interference)
     uint64_t steps = 0; //!< deterministic deadline charge
+    /** proveImplies calls of the lattice check: 0 when every bound
+     * implication is discharged by its certificate. */
+    size_t proverCalls = 0;
     bool passed = false;
 };
 
@@ -96,6 +102,8 @@ measureValidation(const core::Compilation &c)
         pt.steps = token.steps();
         pt.passed = r.passed() && r.checks.size() == 3;
     }
+    pt.proverCalls =
+        verify::checkLatticeSymbolic(c.program, c.nest()).byProver;
     return pt;
 }
 
@@ -134,6 +142,7 @@ printVerifySweep()
                     static_cast<unsigned long long>(pt.steps));
         report.run("gemm_concrete", m, pt.wallS, 0.0, 0.0,
                    {{"steps", std::to_string(pt.steps)},
+                    {"prover_calls", std::to_string(pt.proverCalls)},
                     {"passed", pt.passed ? "true" : "false"}});
     }
 
@@ -173,6 +182,7 @@ printVerifySweep()
                     static_cast<unsigned long long>(pt.steps));
         report.run(name, 0, pt.wallS, 0.0, 0.0,
                    {{"steps", std::to_string(pt.steps)},
+                    {"prover_calls", std::to_string(pt.proverCalls)},
                     {"passed", pt.passed ? "true" : "false"}});
     }
     report.write();

@@ -19,15 +19,28 @@
  *     in source space over integer points, then discharges one
  *     implication per bound: source system ⟹ each emitted bound
  *     (nothing is lost) and emitted system ⟹ each source bound
- *     (nothing is invented). Implications are proved by
- *     Fourier-Motzkin refutation over variables AND parameters — a
- *     rational contradiction of {system, ¬bound} is a proof valid for
- *     every parameter value. The projection is xform/fm.h, the engine
- *     that also solves the emitted bounds, run with floored constants
- *     (Gomory cuts). A failed proof triggers an integer
- *     witness search down the elimination cascade; a witness is a
- *     concrete counterexample iteration, reported with its parameter
- *     binding.
+ *     (nothing is invented). A forward implication is discharged by
+ *     the Farkas certificate solveBounds recorded for the bound
+ *     (TransformedLoop::lowerCert): the checker combines its OWN
+ *     source rows with the certificate's nonnegative multipliers and
+ *     accepts when the sum is a positive multiple g of the emitted
+ *     row's coefficients with a constant C such that the emitted
+ *     constant is >= floor(C / g) — multiply, add, compare. A
+ *     backward implication is discharged by a unit certificate the
+ *     checker finds itself: an emitted row with the source row's
+ *     coefficients and a constant at least as tight. Every step of
+ *     either check is a sound integer inference from rows the checker
+ *     built, so a wrong certificate can only fail the check, never
+ *     pass a wrong bound. Where a certificate is missing or fails,
+ *     the implication is proved by Fourier-Motzkin refutation over
+ *     variables AND parameters — a rational contradiction of
+ *     {system, ¬bound} is a proof valid for every parameter value.
+ *     The projection is xform/fm.h, the engine that also solves the
+ *     emitted bounds, run with floored constants (Gomory cuts). A
+ *     failed proof triggers an integer witness search down the
+ *     elimination cascade; a witness is a concrete counterexample
+ *     iteration, reported with its parameter binding. Every
+ *     refutation and failure detail comes from the prover.
  *
  *  2. Dependence preservation. T·d lex-positive per column (already
  *     symbolic). When the source's dependence analysis is imprecise,
@@ -53,7 +66,8 @@
  * proved nor refuted within budget is a FAIL (conservative), never a
  * skip; for pipeline-produced nests every obligation is rationally
  * provable by construction, because Fourier-Motzkin emits bounds that
- * are nonnegative combinations of source constraints and vice versa.
+ * are nonnegative combinations of source constraints and vice versa,
+ * and solveBounds hands over exactly those combinations.
  */
 
 #ifndef ANC_VERIFY_SYMBOLIC_H
@@ -71,8 +85,9 @@ namespace anc::verify {
 
 /**
  * One integer linear inequality  var·x + param·N + cst >= 0 with
- * primitive integer coefficients, plus a human-readable provenance
- * used in counterexample reports.
+ * primitive integer coefficients, plus an optional human-readable
+ * provenance (checkLatticeSymbolic renders its own only for a failure
+ * report).
  */
 struct SymConstraint
 {
@@ -88,7 +103,8 @@ struct SymConstraint
 /** Build the primitive-integer form of `e >= 0`. A constraint with no
  * variable or parameter coefficients keeps its sign as a pure
  * constant (trivially true or false). */
-SymConstraint makeConstraint(const ir::AffineExpr &e, std::string origin);
+SymConstraint makeConstraint(const ir::AffineExpr &e,
+                             std::string origin = {});
 
 /** Verdict of one implication query. */
 enum class ProofStatus
@@ -136,11 +152,34 @@ ProofResult proveImplies(const std::vector<SymConstraint> &sys,
                          const SymConstraint &goal,
                          const ProverOptions &opts = {});
 
+/**
+ * Check a Farkas certificate for  sys ⟹ goal >= 0  over integer
+ * points: with C = sum_i lambda[i]·sys[i], C's coefficients must be a
+ * positive multiple g of goal's and goal.cst >= floor(C.cst / g) (one
+ * Chvátal–Gomory round, which covers goals whose constant was
+ * floored). False — never a refutation — for a certificate that is
+ * malformed (wrong length, a negative multiplier) or fails the check.
+ * Arithmetic is checked: an overflow throws like any validation fault.
+ */
+bool checkCertificate(const std::vector<SymConstraint> &sys,
+                      const IntVec &lambda, const SymConstraint &goal);
+
+/** The unit certificate of  sys ⟹ goal >= 0: the index of the first
+ * row of sys with goal's coefficients and a constant no larger than
+ * goal's, or sys.size() when there is none. */
+size_t unitCertificate(const std::vector<SymConstraint> &sys,
+                       const SymConstraint &goal);
+
 /** Outcome of one whole symbolic check. */
 struct SymbolicVerdict
 {
     bool passed = false;
     std::string detail;
+    /** checkLatticeSymbolic: implications discharged by a certificate,
+     * and proveImplies calls made (for a passing plan, the
+     * implications the prover discharged). */
+    size_t byCertificate = 0;
+    size_t byProver = 0;
 };
 
 /** Check 1: emitted scan set == T(source space), for all parameters. */

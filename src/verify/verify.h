@@ -17,12 +17,14 @@
  * value and the cost is independent of iteration-space size.
  *
  *  1. Lattice equivalence -- HNF/Smith/Diophantine agreement between
- *     T.Z^n and the emitted stride lattice, plus one Fourier-Motzkin
- *     implication proof per bound in each direction (source covers
- *     emitted, emitted covers source) over integer points. The proofs
- *     project with the same engine that solved the emitted bounds
- *     (xform/fm.h), so a fault in that engine is caught by the test
- *     suite's enumeration oracle, not by validation.
+ *     T.Z^n and the emitted stride lattice, plus one implication per
+ *     bound in each direction (source covers emitted, emitted covers
+ *     source) over integer points, discharged by checking the bound's
+ *     Farkas certificate against the validator's own rows, or where
+ *     that fails by a Fourier-Motzkin proof. The proofs project with
+ *     the same engine that solved the emitted bounds (xform/fm.h), so
+ *     a fault in that engine is caught by the test suite's enumeration
+ *     oracle, not by validation.
  *
  *  2. Dependence preservation -- the leading nonzero of T*d must be
  *     positive for every dependence column and, where the source's

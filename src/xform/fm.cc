@@ -1,5 +1,7 @@
 #include "xform/fm.h"
 
+#include <numeric>
+
 namespace anc::xform::fm {
 
 namespace {
@@ -26,6 +28,49 @@ reduce(Row &r, Int g, Rounding mode)
         v /= d;
     r.cst = mode == Rounding::Floor ? floorDiv(r.cst, d) : r.cst / d;
     return g / d;
+}
+
+// Certificate arithmetic: plain builtins, so the bookkeeping makes no
+// fault checkpoint; an overflow drops the certificate instead of
+// throwing.
+
+/** Divide c by the gcd of its multipliers and scale (all >= 0). */
+void
+normalize(Certificate &c)
+{
+    Int g = c.scale;
+    for (Int v : c.m)
+        g = std::gcd(g, v);
+    if (g <= 1)
+        return;
+    for (Int &v : c.m)
+        v /= g;
+    c.scale /= g;
+}
+
+/** The certificate of b*l + a*u from those of l and u (a, b > 0):
+ * b*s_u*m_l + a*s_l*m_u sums to s_l*s_u*(b*l + a*u). Empty when either
+ * parent has none or a value leaves 64 bits. */
+Certificate
+combine(const Certificate &l, Int b, const Certificate &u, Int a)
+{
+    Certificate c;
+    Int wl, wu;
+    if (l.m.empty() || u.m.empty() ||
+        __builtin_mul_overflow(b, u.scale, &wl) ||
+        __builtin_mul_overflow(a, l.scale, &wu) ||
+        __builtin_mul_overflow(l.scale, u.scale, &c.scale))
+        return {};
+    c.m.resize(l.m.size());
+    for (size_t i = 0; i < c.m.size(); ++i) {
+        Int x, y;
+        if (__builtin_mul_overflow(wl, l.m[i], &x) ||
+            __builtin_mul_overflow(wu, u.m[i], &y) ||
+            __builtin_add_overflow(x, y, &c.m[i]))
+            return {};
+    }
+    normalize(c);
+    return c;
 }
 
 } // namespace
@@ -68,32 +113,46 @@ boundOf(const Row &r, size_t k, size_t n, size_t m)
 }
 
 void
-System::add(Row r)
+System::add(Row r, Certificate c)
 {
-    Int g = coefficientGcd(r.z);
-    if (g == 0) {
+    Int g0 = coefficientGcd(r.z);
+    if (g0 == 0) {
         if (r.cst < 0)
             contradiction_ = true;
         return;
     }
-    g = reduce(r, g, mode_);
+    Int g = reduce(r, g0, mode_);
+    if (mode_ == Rounding::Floor)
+        c.m.clear();
+    else if (!c.m.empty() && g != g0) {
+        // r was divided by g0 / g: the certificate now sums to that
+        // multiple of the reduced row.
+        if (__builtin_mul_overflow(c.scale, g0 / g, &c.scale))
+            c.m.clear();
+        else
+            normalize(c);
+    }
     IntVec dir = r.z;
     if (g > 1)
         for (Int &v : dir)
             v /= g;
     auto [it, fresh] = index_.try_emplace(std::move(dir), rows_.size());
     if (fresh) {
-        if (rows_.size() < maxRows_)
+        if (rows_.size() < maxRows_) {
             rows_.push_back(std::move(r));
-        else
+            certs_.push_back(std::move(c));
+        } else {
             index_.erase(it);
+        }
         return;
     }
     // Parallel rows: r.cst / g against kept.cst / gk, both gcds > 0.
     Row &kept = rows_[it->second];
     Int gk = mode_ == Rounding::Floor ? 1 : coefficientGcd(kept.z);
-    if (Int128(r.cst) * gk < Int128(kept.cst) * g)
+    if (Int128(r.cst) * gk < Int128(kept.cst) * g) {
         kept = std::move(r);
+        certs_[it->second] = std::move(c);
+    }
 }
 
 System
@@ -101,27 +160,29 @@ System::eliminate(size_t k) const
 {
     System out(mode_, maxRows_);
     out.contradiction_ = contradiction_;
-    std::vector<const Row *> lower, upper;
-    for (const Row &r : rows_) {
+    std::vector<size_t> lower, upper;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+        const Row &r = rows_[i];
         if (r.z[k] > 0)
-            lower.push_back(&r);
+            lower.push_back(i);
         else if (r.z[k] < 0)
-            upper.push_back(&r);
+            upper.push_back(i);
         else
-            out.add(r);
+            out.add(r, certs_[i]);
     }
-    for (const Row *l : lower) {
-        for (const Row *u : upper) {
+    for (size_t li : lower) {
+        for (size_t ui : upper) {
             // b*l + a*u with a = l.z[k] > 0, b = -u.z[k] > 0 cancels
             // u_k; the result is a consequence of the two rows.
-            Int a = l->z[k], b = -u->z[k];
+            const Row &l = rows_[li], &u = rows_[ui];
+            Int a = l.z[k], b = -u.z[k];
             Row c;
-            c.z.resize(l->z.size());
+            c.z.resize(l.z.size());
             for (size_t j = 0; j < c.z.size(); ++j)
-                c.z[j] = checkedAdd(checkedMul(b, l->z[j]),
-                                    checkedMul(a, u->z[j]));
-            c.cst = checkedAdd(checkedMul(b, l->cst), checkedMul(a, u->cst));
-            out.add(std::move(c));
+                c.z[j] = checkedAdd(checkedMul(b, l.z[j]),
+                                    checkedMul(a, u.z[j]));
+            c.cst = checkedAdd(checkedMul(b, l.cst), checkedMul(a, u.cst));
+            out.add(std::move(c), combine(certs_[li], b, certs_[ui], a));
         }
     }
     return out;

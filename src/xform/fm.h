@@ -12,6 +12,13 @@
  * every upper row u (b = -u.z[k] > 0), the combination b·l + a·u, which
  * cancels u_k. One projection step serves both callers; they differ
  * only in what happens to a derived row's constant (Rounding).
+ *
+ * Under Rounding::Exact every row may carry a Farkas certificate: the
+ * nonnegative combination of the caller's base rows that equals it.
+ * solveBounds hands its certificates to the validator, which checks
+ * them by multiply, add and compare instead of re-running this
+ * projection; a certificate is a witness the checker recomputes from
+ * its own rows, so a wrong one can only fail the check, never pass it.
  */
 
 #ifndef ANC_XFORM_FM_H
@@ -31,6 +38,18 @@ struct Row
 {
     IntVec z;
     Int cst = 0;
+};
+
+/**
+ * A Farkas certificate of a row r: nonnegative multipliers m over a
+ * fixed family of base rows B that the caller chooses, and a scale
+ * s > 0, with  sum_i m_i * B_i = s * r  exactly, coefficients and
+ * constant alike. An empty m means no certificate is known.
+ */
+struct Certificate
+{
+    IntVec m;
+    Int scale = 1;
 };
 
 /** What a row's constant becomes when the row is divided by the gcd g
@@ -68,6 +87,15 @@ ir::AffineExpr boundOf(const Row &r, size_t k, size_t n, size_t m);
  * dropped, and a negative constant marks the system contradictory.
  * Arithmetic is checked: a combination leaving 64 bits throws
  * OverflowError.
+ *
+ * Under Rounding::Exact the system also keeps one certificate per row
+ * (see Certificate): a row given one keeps it through its reduction,
+ * a combination b*l + a*u gets the same combination of its parents'
+ * certificates, and of parallel rows the certificate of the kept row
+ * stays. The bookkeeping changes no row: it makes no fault checkpoint
+ * and never throws, and a certificate whose arithmetic leaves 64 bits
+ * is dropped. Floor mode keeps none (a floored constant is not a
+ * linear combination).
  */
 class System
 {
@@ -79,11 +107,16 @@ class System
         : mode_(mode), maxRows_(max_rows)
     {}
 
-    /** Reduce r per the rounding mode and insert it (see class doc). */
-    void add(Row r);
+    /** Reduce r per the rounding mode and insert it (see class doc),
+     * with certificate c for it (Exact mode only; empty: none). */
+    void add(Row r, Certificate c = {});
 
     /** The kept rows, in insertion order. */
     const std::vector<Row> &rows() const { return rows_; }
+
+    /** The certificate of rows()[i]; its m is empty when none is
+     * known. */
+    const Certificate &certificate(size_t i) const { return certs_[i]; }
 
     /** Some row was a negative constant: the system has no rational
      * solution (under Floor, no integer one). Sticky across
@@ -102,6 +135,7 @@ class System
     Rounding mode_;
     size_t maxRows_;
     std::vector<Row> rows_;
+    std::vector<Certificate> certs_; //!< parallel to rows_
     /** Direction (coefficients over their gcd) -> index into rows_. */
     std::map<IntVec, size_t> index_;
     bool contradiction_ = false;

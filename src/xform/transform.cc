@@ -1,6 +1,7 @@
 #include "xform/transform.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ir/printer.h"
 #include "ratmath/linalg.h"
@@ -84,26 +85,76 @@ transformBody(const ir::Program &prog, const IntMatrix &t)
                            std::move(body));
 }
 
+namespace {
+
+/**
+ * The content (coefficient gcd) of row r over [params, u] composed
+ * through u = T x, or 0 when it is zero or leaves 64 bits. Certificate
+ * bookkeeping: plain builtins, no fault checkpoint, never throws.
+ */
+Int
+contentThroughT(const fm::Row &r, const IntMatrix &t, size_t m)
+{
+    Int g = 0;
+    for (size_t p = 0; p < m; ++p) {
+        if (r.z[p] == INT64_MIN)
+            return 0;
+        g = std::gcd(g, r.z[p]);
+    }
+    for (size_t j = 0; j < t.cols(); ++j) {
+        Int acc = 0;
+        for (size_t k = 0; k < t.rows(); ++k) {
+            Int x;
+            if (__builtin_mul_overflow(r.z[m + k], t(k, j), &x) ||
+                __builtin_add_overflow(acc, x, &acc))
+                return 0;
+        }
+        if (acc == INT64_MIN)
+            return 0;
+        g = std::gcd(g, acc);
+    }
+    return g;
+}
+
+} // namespace
+
 TransformedNest
 solveBounds(const ir::Program &prog, TransformedNest nest)
 {
     size_t n = nest.depth(), m = prog.params.size();
 
-    // Constraints over the new space: substitute x = T^{-1} u.
+    // Constraints over the new space: substitute x = T^{-1} u. Row i
+    // composed back through u = T x is rho_i times source constraint i
+    // as a primitive-coefficient row, so rho_i * e_i certifies it in
+    // the units the validator combines.
     fm::System sys(fm::Rounding::Exact);
-    for (const AffineExpr &c : prog.nest.constraints(m))
-        sys.add(fm::toRow(c.composeWithVarMap(nest.tInv_),
-                          fm::Rounding::Exact));
+    std::vector<AffineExpr> cons = prog.nest.constraints(m);
+    for (size_t i = 0; i < cons.size(); ++i) {
+        fm::Row r = fm::toRow(cons[i].composeWithVarMap(nest.tInv_),
+                              fm::Rounding::Exact);
+        fm::Certificate cert;
+        if (Int rho = contentThroughT(r, nest.t_, m)) {
+            cert.m.assign(cons.size(), 0);
+            cert.m[i] = rho;
+        }
+        sys.add(std::move(r), std::move(cert));
+    }
 
     // Innermost level first: a row a*u_k + r >= 0 bounds u_k by -r/a,
     // from below when a > 0 and from above when a < 0.
     for (size_t k = n; k-- > 0;) {
         size_t col = m + k;
         TransformedLoop &loop = nest.loops_[k];
-        for (const fm::Row &r : sys.rows())
-            if (r.z[col] != 0)
-                (r.z[col] > 0 ? loop.lower : loop.upper)
-                    .push_back(fm::boundOf(r, k, n, m));
+        for (size_t i = 0; i < sys.rows().size(); ++i) {
+            const fm::Row &r = sys.rows()[i];
+            if (r.z[col] == 0)
+                continue;
+            bool lower = r.z[col] > 0;
+            (lower ? loop.lower : loop.upper)
+                .push_back(fm::boundOf(r, k, n, m));
+            (lower ? loop.lowerCert : loop.upperCert)
+                .push_back(sys.certificate(i).m);
+        }
         if (loop.lower.empty() || loop.upper.empty()) {
             if (!sys.contradiction())
                 throw UserError("iteration space is unbounded at level " +
@@ -113,6 +164,8 @@ solveBounds(const ir::Program &prog, TransformedNest nest)
             // outer levels still get usable zero-trip bounds.
             loop.lower.clear();
             loop.upper.clear();
+            loop.lowerCert.clear();
+            loop.upperCert.clear();
         }
         sys = sys.eliminate(col);
     }

@@ -22,6 +22,7 @@
 #include "deps/dependence.h"
 #include "dsl/parser.h"
 #include "dsl/printer.h"
+#include "certificate_oracle.h"
 #include "enumeration_oracle.h"
 #include "../numa/sim_oracle.h"
 #include "executor_oracle.h"
@@ -484,6 +485,15 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         std::string tag =
             "run " + std::to_string(runs) + " seed " + std::to_string(seed);
         testutil::checkBoundsAgree(c.nest(), g.params, tag);
+        // Every bound certificate the checker accepts is a proof.
+        try {
+            for (const std::string &why :
+                 oracle::certificateDifferential(c.program, c.nest())
+                     .disagreements)
+                ADD_FAILURE() << tag << ": " << why;
+        } catch (const Error &) {
+            // Coefficients past 64 bits: neither side decides.
+        }
         // The append-only renderer matches the ostringstream oracle on
         // the source (or fails with the same error).
         auto rendered = [](auto &&render) {

@@ -15,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 
 #include "core/compiler.h"
 #include "deps/dependence.h"
+#include "certificate_oracle.h"
 #include "enumeration_oracle.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
@@ -194,6 +197,31 @@ TEST(SymbolicTest, ProverClosesIntegerGapsWithGomoryCuts)
                                       con({-2}, {}, 1, "2x <= 1")};
     ProofResult r = proveImplies(sys, con({1}, {}, -5, "x >= 5"));
     EXPECT_EQ(r.status, ProofStatus::Proven) << r.note;
+}
+
+TEST(SymbolicTest, CertificateCheckTakesOneGomoryRound)
+{
+    // 2x + 2y - 1 >= 0 has no integer point with x + y = 0, so it
+    // implies x + y - 1 >= 0 over the integers: the certificate {1}
+    // sums to g = 2 times the goal's coefficients with constant -1, and
+    // the goal's constant -1 >= floor(-1 / 2). Rounding -1/2 toward 0
+    // instead would lose this; x + y - 2 >= 0 does not follow at all.
+    std::vector<SymConstraint> sys = {con({2, 2}, {}, -1, "2x + 2y >= 1")};
+    SymConstraint goal = con({1, 1}, {}, -1, "x + y >= 1");
+    EXPECT_TRUE(checkCertificate(sys, {1}, goal));
+    EXPECT_TRUE(checkCertificate(sys, {3}, goal));
+    EXPECT_EQ(proveImplies(sys, goal).status, ProofStatus::Proven);
+    SymConstraint far = con({1, 1}, {}, -2, "x + y >= 2");
+    EXPECT_FALSE(checkCertificate(sys, {1}, far));
+    EXPECT_EQ(proveImplies(sys, far).status, ProofStatus::Refuted);
+    // The goal's direction with the opposite sign is no multiple.
+    EXPECT_FALSE(checkCertificate(sys, {1}, con({-1, -1}, {}, 5, "")));
+    // A unit certificate: the same coefficients, a constant as tight.
+    std::vector<SymConstraint> rows = {con({1, 0}, {}, 0, ""),
+                                       con({1, 1}, {}, -1, "")};
+    EXPECT_EQ(unitCertificate(rows, goal), 1u);
+    EXPECT_EQ(unitCertificate(rows, con({1, 1}, {}, 0, "")), 1u);
+    EXPECT_EQ(unitCertificate(rows, far), rows.size());
 }
 
 TEST(SymbolicTest, GalleryVerdictsAgreeWithTheEnumerationOracle)
@@ -391,6 +419,15 @@ TEST(SymbolicTest, FuzzedProgramsSymbolicAndOracleVerdictsAgree)
             << o.latticeDetail << " | " << o.orderDetail << " | "
             << o.differentialDetail;
         EXPECT_EQ(r.passed(), o.allOk());
+
+        // The certificate check against the full prover, implication
+        // by implication: every certificate it accepts is a proof.
+        oracle::CertificateDifferential d =
+            oracle::certificateDifferential(c.program, c.nest());
+        for (const std::string &why : d.disagreements)
+            ADD_FAILURE() << why;
+        EXPECT_EQ(d.accepted, d.implications);
+        EXPECT_EQ(d.proven, d.implications);
     }
 }
 
@@ -559,6 +596,143 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
             << o.orderDetail;
         EXPECT_EQ(r.passed(), o.allOk());
     }
+}
+
+/** The nest with every bound's certificate dropped: forward
+ * implications go to the prover, as in a nest built by hand. */
+xform::TransformedNest
+withoutCertificates(const xform::TransformedNest &nest)
+{
+    std::vector<xform::TransformedLoop> loops = nest.loops();
+    for (xform::TransformedLoop &l : loops)
+        l.lowerCert = l.upperCert = {};
+    return rebuild(nest, std::move(loops), nest.body());
+}
+
+/** Validating (prog, nest) gives the verdict and first failure of the
+ * run without certificates. Returns whether it passed. */
+bool
+expectProverVerdict(const ir::Program &prog,
+                    const xform::TransformedNest &nest,
+                    const IntMatrix &deps, const std::string &what)
+{
+    ValidationReport r = validate(prog, nest, deps);
+    ValidationReport p = validate(prog, withoutCertificates(nest), deps);
+    EXPECT_EQ(r.passed(), p.passed()) << what << "\n" << r.render();
+    EXPECT_EQ(r.firstFailure(), p.firstFailure()) << what;
+    return p.passed();
+}
+
+/** Every emitted bound's certificate, in emission order (level, then
+ * lower before upper). */
+std::vector<IntVec *>
+certificatesOf(std::vector<xform::TransformedLoop> &loops)
+{
+    std::vector<IntVec *> out;
+    for (xform::TransformedLoop &l : loops) {
+        for (IntVec &c : l.lowerCert)
+            out.push_back(&c);
+        for (IntVec &c : l.upperCert)
+            out.push_back(&c);
+    }
+    return out;
+}
+
+TEST(SymbolicTest, CorruptCertificatesNeverChangeAVerdict)
+{
+    // A certificate is a witness the validator recomputes from its own
+    // rows: a corrupt one can only fail the check and send the
+    // implication to the prover. Every corruption below, on every
+    // emitted bound of a clean gallery plan, must leave the verdict
+    // and firstFailure() of a run without certificates.
+    size_t corrupted = 0;
+    for (auto make : {ir::gallery::gemm, ir::gallery::section3Example,
+                      ir::gallery::syr2kBanded, ir::gallery::figure1}) {
+        core::Compilation c = core::compile(make());
+        const IntMatrix &deps = c.normalization.depMatrix;
+        ASSERT_TRUE(expectProverVerdict(c.program, c.nest(), deps, "clean"));
+        std::vector<xform::TransformedLoop> clean = c.nest().loops();
+        size_t bounds = certificatesOf(clean).size();
+        for (size_t j = 0; j < bounds; ++j) {
+            ASSERT_FALSE(certificatesOf(clean)[j]->empty());
+            std::vector<std::pair<std::string,
+                                  std::function<void(IntVec &, const IntVec &)>>>
+                kinds = {
+                    {"negative multiplier",
+                     [](IntVec &m, const IntVec &) {
+                         auto z = std::find(m.begin(), m.end(), Int(0));
+                         if (z != m.end())
+                             *z = -1;
+                         else
+                             m[0] = -m[0];
+                     }},
+                    {"index out of range",
+                     [](IntVec &m, const IntVec &) { m.push_back(1); }},
+                    {"wrong length",
+                     [](IntVec &m, const IntVec &) { m.pop_back(); }},
+                    {"one multiplier doubled",
+                     [](IntVec &m, const IntVec &) {
+                         *std::find_if(m.begin(), m.end(),
+                                       [](Int v) { return v != 0; }) *= 2;
+                     }},
+                    {"another bound's certificate",
+                     [](IntVec &m, const IntVec &other) { m = other; }},
+                };
+            for (const auto &[kind, corrupt] : kinds) {
+                std::vector<xform::TransformedLoop> loops = clean;
+                std::vector<IntVec *> certs = certificatesOf(loops);
+                corrupt(*certs[j], *certificatesOf(clean)[(j + 1) % bounds]);
+                ++corrupted;
+                expectProverVerdict(
+                    c.program, rebuild(c.nest(), loops, c.nest().body()),
+                    deps, kind + " on bound " + std::to_string(j));
+            }
+        }
+    }
+    EXPECT_GT(corrupted, 100u);
+}
+
+TEST(SymbolicTest, CertificatesOfTamperedBoundsFallBackToTheProver)
+{
+    // Tampered plans whose certificates would "prove" the tamper if
+    // the checker skipped a step: the verdict must still be the
+    // prover's refutation. GEMM under the identity emits u >= 0 and
+    // u <= N - 1 with the certificates e_0 and e_1 over the source
+    // rows (i >= 0, N - 1 - i >= 0, ...).
+    ir::Program prog = ir::gallery::gemm();
+    IntMatrix deps = deps::analyzeDependences(prog).matrix(3);
+    xform::TransformedNest nest =
+        xform::applyTransform(prog, IntMatrix::identity(3));
+    ASSERT_EQ(nest.loops()[0].lowerCert.size(), 1u);
+    ASSERT_EQ(nest.loops()[0].upperCert.size(), 1u);
+    auto tampered = [&](Int upper_shift, bool constant_upper,
+                        std::optional<IntVec> cert) {
+        std::vector<xform::TransformedLoop> loops = nest.loops();
+        ir::AffineExpr &up = loops[0].upper[0];
+        if (constant_upper)
+            up = ir::AffineExpr::constant(Rational(0), up.numVars(),
+                                          up.numParams());
+        up.constantTerm() = up.constantTerm() + Rational(upper_shift);
+        if (cert)
+            loops[0].upperCert[0] = *cert;
+        return rebuild(nest, std::move(loops), nest.body());
+    };
+    IntVec stale = nest.loops()[0].upperCert[0];
+    // u <= N - 2 under the stale certificate of u <= N - 1: right
+    // coefficients, constant one too tight.
+    EXPECT_FALSE(expectProverVerdict(prog, tampered(-1, false, stale), deps,
+                                     "stale certificate, tightened"));
+    // u <= N under the stale certificate: the forward implication
+    // holds, and the source row N - 1 - i >= 0 has no emitted row as
+    // tight, so the backward implication goes to the prover.
+    EXPECT_FALSE(expectProverVerdict(prog, tampered(1, false, stale), deps,
+                                     "stale certificate, widened"));
+    // u <= 0 under -1 * (i >= 0), which sums to -i >= 0: a negative
+    // multiplier would certify any upper bound of i.
+    IntVec negative(stale.size(), 0);
+    negative[0] = -1;
+    EXPECT_FALSE(expectProverVerdict(prog, tampered(0, true, negative), deps,
+                                     "negative multiplier"));
 }
 
 TEST(SymbolicTest, DependenceViolationIsCaughtOnlySymbolically)

@@ -18,6 +18,7 @@
 #include "enumeration_oracle.h"
 #include "ir/builder.h"
 #include "ir/gallery.h"
+#include "verify/symbolic.h"
 #include "verify/verify.h"
 #include "xform/transform.h"
 
@@ -306,8 +307,10 @@ TEST(ValidateTest, OverflowInTheProjectionPropagates)
 {
     // A[K*i + (K-1)*j, i + j, k] with K just below sqrt(2^63): T = [K K-1
     // 0; 1 1 0; 0 0 1] rewrites the body and solves its bounds within 64
-    // bits, but proving the bounds combines rows whose products leave 64
-    // bits. The fault must escape validate(), never become a verdict.
+    // bits, but proving a bound implication by projection combines rows
+    // whose products leave 64 bits. The plan itself validates without a
+    // projection: its certificates, checked by multiply, add and
+    // compare, stay within 64 bits.
     const Int k = 3037000499;
     ir::ProgramBuilder b(3);
     auto n = b.par(b.param("N"));
@@ -324,13 +327,24 @@ TEST(ValidateTest, OverflowInTheProjectionPropagates)
     IntMatrix t{{k, k - 1, 0}, {1, 1, 0}, {0, 0, 1}};
     xform::TransformedNest nest = xform::applyTransform(prog, t);
     IntMatrix deps = deps::analyzeDependences(prog).matrix(3);
-    EXPECT_THROW(validate(prog, nest, deps), OverflowError);
-    // A validating ladder treats it as a math fault: the full rung is
-    // dropped, never served as validated.
+    EXPECT_TRUE(validate(prog, nest, deps).passed());
+    EXPECT_EQ(checkLatticeSymbolic(prog, nest).byProver, 0u);
+    // Widening the middle level's upper bound by one leaves a source
+    // bound with no emitted row as tight, so the prover must decide it
+    // by projection. The fault must escape validate(), never become a
+    // verdict.
+    std::vector<xform::TransformedLoop> loops = nest.loops();
+    loops[1].upper[0].constantTerm() =
+        loops[1].upper[0].constantTerm() + Rational(1);
+    xform::TransformedNest widened(nest.transform(),
+                                   nest.inverseTransform(), nest.lattice(),
+                                   std::move(loops), nest.body());
+    EXPECT_THROW(validate(prog, widened, deps), OverflowError);
+    // The validating ladder serves the solved plan at the full tier.
     core::ResilientOptions o;
     o.base.validate = true;
     core::Compilation c = core::compileResilient(prog, o);
-    EXPECT_NE(c.tier, core::CompileTier::Full);
+    EXPECT_EQ(c.tier, core::CompileTier::Full);
     EXPECT_TRUE(c.validated);
 }
 

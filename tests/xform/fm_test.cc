@@ -429,6 +429,100 @@ largeShear()
     return b.build();
 }
 
+/** Every kept row of sys satisfies its certificate over `inputs`:
+ * sum_i m_i * inputs_i == scale * row, coefficients and constant. */
+void
+expectCertified(const fm::System &sys, const std::vector<fm::Row> &inputs,
+                const std::string &where)
+{
+    for (size_t r = 0; r < sys.rows().size(); ++r) {
+        const fm::Row &row = sys.rows()[r];
+        const fm::Certificate &c = sys.certificate(r);
+        ASSERT_EQ(c.m.size(), inputs.size()) << where;
+        ASSERT_GT(c.scale, 0) << where;
+        fm::Row sum{IntVec(row.z.size(), 0), 0};
+        for (size_t i = 0; i < inputs.size(); ++i) {
+            ASSERT_GE(c.m[i], 0) << where;
+            for (size_t j = 0; j < row.z.size(); ++j)
+                sum.z[j] += c.m[i] * inputs[i].z[j];
+            sum.cst += c.m[i] * inputs[i].cst;
+        }
+        for (size_t j = 0; j < row.z.size(); ++j)
+            EXPECT_EQ(sum.z[j], c.scale * row.z[j]) << where << " row " << r;
+        EXPECT_EQ(sum.cst, c.scale * row.cst) << where << " row " << r;
+    }
+}
+
+TEST(FMCertificate, EveryProjectedRowSumsFromItsInputs)
+{
+    // Random bounded systems seeded with unit certificates: at every
+    // level, each kept row (reduced, merged with parallel rows or
+    // combined) equals its certificate's combination of the inputs
+    // over its scale.
+    std::mt19937 rng(2323);
+    std::uniform_int_distribution<Int> coef(-3, 3);
+    std::uniform_int_distribution<Int> cons(0, 9);
+    for (int trial = 0; trial < 80; ++trial) {
+        size_t n = 2 + trial % 3;
+        std::vector<fm::Row> inputs;
+        for (size_t k = 0; k < n; ++k) {
+            IntVec lo(n, 0), hi(n, 0);
+            lo[k] = 1 + trial % 2;
+            hi[k] = -1;
+            inputs.push_back({lo, 4});
+            inputs.push_back({hi, 4});
+        }
+        for (int extra = 0; extra < 3; ++extra) {
+            IntVec z(n);
+            for (Int &v : z)
+                v = coef(rng);
+            inputs.push_back({z, cons(rng)});
+        }
+        fm::System sys(fm::Rounding::Exact);
+        for (size_t i = 0; i < inputs.size(); ++i) {
+            fm::Certificate c;
+            c.m.assign(inputs.size(), 0);
+            c.m[i] = 1;
+            sys.add(inputs[i], c);
+        }
+        for (size_t k = n; k-- > 0;) {
+            std::string where = "trial " + std::to_string(trial) +
+                                " level " + std::to_string(k);
+            expectCertified(sys, inputs, where);
+            for (size_t r = 0; r < sys.rows().size(); ++r)
+                EXPECT_FALSE(sys.certificate(r).m.empty()) << where;
+            sys = sys.eliminate(k);
+        }
+    }
+}
+
+TEST(FMCertificate, BookkeepingNeverThrowsOrMovesARow)
+{
+    // Multipliers past 64 bits drop the certificate; the rows, and
+    // their overflow behavior, stay those of an uncertified system.
+    const Int big = Int(1) << 62;
+    fm::System sys(fm::Rounding::Exact), bare(fm::Rounding::Exact);
+    std::vector<fm::Row> rows = {{{1, 3}, 0}, {{1, -2}, 5}, {{0, 1}, 1}};
+    for (size_t i = 0; i < rows.size(); ++i) {
+        IntVec m(rows.size(), 0);
+        m[i] = big;
+        sys.add(rows[i], {m, 1});
+        bare.add(rows[i]);
+    }
+    fm::System out = sys.eliminate(1), want = bare.eliminate(1);
+    ASSERT_EQ(out.rows().size(), want.rows().size());
+    for (size_t r = 0; r < out.rows().size(); ++r) {
+        EXPECT_EQ(out.rows()[r].z, want.rows()[r].z);
+        EXPECT_EQ(out.rows()[r].cst, want.rows()[r].cst);
+        EXPECT_TRUE(out.certificate(r).m.empty());
+        EXPECT_TRUE(want.certificate(r).m.empty());
+    }
+    // Floor mode keeps no certificate: a floored constant is no sum.
+    fm::System floor(fm::Rounding::Floor);
+    floor.add({{2}, 1}, {IntVec{1}, 1});
+    EXPECT_TRUE(floor.certificate(0).m.empty());
+}
+
 TEST(FMOverflow, CombinationLeaving64BitsThrows)
 {
     // Eliminating u_1 from (K+1)u_1 + u_0 >= 0 and -K u_1 + u_0 >= 0
