@@ -24,7 +24,7 @@
 #include "dsl/printer.h"
 #include "certificate_oracle.h"
 #include "enumeration_oracle.h"
-#include "../numa/sim_oracle.h"
+#include "sim_walk_oracle.h"
 #include "executor_oracle.h"
 #include "ir/builder.h"
 #include "ir/interp.h"
@@ -509,37 +509,19 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         ir::Bindings binds{g.params, {}};
         EXPECT_FALSE(testutil::checkSourceRun(g.prog, binds, tag));
         EXPECT_FALSE(testutil::checkNestRun(g.prog, c.nest(), binds, tag));
-        // The fast simulator walk (closed-form middle runs) completes
-        // wherever the naive walk does, and then equals it, also on the
-        // symmetry-aggregated path at P = 256. Only the naive walk may
-        // fail alone: it evaluates every point, so it alone may meet an
-        // overflowing subscript.
+        // The simulator's whole-slice and per-position fast walks
+        // (closed-form middle runs) complete wherever the naive walk
+        // does, and then equal it, also on the symmetry-aggregated path
+        // at P = 256.
         for (Int p : {1, 3, 4, 256}) {
             numa::SimOptions opts;
             opts.processors = p;
             opts.hostThreads = 1;
             if (p == 256)
                 opts.symmetry = numa::SymmetryMode::Force;
-            std::string failure;
-            auto simulate = [&](bool fast) -> std::optional<numa::SimStats> {
-                opts.fastInner = fast;
-                try {
-                    return core::simulate(c, opts, binds);
-                } catch (const Error &e) {
-                    failure = e.what();
-                    return std::nullopt;
-                }
-            };
-            std::optional<numa::SimStats> fast = simulate(true);
-            std::string fast_failure = failure;
-            std::optional<numa::SimStats> naive = simulate(false);
-            if (!naive)
-                continue;
-            ASSERT_TRUE(fast) << tag << " P=" << p << ": fast walk failed "
-                              << "where the naive walk completed: "
-                              << fast_failure;
-            EXPECT_EQ(testutil::statsDiff(*fast, *naive), "")
-                << tag << " P=" << p;
+            oracle::WalkDifferential d = oracle::simWalkDifferential(
+                c.program, c.nest(), c.plan, opts, binds);
+            EXPECT_EQ(d.mismatch, "") << tag << " P=" << p;
         }
         ++runs;
     }

@@ -1,15 +1,18 @@
 /**
  * @file
- * Oracle for the simulator's closed-form middle runs (part of
- * SimOptions::fastInner): a run whose middle runs are charged in closed
- * form must equal, bit for bit, the naive walk over a grid of gallery
- * kernels, every distinct search-candidate nest, hand-built nests with
- * empty pieces and one-iteration runs, sizes, processor counts and both
- * transfer models; runs the closed form must decline, which walk every
- * position, must still match; and the closed form must really engage,
- * on every configuration the periodic fold it replaced engaged on
- * (fold_engaged_configs.txt) and on the non-rectangular kernels the
- * fold never covered.
+ * Oracle for the simulator's closed-form middle runs and whole-slice
+ * charging (both part of SimOptions::fastInner): a run whose middle
+ * runs are charged in closed form must equal, bit for bit, the naive
+ * walk over a grid of gallery kernels, every distinct search-candidate
+ * nest, hand-built nests with empty pieces and one-iteration runs,
+ * sizes, processor counts and both transfer models; runs the closed
+ * form must decline, which walk every position, must still match; and
+ * the closed form must really engage, on every configuration the
+ * periodic fold it replaced engaged on (fold_engaged_configs.txt) and
+ * on the non-rectangular kernels the fold never covered. Slices charged
+ * whole must equal both the per-position walk and the naive one
+ * (oracle::simWalkDifferential), engage on the paper's GEMM curves and
+ * decline wherever a position's sub-walk may differ from the next.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "codegen/planner.h"
 #include "core/compiler.h"
@@ -25,6 +29,7 @@
 #include "ir/gallery.h"
 #include "numa/simulator.h"
 #include "sim_oracle.h"
+#include "sim_walk_oracle.h"
 #include "xform/search.h"
 
 namespace anc::numa {
@@ -690,6 +695,280 @@ TEST(FoldOracle, HugeOuterRangesThrowInsteadOfSimulatingNothing)
         EXPECT_THROW(core::simulate(c, opts, {{Int(1) << 62}, {}}),
                      OverflowError)
             << opts.processors;
+}
+
+/** Expect the whole-slice, per-position and naive walks to agree. */
+void
+expectWalksAgree(const ir::Program &prog, const xform::TransformedNest &nest,
+                 const ExecutionPlan &plan, const SimOptions &opts,
+                 const ir::Bindings &binds, const std::string &what)
+{
+    oracle::WalkDifferential d =
+        oracle::simWalkDifferential(prog, nest, plan, opts, binds);
+    EXPECT_TRUE(d.naiveCompleted) << what;
+    EXPECT_EQ(d.mismatch, "") << what;
+}
+
+/** How many processors' own slices are charged whole. */
+Int
+slicesWhole(const ir::Program &prog, const xform::TransformedNest &nest,
+            const ExecutionPlan &plan, const SimOptions &opts,
+            const ir::Bindings &binds)
+{
+    Simulator sim(prog, nest, plan, opts);
+    Int whole = 0;
+    for (Int p = 0; p < opts.processors; ++p)
+        whole += sim.wholeSlice(binds, p);
+    return whole;
+}
+
+TEST(WholeSlice, GalleryGridMatchesPerPositionAndNaiveWalks)
+{
+    // 11 kernels x {identity, normalized} x 11 processor counts x
+    // {block transfers, element-wise} x {1, 4} host threads x {no
+    // fault, processor 0 killed after two positions}: the kill adopts
+    // the rest round-robin (idxStep = P - 1) or, at P = 1, restarts.
+    const Int procs[] = {1, 2, 3, 4, 5, 7, 8, 12, 16, 28, 31};
+    size_t configs = 0;
+    std::set<std::string> whole;
+    for (const Kernel &k : galleryKernels()) {
+        for (bool identity : {true, false}) {
+            core::CompileOptions co;
+            co.identityTransform = identity;
+            core::Compilation c = core::compile(k.prog, co);
+            ir::Bindings binds = bindingFor(k.prog, 24);
+            if (k.name == "syr2k")
+                binds = {{24, 5}, {1.5, 0.5}};
+            for (Int p : procs) {
+                for (bool blocks : {true, false}) {
+                    for (Int threads : {1, 4}) {
+                        for (bool kill : {false, true}) {
+                            SimOptions opts;
+                            opts.processors = p;
+                            opts.blockTransfers = blocks;
+                            opts.hostThreads = threads;
+                            if (kill) {
+                                opts.faults.killProc = 0;
+                                opts.faults.killAfterSlices = 2;
+                            }
+                            std::string what =
+                                k.name +
+                                (identity ? " identity" : " normalized") +
+                                " P=" + std::to_string(p) +
+                                (blocks ? " B" : " T") + " threads " +
+                                std::to_string(threads) +
+                                (kill ? " killed" : "");
+                            expectWalksAgree(c.program, c.nest(), c.plan,
+                                             opts, binds, what);
+                            ++configs;
+                        }
+                    }
+                }
+                SimOptions opts;
+                opts.processors = p;
+                if (slicesWhole(c.program, c.nest(), c.plan, opts, binds))
+                    whole.insert(k.name +
+                                 (identity ? " identity" : " normalized") +
+                                 " P=" + std::to_string(p));
+            }
+        }
+    }
+    EXPECT_EQ(configs, 11u * 2u * 11u * 8u);
+    // GEMM's slices have four positions or more up to P = 7 at N = 24.
+    for (const char *t : {" identity", " normalized"})
+        for (Int p : {1, 2, 3, 4, 5, 7})
+            EXPECT_TRUE(whole.count("gemm" + std::string(t) +
+                                    " P=" + std::to_string(p)))
+                << "gemm" << t << " P=" << p;
+}
+
+TEST(WholeSlice, LongSlicesAtLargePMatchNaiveWalk)
+{
+    // N = 128 gives every processor at least four positions up to
+    // P = 31, so these slices are charged whole at every P.
+    for (bool identity : {true, false}) {
+        core::CompileOptions co;
+        co.identityTransform = identity;
+        core::Compilation c = core::compile(ir::gallery::gemm(), co);
+        ir::Bindings binds = bindingFor(c.program, 128);
+        for (Int p : {16, 28, 31}) {
+            for (bool blocks : {true, false}) {
+                SimOptions opts;
+                opts.processors = p;
+                opts.blockTransfers = blocks;
+                std::string what = std::string(identity ? "identity"
+                                                        : "normalized") +
+                                   " P=" + std::to_string(p);
+                EXPECT_EQ(slicesWhole(c.program, c.nest(), c.plan, opts,
+                                      binds),
+                          p)
+                    << what;
+                expectWalksAgree(c.program, c.nest(), c.plan, opts, binds,
+                                 what);
+            }
+        }
+    }
+}
+
+TEST(WholeSlice, PaperGemmChargesEverySliceWhole)
+{
+    // Figure 4's three curves at paper scale: the untransformed nest
+    // (element-wise) and the normalized one, element-wise and with
+    // block transfers.
+    core::CompileOptions identity;
+    identity.identityTransform = true;
+    core::Compilation plain = core::compile(ir::gallery::gemm(), identity);
+    core::Compilation norm = core::compile(ir::gallery::gemm());
+    ir::Bindings binds = bindingFor(plain.program, 400);
+    for (Int p = 1; p <= 28; ++p) {
+        for (const auto &[name, c, blocks] :
+             {std::tuple<const char *, const core::Compilation *, bool>{
+                  "plain", &plain, false},
+              {"normT", &norm, false},
+              {"normB", &norm, true}}) {
+            SimOptions opts;
+            opts.processors = p;
+            opts.blockTransfers = blocks;
+            EXPECT_EQ(slicesWhole(c->program, c->nest(), c->plan, opts,
+                                  binds),
+                      p)
+                << name << " P=" << p;
+        }
+    }
+    // Banded SYR2K's inner bounds move with the outer variable.
+    core::Compilation syr2k = core::compile(ir::gallery::syr2kBanded());
+    for (Int p : {1, 4, 28}) {
+        SimOptions opts;
+        opts.processors = p;
+        EXPECT_EQ(slicesWhole(syr2k.program, syr2k.nest(), syr2k.plan, opts,
+                              {{400, 100}, {1.0, 1.0}}),
+                  0)
+            << "P=" << p;
+    }
+}
+
+TEST(WholeSlice, DeclinesWherePositionsDifferAndStillMatches)
+{
+    auto check = [](const ir::Program &prog,
+                    const xform::TransformedNest &nest,
+                    const ExecutionPlan &plan, const ir::Bindings &binds,
+                    Int p, const std::string &what) {
+        SimOptions opts;
+        opts.processors = p;
+        EXPECT_EQ(slicesWhole(prog, nest, plan, opts, binds), 0) << what;
+        for (bool blocks : {true, false}) {
+            opts.blockTransfers = blocks;
+            expectWalksAgree(prog, nest, plan, opts, binds, what);
+        }
+    };
+    // Banded SYR2K: bounds below the outer level read it.
+    for (bool identity : {true, false}) {
+        core::CompileOptions co;
+        co.identityTransform = identity;
+        core::Compilation c = core::compile(ir::gallery::syr2kBanded(), co);
+        for (Int p : {1, 3, 4})
+            check(c.program, c.nest(), c.plan, {{40, 9}, {1.5, 0.5}}, p,
+                  std::string("syr2k ") +
+                      (identity ? "identity" : "normalized") +
+                      " P=" + std::to_string(p));
+    }
+    // A blocked array indexed by the outer variable: A[i, k] on i.
+    {
+        ir::Program prog = ir::gallery::gemm();
+        prog.arrays[1].dist = ir::DistributionSpec::blocked(0);
+        core::CompileOptions co;
+        co.identityTransform = true;
+        core::Compilation c = core::compile(prog, co);
+        for (Int p : {1, 2, 3, 4})
+            check(c.program, c.nest(), c.plan, bindingFor(prog, 24), p,
+                  "blocked outer P=" + std::to_string(p));
+    }
+    // The normalized GEMM with its outer row doubled: C[., u0 / 2] is a
+    // rational subscript. Partitioned owner-wrapped, a slice steps by
+    // lcm(2, P), which moves u0 / 2 by a multiple of P only for odd P.
+    {
+        ir::Program prog = ir::gallery::gemm();
+        core::Compilation base = core::compile(prog);
+        IntMatrix t{{0, 2, 0}, {0, 0, 1}, {1, 0, 0}};
+        xform::TransformedNest nest = xform::applyTransform(prog, t);
+        ExecutionPlan plan =
+            codegen::planCodegen(prog, nest, base.normalization.depMatrix,
+                                 &base.normalization.access);
+        plan.scheme = PartitionScheme::OwnerWrapped;
+        plan.alignedArray = 0; // C, wrapped on its column
+        ir::Bindings binds = bindingFor(prog, 24);
+        for (Int p : {2, 4})
+            check(prog, nest, plan, binds, p,
+                  "rational subscript P=" + std::to_string(p));
+        for (Int p : {3, 5}) {
+            SimOptions opts;
+            opts.processors = p;
+            EXPECT_GT(slicesWhole(prog, nest, plan, opts, binds), 0)
+                << "rational subscript P=" << p;
+            expectWalksAgree(prog, nest, plan, opts, binds,
+                             "rational subscript P=" + std::to_string(p));
+        }
+    }
+    // A lattice whose level-1 anchor moves with level 0: u1 = i + 2j
+    // has the parity of u0 = i.
+    {
+        ir::Program prog = ir::gallery::gemm();
+        core::Compilation base = core::compile(prog);
+        IntMatrix t{{1, 0, 0}, {1, 2, 0}, {0, 0, 1}};
+        xform::TransformedNest nest = xform::applyTransform(prog, t);
+        ASSERT_NE(nest.lattice().hnf()(1, 0), 0);
+        ExecutionPlan plan =
+            codegen::planCodegen(prog, nest, base.normalization.depMatrix,
+                                 &base.normalization.access);
+        for (Int p : {1, 2, 3})
+            check(prog, nest, plan, bindingFor(prog, 24), p,
+                  "moving anchor P=" + std::to_string(p));
+    }
+}
+
+/** for i = 0..N-1, j = 0..0, k = -K..K: A[i] = k + k*i, a two-flop body
+ * of 2K + 1 iterations per outer position. */
+core::Compilation
+wideInnerSlices()
+{
+    ir::ProgramBuilder b(3);
+    size_t pn = b.param("N"), pk = b.param("K");
+    auto N = b.par(pn), K = b.par(pk);
+    size_t arr = b.array("A", {N}, ir::DistributionSpec::wrapped(0));
+    b.loop("i", b.cst(0), N - b.cst(1));
+    b.loop("j", b.cst(0), b.cst(0));
+    b.loop("k", b.cst(0) - K, K);
+    auto vi = b.var(0), vk = b.var(2);
+    b.assign(b.ref(arr, {vi}),
+             ir::Expr::binary('+', ir::Expr::indexValue(vk),
+                              ir::Expr::binary('*', ir::Expr::indexValue(vk),
+                                               ir::Expr::indexValue(vi))));
+    core::CompileOptions co;
+    co.identityTransform = true;
+    return core::compile(b.build(), co);
+}
+
+TEST(WholeSlice, TotalsThatLeaveUint64Throw)
+{
+    core::Compilation c = wideInnerSlices();
+    SimOptions opts;
+    opts.processors = 1;
+    // 16 positions of 2^58 + 1 iterations: 2^62 + 16 in all, and twice
+    // as many flops, still fit.
+    const Int k = Int(1) << 57;
+    const ir::Bindings fits{{16, k}, {}};
+    ASSERT_TRUE(Simulator(c.program, c.nest(), c.plan, opts)
+                    .wholeSlice(fits));
+    SimStats s = core::simulate(c, opts, fits);
+    EXPECT_EQ(s.perProc[0].iterations, (uint64_t(1) << 62) + 16);
+    EXPECT_EQ(s.perProc[0].flops, (uint64_t(1) << 63) + 32);
+    // 16 positions of 2^61 + 1 iterations: the multiplied charge leaves
+    // 64 bits, on the whole-slice walk as on the per-position one.
+    const ir::Bindings wide{{16, Int(1) << 60}, {}};
+    EXPECT_THROW(core::simulate(c, opts, wide), OverflowError);
+    obs::Trace trace;
+    opts.trace = &trace;
+    EXPECT_THROW(core::simulate(c, opts, wide), OverflowError);
 }
 
 } // namespace
