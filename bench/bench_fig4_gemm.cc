@@ -85,10 +85,10 @@ measure(const core::Compilation &c, Int p, bool blocks)
     return {s.speedup(data().seqTime), s.parallelTime(), wall};
 }
 
-/** Processors whose own slice the simulator charges whole (three
- * positions walked, the rest multiplied), counted through
- * Simulator::wholeSlice; the gate keeps the path from silently
- * disengaging. */
+/** Processors whose own slice the simulator charges whole (walks
+ * fewer of its positions, through Simulator::walkedPositions, than the
+ * slice of positions q, q + P, ... below N has); the gate keeps the
+ * path from silently disengaging. */
 std::string
 wholeSlices(const core::Compilation &c, Int p, bool blocks)
 {
@@ -97,9 +97,11 @@ wholeSlices(const core::Compilation &c, Int p, bool blocks)
     opts.blockTransfers = blocks;
     opts.machine.contentionFactor = 0.01;
     numa::Simulator sim(c.program, c.nest(), c.plan, opts);
+    const Int n = data().n;
     Int whole = 0;
-    for (Int q = 0; q < p; ++q)
-        whole += sim.wholeSlice({{data().n}, {}}, q);
+    for (Int q = 0; q < p && q < n; ++q)
+        whole += sim.walkedPositions({{n}, {}}, q) <
+                 uint64_t((n - 1 - q) / p + 1);
     return std::to_string(whole);
 }
 

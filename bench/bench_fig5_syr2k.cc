@@ -98,6 +98,23 @@ measure(const core::Compilation &c, Int p, bool blocks)
     return {s.speedup(data().seqTime), s.parallelTime(), wall};
 }
 
+/** Positions the processors' own slices walk, through
+ * Simulator::walkedPositions: the rest are charged by stretches, and
+ * the gate keeps a fall-back to the per-position walk from passing. */
+std::string
+walkedPositions(const core::Compilation &c, Int p, bool blocks)
+{
+    numa::SimOptions opts;
+    opts.processors = p;
+    opts.blockTransfers = blocks;
+    opts.machine.contentionFactor = 0.01;
+    numa::Simulator sim(c.program, c.nest(), c.plan, opts);
+    uint64_t walked = 0;
+    for (Int q = 0; q < p; ++q)
+        walked += sim.walkedPositions({{data().n, data().b}, {1.0, 1.0}}, q);
+    return std::to_string(walked);
+}
+
 double
 speedupOf(const core::Compilation &c, Int p, bool blocks)
 {
@@ -125,11 +142,16 @@ printFigure5()
         Measured norm_t = measure(d.normalized, p, false);
         Measured norm_b = measure(d.normalized, p, true);
         report.run("syr2k", p, plain.wallSeconds, plain.simTimeUs,
-                   plain.speedup);
+                   plain.speedup,
+                   {{"walked_positions", walkedPositions(d.plain, p, false)}});
         report.run("syr2kT", p, norm_t.wallSeconds, norm_t.simTimeUs,
-                   norm_t.speedup);
+                   norm_t.speedup,
+                   {{"walked_positions",
+                     walkedPositions(d.normalized, p, false)}});
         report.run("syr2kB", p, norm_b.wallSeconds, norm_b.simTimeUs,
-                   norm_b.speedup);
+                   norm_b.speedup,
+                   {{"walked_positions",
+                     walkedPositions(d.normalized, p, true)}});
         bench::printSpeedupRow(
             p, {plain.speedup, norm_t.speedup, norm_b.speedup});
     }

@@ -21,12 +21,15 @@
  * start and trip count are affine, and each reference's local and
  * remote elements, transfers and last hoist key over a piece come from
  * floor sums, with each wrapped reference's owner steppers built once
- * per run; and where every position of a processor's slice runs the
- * same sub-walk, three positions are walked and the rest charged as a
- * multiple of the second (all SimOptions::fastInner). Each processor's
- * clock is derived once from its integer event counters, so every
- * execution strategy yields bit-identical SimStats; a run whose
- * counters would leave uint64_t throws OverflowError.
+ * per run and references of one owner function charged once; and a
+ * processor's slice is cut into stretches on which every counter
+ * changes by a polynomial in the position (a constant where every
+ * position runs the same sub-walk), so a stretch walks as many
+ * positions as the polynomial has terms and sums the rest by forward
+ * differences (all SimOptions::fastInner). Each processor's clock is
+ * derived once from its integer event counters, so every execution
+ * strategy yields bit-identical SimStats; a run whose counters would
+ * leave uint64_t throws OverflowError.
  *
  * The block-transfer model assumes each element of a fetched block is
  * used once per block epoch (true of the paper's workloads, where the
@@ -95,17 +98,29 @@ struct SimOptions
      * one that moves along an inner run whose bounds do. Runs of
      * fewer than three positions, or of fewer positions than inner
      * bound forms where those move with the middle variable, are
-     * walked too: that costs less. One level higher, a slice of a nest
-     * at least three deep whose positions all run the same sub-walk
-     * (no bound below level 0, no lattice anchor and no non-wrapped
-     * owner reads the outer variable, and each wrapped owner moves by
-     * a multiple of P per position) is charged whole: positions 0, 1
-     * and the last are walked, the others charged as position 1 was.
-     * That declines under tracing, message faults, perReference,
-     * commMatrix, value execution and for slices of fewer than four
-     * positions. Produces bit-identical stats to the naive walk (it
-     * counts exactly what the naive walk counts, and simulated time is
-     * derived from the counts).
+     * walked too: that costs less. One level higher, the slice of a
+     * nest at least three deep is charged by stretches when no lattice
+     * anchor and no non-wrapped owner below level 0 reads the outer
+     * variable and each position moves every owner that does by a
+     * multiple of P. Where no bound below level 0 reads it either,
+     * every position runs the same sub-walk and the slice is one
+     * stretch of constant charges. Where bounds do (three deep, on a
+     * unit lattice below level 0, with each wrapped owner integral in
+     * every loop variable, no non-wrapped owner reading one and no read
+     * hoisted above the nest), each bound and each crossing of two
+     * inner bounds must move by a multiple of P per position too, and
+     * the slice is cut where two of them that shape the middle run's
+     * pieces cross: between cuts every counter changes by a polynomial
+     * of degree 2 in the position. A stretch walks its first degree + 1
+     * positions and sums the polynomial their changes fix over the
+     * rest; the slice's last position is walked, and so is its first
+     * where a read is hoisted above the nest. That declines under
+     * tracing, message faults, perReference, commMatrix and value
+     * execution, and where walking costs less: on stretches with no
+     * position left to sum, and with moving bounds on runs whose
+     * slices average fewer than 16 positions. Produces bit-identical
+     * stats to the naive walk (it counts exactly what the naive walk
+     * counts, and simulated time is derived from the counts).
      */
     bool fastInner = true;
     /**
@@ -123,7 +138,7 @@ struct SimOptions
      * from the simulated clock (derived from the integer counters at
      * outer boundaries, where every execution strategy agrees
      * bit-for-bit), plus instant events for recovery work and
-     * fail-stop handling, and a whole-slice summary span per
+     * fail-stop handling, and a slice summary span per
      * processor. Events are buffered per processor and merged in
      * processor order after the host-parallel section, so the trace is
      * byte-identical across hostThreads, fastInner, and the naive
@@ -204,12 +219,13 @@ class Simulator
     bool closedFormMiddle(const ir::Bindings &binds, Int p = 0) const;
 
     /**
-     * Whether a value-free run under these bindings charges processor
-     * p's own slice whole: it walks three positions and multiplies the
-     * second one's charges for the rest (see SimOptions::fastInner).
-     * Runs the slice to find out. For tests and diagnostics.
+     * How many positions of processor p's own slice a value-free run
+     * under these bindings walks: every one, unless it charges the
+     * slice by stretches (see SimOptions::fastInner) or, two deep, as
+     * one middle run (none). Runs the slice to find out. For tests and
+     * diagnostics.
      */
-    bool wholeSlice(const ir::Bindings &binds, Int p = 0) const;
+    uint64_t walkedPositions(const ir::Bindings &binds, Int p = 0) const;
 
   private:
     const ir::Program &prog_;
@@ -231,9 +247,15 @@ class Simulator
      * middle runs (Compiled::ownerTables), once per run. */
     void buildOwnerTables(Compiled &c) const;
 
-    /** Decide whether slices may be charged whole, up to the per-slice
-     * step check (Compiled::outerFixed, wrappedOuter). */
-    void planWholeSlice(Compiled &c, bool values) const;
+    /** Decide whether slices may be charged by stretches, up to the
+     * per-slice step check (Compiled::stretches, outerMoves). */
+    void planStretches(Compiled &c, bool values) const;
+
+    /** Where bounds below level 0 read the outer variable: the outer
+     * values at which stretches are cut (Compiled::cuts) and the moves
+     * those bounds and their crossings must make, or false when the
+     * slices are walked. */
+    bool planCuts(Compiled &c) const;
 
     struct Workspace; // a host thread's walk buffers, reused
 
@@ -284,11 +306,13 @@ class Simulator
     Int128 sliceStep() const;
 
     /** Whether the positions fromIdx, fromIdx + idxStep, ... of the
-     * slice are charged whole: the run allows it, there are at least
-     * four, and every wrapped subscript's outer step is a multiple of
-     * den * P, so every position sees the same owners. */
-    bool chargesWhole(const Compiled &c, const OuterSlice &slice,
-                      Int idxStep, uint64_t positions) const;
+     * slice are charged by stretches: the run allows it, some position
+     * would be summed rather than walked, and the step moves every form
+     * of outerMoves by a multiple of P. If so, bounds holds the
+     * stretches' first positions, then the number of positions. */
+    bool stretchBounds(const Compiled &c, const OuterSlice &slice,
+                       Int fromIdx, Int idxStep, uint64_t positions,
+                       std::vector<uint64_t> &bounds) const;
 
     /** Plan symmetry classes for this run (see numa/symmetry.h);
      * !usable when the structure cannot be bounded and the run must
@@ -301,15 +325,15 @@ class Simulator
      * for a processor's own slice (step 1) and for the round-robin
      * share of slices adopted from a dead one. When `events` is set,
      * one trace span named `spanName` is recorded per position,
-     * stamped from the simulated clock. `chargedWhole`, when set, is
-     * set when the positions were charged whole (chargesWhole).
+     * stamped from the simulated clock. `walked`, when set, counts the
+     * positions walked (see walkedPositions).
      */
     void runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                   Int fromIdx, Int toIdx, Int idxStep, ProcStats &stats,
                   ir::ArrayStorage *storage, const ir::Bindings &binds,
                   std::vector<obs::TraceEvent> *events = nullptr,
                   const char *spanName = "outer",
-                  bool *chargedWhole = nullptr) const;
+                  uint64_t *walked = nullptr) const;
 
     void runProcessor(const Compiled &c, Int p, ProcStats &stats,
                       ir::ArrayStorage *storage, const ir::Bindings &binds,

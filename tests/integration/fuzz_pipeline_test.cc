@@ -45,10 +45,13 @@ struct GenProgram
 /**
  * Build a random program of the given depth: box/triangular bounds,
  * one or two statements of the form X[s...] = X[s...] + Y[t...], with
- * array extents computed so that every subscript stays in range.
+ * array extents computed so that every subscript stays in range. With
+ * `bands`, the loops below the outermost are clipped to random bands
+ * around the outer variable (and the inner one around the middle one
+ * too), as in banded SYR2K, and the outer loop is long.
  */
 GenProgram
-generate(std::mt19937 &rng, size_t depth)
+generate(std::mt19937 &rng, size_t depth, bool bands = false)
 {
     std::uniform_int_distribution<Int> extent(3, 6);
     std::uniform_int_distribution<Int> coef(-1, 1);
@@ -57,7 +60,9 @@ generate(std::mt19937 &rng, size_t depth)
 
     IntVec hi(depth);
     for (size_t k = 0; k < depth; ++k)
-        hi[k] = extent(rng);
+        hi[k] = bands ? std::uniform_int_distribution<Int>(
+                            k == 0 ? 32 : 12, k == 0 ? 64 : 24)(rng)
+                      : extent(rng);
 
     ir::ProgramBuilder b(depth);
 
@@ -107,7 +112,7 @@ generate(std::mt19937 &rng, size_t depth)
             Rational(up2 - lo2 + 1 + yshift), 0, 0));
     }
     ir::DistributionSpec dist =
-        kind(rng) == 0 ? ir::DistributionSpec::wrapped(1)
+        bands || kind(rng) == 0 ? ir::DistributionSpec::wrapped(1)
                        : (kind(rng) == 1 ? ir::DistributionSpec::blocked(1)
                                          : ir::DistributionSpec::wrapped(0));
     size_t ax = b.array("X", xext, dist);
@@ -115,11 +120,24 @@ generate(std::mt19937 &rng, size_t depth)
 
     // Loops: i_0 in [0, hi_0]; deeper loops may start at an outer var.
     for (size_t k = 0; k < depth; ++k) {
-        if (k > 0 && kind(rng) == 0)
+        if (k > 0 && !bands && kind(rng) == 0)
             b.loop("i" + std::to_string(k), b.var(k - 1),
                    b.cst(hi[k]));
         else
             b.loop("i" + std::to_string(k), b.cst(0), b.cst(hi[k]));
+    }
+    // Bands: a * i_j - d <= i_k <= a' * i_j + e for an outer level j,
+    // each side drawn or not; i_k stays within [0, hi_k].
+    std::uniform_int_distribution<Int> slope(1, 2), width(0, 12);
+    for (size_t k = 1; bands && k < depth; ++k) {
+        for (size_t j = 0; j < k; ++j) {
+            if (kind(rng) != 0)
+                b.addLower(k, b.var(j).scaled(Rational(slope(rng))) -
+                                  b.cst(width(rng)));
+            if (kind(rng) != 0)
+                b.addUpper(k, b.var(j).scaled(Rational(slope(rng))) +
+                                  b.cst(width(rng)));
+        }
     }
 
     auto make_ref = [&](size_t arr, const std::vector<IntVec> &rows,
@@ -454,7 +472,7 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
     if (const char *s = std::getenv("ANC_FUZZ_SEED"))
         seed = std::strtoull(s, nullptr, 10);
     std::mt19937 rng(seed);
-    std::uniform_int_distribution<int> mode(0, 3);
+    std::uniform_int_distribution<int> mode(0, 4);
     std::uniform_int_distribution<uint64_t> site(1, 400);
 
     auto deadline = std::chrono::steady_clock::now() +
@@ -462,9 +480,12 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
     uint64_t runs = 0;
     while (std::chrono::steady_clock::now() < deadline) {
         int m = mode(rng);
+        // Mode 4 draws a long three-deep nest whose inner bounds read
+        // the outer variable, so that the simulator charges its slices
+        // by stretches.
         GenProgram g = m == 1 ? generateOverflowing(rng)
-                              : generate(rng, 2 + size_t(m == 3));
-        if (m >= 2)
+                              : generate(rng, 2 + size_t(m >= 3), m == 4);
+        if (m == 2 || m == 3)
             fault::armAt(site(rng));
         core::Compilation c;
         ASSERT_NO_THROW(c = core::compileResilient(g.prog))
@@ -509,11 +530,11 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         ir::Bindings binds{g.params, {}};
         EXPECT_FALSE(testutil::checkSourceRun(g.prog, binds, tag));
         EXPECT_FALSE(testutil::checkNestRun(g.prog, c.nest(), binds, tag));
-        // The simulator's whole-slice and per-position fast walks
+        // The simulator's stretch and per-position fast walks
         // (closed-form middle runs) complete wherever the naive walk
         // does, and then equal it, also on the symmetry-aggregated path
         // at P = 256.
-        for (Int p : {1, 3, 4, 256}) {
+        for (Int p : {1, 2, 3, 4, 256}) {
             numa::SimOptions opts;
             opts.processors = p;
             opts.hostThreads = 1;

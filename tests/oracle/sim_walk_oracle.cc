@@ -32,7 +32,7 @@ simWalkDifferential(const ir::Program &prog,
     out.naiveCompleted = naive.has_value();
     if (!naive)
         return out;
-    const std::pair<const char *, bool> sides[] = {{"whole-slice", false},
+    const std::pair<const char *, bool> sides[] = {{"stretch", false},
                                                    {"per-position", true}};
     for (const auto &[name, traced] : sides) {
         std::optional<numa::SimStats> fast = simulate(true, traced);

@@ -2,8 +2,9 @@
  * @file
  * The simulator's three walks against each other, run by run.
  *
- * The fast walk charges a slice whose positions all run the same
- * sub-walk whole (three positions walked, the rest multiplied) and
+ * The fast walk charges a slice by stretches where it can (on each
+ * stretch the counters change by a polynomial in the position: a few
+ * positions are walked, the rest summed by forward differences) and
  * every middle run it can in closed form; a traced run of the same
  * plan walks each position of its slices, since every position then
  * carries its own trace span; the naive walk (fastInner off) evaluates
@@ -26,14 +27,14 @@ namespace anc::oracle {
 struct WalkDifferential
 {
     bool naiveCompleted = false; //!< false: nothing to compare against
-    /** "" when the whole-slice and per-position walks completed and
-     * equal the naive walk, else which one failed or differs, where. */
+    /** "" when the stretch and per-position walks completed and equal
+     * the naive walk, else which one failed or differs, where. */
     std::string mismatch;
 };
 
 /** Simulate (prog, nest, plan) under opts and binds three ways: fast
- * (whole slices), fast with a trace sink (slices position by position)
- * and naive. opts.trace and opts.fastInner are overridden. */
+ * (slices by stretches), fast with a trace sink (slices position by
+ * position) and naive. opts.trace and opts.fastInner are overridden. */
 WalkDifferential simWalkDifferential(const ir::Program &prog,
                                      const xform::TransformedNest &nest,
                                      const numa::ExecutionPlan &plan,
