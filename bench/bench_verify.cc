@@ -97,7 +97,9 @@ measureValidation(const core::Compilation &c)
         bench::WallTimer timer;
         verify::ValidationReport r =
             verify::validate(c.program, c.nest(),
-                             c.normalization.depMatrix, &token);
+                             c.normalization.depMatrix,
+                             c.normalization.depFamilies,
+                             c.normalization.depsImprecise, &token);
         pt.wallS = std::min(pt.wallS, timer.seconds());
         pt.steps = token.steps();
         pt.passed = r.passed() && r.checks.size() == 3;
@@ -194,7 +196,8 @@ BM_Verify_SymbolicGemmSmall(benchmark::State &state)
     core::Compilation c = core::compile(scaledGemm(10));
     for (auto _ : state)
         benchmark::DoNotOptimize(verify::validate(
-            c.program, c.nest(), c.normalization.depMatrix));
+            c.program, c.nest(), c.normalization.depMatrix,
+            c.normalization.depFamilies, c.normalization.depsImprecise));
 }
 BENCHMARK(BM_Verify_SymbolicGemmSmall)->Unit(benchmark::kMicrosecond);
 
@@ -204,7 +207,8 @@ BM_Verify_SymbolicGemmHuge(benchmark::State &state)
     core::Compilation c = core::compile(scaledGemm(1000000000));
     for (auto _ : state)
         benchmark::DoNotOptimize(verify::validate(
-            c.program, c.nest(), c.normalization.depMatrix));
+            c.program, c.nest(), c.normalization.depMatrix,
+            c.normalization.depFamilies, c.normalization.depsImprecise));
 }
 BENCHMARK(BM_Verify_SymbolicGemmHuge)->Unit(benchmark::kMicrosecond);
 
@@ -214,7 +218,8 @@ BM_Verify_SymbolicSyr2kParametric(benchmark::State &state)
     core::Compilation c = core::compile(ir::gallery::syr2kBanded());
     for (auto _ : state)
         benchmark::DoNotOptimize(verify::validate(
-            c.program, c.nest(), c.normalization.depMatrix));
+            c.program, c.nest(), c.normalization.depMatrix,
+            c.normalization.depFamilies, c.normalization.depsImprecise));
 }
 BENCHMARK(BM_Verify_SymbolicSyr2kParametric)
     ->Unit(benchmark::kMicrosecond);

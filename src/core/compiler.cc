@@ -113,6 +113,7 @@ identityRung(const ir::Program &prog,
         r.access = *access;
     if (dinfo) {
         r.depMatrix = dinfo->matrix(n);
+        r.depFamilies = dinfo->families;
         r.depsImprecise = dinfo->imprecise;
     } else {
         r.depMatrix = conservativeDepMatrix(n);
@@ -312,8 +313,22 @@ runPipeline(ir::Program prog, const CompileOptions &opts, OnFailure policy)
                 stage = Stage::TranslationValidate;
                 tick(cancel);
                 auto s = pc.phase("translation-validate");
-                c.validation = verify::validate(
-                    c.program, c.nest(), c.normalization.depMatrix, cancel);
+                if (!c.search.validation.checks.empty()) {
+                    // The search validated the nest it won with, and
+                    // which runPlanSearch adopted, on this program and
+                    // depMatrix: adopt that report. Its steps are charged
+                    // again, as validating anew charged them, so a request
+                    // spends the same steps and meets its deadline at the
+                    // same point either way.
+                    c.validation = std::move(c.search.validation);
+                    for (uint64_t i = 0; i < c.search.validationSteps; ++i)
+                        tick(cancel);
+                } else {
+                    c.validation = verify::validate(
+                        c.program, c.nest(), c.normalization.depMatrix,
+                        c.normalization.depFamilies,
+                        c.normalization.depsImprecise, cancel);
+                }
                 if (!c.validation.passed()) {
                     last_error = c.validation.firstFailure();
                     if (!degrade)
@@ -625,7 +640,8 @@ Compilation::report() const
         os << diagnostics.render() << "\n";
     }
     if (!validation.checks.empty())
-        os << "=== translation validation ===\n" << validation.render();
+        os << "=== translation validation ===\n"
+           << validation.render(program);
     os << "=== node program ===\n" << nodeProgram;
     return os.str();
 }

@@ -907,7 +907,7 @@ Simulator::solveMiddleRun(const Compiled &c, Int p, MiddleRun &run) const
     for (const RunPiece &pc : run.pieces)
         total = addCount128(total, affineSum(pc.trips, pc.tripStep, pc.len));
     if (total > Int128(UINT64_MAX))
-        anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+        anc::detail::throwLimit("simulator counter exceeds 2^64-1");
     run.iterations = uint64_t(total);
     // Inner iterations at the positions before t.
     auto before = [&](uint64_t t) {
@@ -1399,7 +1399,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     auto trip_count = [](Int start, Int hi, Int s) {
         Int128 trips = (Int128(hi) - start) / s + 1;
         if (trips > Int128(UINT64_MAX))
-            throw OverflowError("loop trip count exceeds 2^64-1");
+            throw LimitError("loop trip count exceeds 2^64-1");
         return uint64_t(trips);
     };
 
@@ -2010,7 +2010,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                 coeff[k] = *hi - *choose(samples, k + 1);
         }
         auto overflow = [] {
-            anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+            anc::detail::throwLimit("simulator counter exceeds 2^64-1");
         };
         for (size_t f = 0; f < width; ++f) {
             Int128 d[3];

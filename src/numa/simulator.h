@@ -28,8 +28,9 @@
  * positions as the polynomial has terms and sums the rest by forward
  * differences (all SimOptions::fastInner). Each processor's clock is
  * derived once from its integer event counters, so every execution
- * strategy yields bit-identical SimStats; a run whose counters would
- * leave uint64_t throws OverflowError.
+ * strategy yields bit-identical SimStats; a run whose counters or loop
+ * trip counts would leave uint64_t throws LimitError (an
+ * OverflowError).
  *
  * The block-transfer model assumes each element of a fetched block is
  * used once per block epoch (true of the paper's workloads, where the

@@ -33,15 +33,15 @@
 
 namespace anc::numa {
 
-/** counter += n, throwing OverflowError instead of wrapping: a run
- * whose counters would leave uint64_t fails rather than returning
- * wrong SimStats. Not a fault-injection site, so adding a counter
- * charge never moves a fault schedule. */
+/** counter += n, throwing LimitError instead of wrapping: a run whose
+ * counters would leave uint64_t fails rather than returning wrong
+ * SimStats. Not a fault-injection site, so adding a counter charge
+ * never moves a fault schedule. */
 inline void
 addCount(uint64_t &counter, uint64_t n)
 {
     if (__builtin_add_overflow(counter, n, &counter)) [[unlikely]]
-        anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+        anc::detail::throwLimit("simulator counter exceeds 2^64-1");
 }
 
 /** a * b for counter charges, checked like addCount. */
@@ -50,7 +50,7 @@ mulCount(uint64_t a, uint64_t b)
 {
     uint64_t r;
     if (__builtin_mul_overflow(a, b, &r)) [[unlikely]]
-        anc::detail::throwOverflow("simulator counter exceeds 2^64-1");
+        anc::detail::throwLimit("simulator counter exceeds 2^64-1");
     return r;
 }
 

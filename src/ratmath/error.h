@@ -7,7 +7,8 @@
  * unsupported constructs) and internal invariant violations
  * (InternalError: a bug in the library itself). Arithmetic overflow in
  * the exact-math layer raises OverflowError so that a transformation is
- * never silently wrong.
+ * never silently wrong; an input too large for the simulator's 64-bit
+ * counters raises its LimitError subclass.
  */
 
 #ifndef ANC_RATMATH_ERROR_H
@@ -30,6 +31,19 @@ class OverflowError : public Error
 {
   public:
     explicit OverflowError(const std::string &msg) : Error(msg) {}
+};
+
+/**
+ * Raised when an input is valid but too large for a fixed-width limit of
+ * the model: a simulation whose counters or loop trip counts would leave
+ * 64 bits. Not a bug in the library; drivers report it as "input exceeds
+ * a limit". An OverflowError, so every handler of arithmetic overflow
+ * still handles it.
+ */
+class LimitError : public OverflowError
+{
+  public:
+    explicit LimitError(const std::string &msg) : OverflowError(msg) {}
 };
 
 /** Raised on mathematically invalid operations (division by zero, ...). */

@@ -22,6 +22,12 @@ throwOverflow(const char *what)
 }
 
 void
+throwLimit(const char *what)
+{
+    throw LimitError(what);
+}
+
+void
 throwMathError(const char *what)
 {
     throw MathError(what);

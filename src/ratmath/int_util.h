@@ -26,6 +26,7 @@ namespace detail {
 /** Cold throw paths of the inline helpers below, kept out of line so the
  * hot callers inline to a checkpoint, one flag test and a branch. */
 [[noreturn]] void throwOverflow(const char *what);
+[[noreturn]] void throwLimit(const char *what);
 [[noreturn]] void throwMathError(const char *what);
 
 } // namespace detail

@@ -670,10 +670,10 @@ checkLatticeSymbolic(const ir::Program &prog,
 }
 
 SymbolicVerdict
-checkDependencesSymbolic(const ir::Program &prog,
-                         const xform::TransformedNest &nest,
+checkDependencesSymbolic(const xform::TransformedNest &nest,
                          const IntMatrix &dep_matrix,
-                         const ProverOptions &opts)
+                         const std::vector<deps::DependenceFamily> &families,
+                         bool deps_imprecise, const ProverOptions &opts)
 {
     SymbolicVerdict v;
     size_t n = nest.depth();
@@ -743,16 +743,13 @@ checkDependencesSymbolic(const ir::Program &prog,
     // families. Where the source's dependence analysis is imprecise, a T
     // can keep every column positive yet reverse a combination of them
     // (d1 - d2, say), so each family is decided as a whole. The identity
-    // keeps every sign and needs no analysis.
-    if (!(t == IntMatrix::identity(n))) {
-        deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
-        if (dinfo.imprecise) {
-            for (const deps::DependenceFamily &f : dinfo.families) {
-                tick(opts);
-                if (!deps::preservesLexSign(t, f)) {
-                    v.detail = familyViolation(t, f);
-                    return v;
-                }
+    // keeps every sign and needs no family.
+    if (deps_imprecise && !(t == IntMatrix::identity(n))) {
+        for (const deps::DependenceFamily &f : families) {
+            tick(opts);
+            if (!deps::preservesLexSign(t, f)) {
+                v.detail = familyViolation(t, f);
+                return v;
             }
         }
     }
@@ -840,30 +837,10 @@ checkBodySymbolic(const ir::Program &prog,
         }
     }
 
-    std::optional<Polynomial> tc;
-    try {
-        tc = symbolicTripCount(prog);
-    } catch (const OverflowError &) {
-        // Constant bounds so large the count itself exceeds 64-bit
-        // range (e.g. 10^9 per level). The count is informational:
-        // equality follows from the lattice bijection regardless, and
-        // a verdict must never depend on trip-count magnitude.
-        tc = std::nullopt;
-    }
-    std::ostringstream os;
-    os << "emitted body proven identical to the source body under "
-          "x = T^-1 u ("
-       << nest.body().size() << " statement(s)); ";
-    if (tc)
-        os << "symbolic trip count " << tc->str(prog.params)
-           << " (abstract acceleration), emitted count equal by the "
-              "lattice bijection";
-    else
-        os << "no polynomial trip-count closed form (multi-bound "
-              "level or out-of-range count); count equality follows "
-              "from the lattice bijection";
     v.passed = true;
-    v.detail = os.str();
+    v.detail = "emitted body proven identical to the source body under "
+               "x = T^-1 u (" +
+               std::to_string(nest.body().size()) + " statement(s))";
     return v;
 }
 

@@ -47,20 +47,24 @@
  *     the columns only generate the distance families, and T may keep
  *     every column positive while reversing a combination of them, so
  *     each family is decided whole (deps::preservesLexSign, the exact
- *     test normalization uses). Plus a symbolic re-derivation of the
- *     premise that the emitted nest really scans in lexicographic
- *     order: bounds at level k may reference only outer variables, and
- *     the lattice HNF is lower-triangular with positive diagonal, which
- *     makes the per-level ascending stride walk lexicographic by
- *     construction.
+ *     test normalization uses). The columns, the families and the
+ *     imprecise flag are taken from the compile's one dependence
+ *     analysis, not re-derived: the checker decides T against them,
+ *     and trusts them as the statement of what must be preserved.
+ *     Plus a symbolic re-derivation of the premise that the emitted
+ *     nest really scans in lexicographic order: bounds at level k may
+ *     reference only outer variables, and the lattice HNF is
+ *     lower-triangular with positive diagonal, which makes the
+ *     per-level ascending stride walk lexicographic by construction.
  *
  *  3. Body equivalence. T·T⁻¹ == I exactly, and every emitted
  *     statement must equal the source statement with each affine
  *     (subscripts, index expressions) composed through x = T⁻¹u —
  *     coefficient-exact, so together with (1) and (2) the executions
- *     write identical footprints. Closed-form trip counts via abstract
- *     acceleration (Faulhaber sums over the bound polynomials) are
- *     attached where a closed form exists.
+ *     write identical footprints. The verdict needs no trip count; the
+ *     closed form via abstract acceleration (Faulhaber sums over the
+ *     bound polynomials) is computed only when a report is rendered
+ *     (ValidationReport::render).
  *
  * Verdicts are pass or fail only. An obligation that can neither be
  * proved nor refuted within budget is a FAIL (conservative), never a
@@ -78,6 +82,7 @@
 #include <vector>
 
 #include "core/cancel.h"
+#include "deps/dependence.h"
 #include "ratmath/polynomial.h"
 #include "xform/transform.h"
 
@@ -187,12 +192,15 @@ SymbolicVerdict checkLatticeSymbolic(const ir::Program &prog,
                                      const xform::TransformedNest &nest,
                                      const ProverOptions &opts = {});
 
-/** Check 2: T·d lex-positive for every column (and every member of an
- * imprecise distance family) and the scan order premise re-derived. */
+/** Check 2: T·d lex-positive for every column (and, when
+ * `deps_imprecise`, every member of every family in `families`) and the
+ * scan order premise re-derived. The columns, families and flag are the
+ * caller's, from one deps::analyzeDependences run on the source. */
 SymbolicVerdict
-checkDependencesSymbolic(const ir::Program &prog,
-                         const xform::TransformedNest &nest,
+checkDependencesSymbolic(const xform::TransformedNest &nest,
                          const IntMatrix &dep_matrix,
+                         const std::vector<deps::DependenceFamily> &families,
+                         bool deps_imprecise,
                          const ProverOptions &opts = {});
 
 /** Check 3: emitted body == source body composed through T⁻¹. */

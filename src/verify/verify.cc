@@ -6,6 +6,34 @@
 
 namespace anc::verify {
 
+namespace {
+
+/** The sentence a rendered report appends to a passing check 3: the
+ * source nest's symbolicTripCount, or why there is no polynomial
+ * closed form. Informational only: no verdict reads it. */
+std::string
+tripCountNote(const ir::Program &prog)
+{
+    std::optional<Polynomial> tc;
+    try {
+        tc = symbolicTripCount(prog);
+    } catch (const OverflowError &) {
+        // Constant bounds so large the count itself exceeds 64-bit
+        // range (e.g. 10^9 per level). The count is informational:
+        // equality follows from the lattice bijection regardless.
+        tc = std::nullopt;
+    }
+    if (tc)
+        return "symbolic trip count " + tc->str(prog.params) +
+               " (abstract acceleration), emitted count equal by the "
+               "lattice bijection";
+    return "no polynomial trip-count closed form (multi-bound level or "
+           "out-of-range count); count equality follows from the "
+           "lattice bijection";
+}
+
+} // namespace
+
 const char *
 checkName(CheckKind k)
 {
@@ -39,7 +67,7 @@ ValidationReport::firstFailure() const
 }
 
 std::string
-ValidationReport::render() const
+ValidationReport::render(const ir::Program &prog) const
 {
     std::ostringstream os;
     os << "translation validation: " << (passed() ? "PASS" : "FAIL")
@@ -49,6 +77,8 @@ ValidationReport::render() const
            << (c.passed ? "pass" : "FAIL");
         if (!c.detail.empty())
             os << " -- " << c.detail;
+        if (c.kind == CheckKind::DifferentialExecution && c.passed)
+            os << "; " << tripCountNote(prog);
         os << "\n";
     }
     return os.str();
@@ -56,7 +86,9 @@ ValidationReport::render() const
 
 ValidationReport
 validate(const ir::Program &prog, const xform::TransformedNest &nest,
-         const IntMatrix &dep_matrix, core::CancelToken *cancel)
+         const IntMatrix &dep_matrix,
+         const std::vector<deps::DependenceFamily> &dep_families,
+         bool deps_imprecise, core::CancelToken *cancel)
 {
     // A verdict for every space size and every parameter value.
     // Arithmetic faults propagate to the caller.
@@ -64,7 +96,8 @@ validate(const ir::Program &prog, const xform::TransformedNest &nest,
     popts.cancel = cancel;
     SymbolicVerdict s1 = checkLatticeSymbolic(prog, nest, popts);
     SymbolicVerdict s2 =
-        checkDependencesSymbolic(prog, nest, dep_matrix, popts);
+        checkDependencesSymbolic(nest, dep_matrix, dep_families,
+                                 deps_imprecise, popts);
     SymbolicVerdict s3 = checkBodySymbolic(prog, nest, popts);
 
     ValidationReport report;

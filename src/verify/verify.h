@@ -31,13 +31,17 @@
  *     dependence analysis is imprecise, keep its sign for every member
  *     of every distance family (deps::preservesLexSign); the premise
  *     that the emitted nest scans lexicographically is re-derived
- *     symbolically (triangular bounds, positive strides).
+ *     symbolically (triangular bounds, positive strides). The columns,
+ *     families and imprecise flag are the caller's, from the compile's
+ *     one deps::analyzeDependences run on the source: validation
+ *     checks T against the dependence facts, it does not re-derive
+ *     them.
  *
  *  3. Differential execution -- T*T^-1 == I exactly and the emitted
  *     body equals the source body with every affine composed through
- *     x = T^-1 u, so both executions touch identical footprints;
- *     closed-form trip counts via abstract acceleration where they
- *     exist.
+ *     x = T^-1 u, so both executions touch identical footprints. The
+ *     closed-form trip count (abstract acceleration) decides nothing;
+ *     it is computed only when a report is rendered.
  *
  * Every check returns pass or fail -- there is no skipped verdict and
  * no "incomplete" escape hatch. An obligation the prover can neither
@@ -56,6 +60,7 @@
 #include <vector>
 
 #include "core/cancel.h"
+#include "deps/dependence.h"
 #include "xform/transform.h"
 
 namespace anc::verify {
@@ -91,27 +96,34 @@ struct ValidationReport
     bool passed() const;
     /** Detail of the first failed check, or "" when none failed. */
     std::string firstFailure() const;
-    /** Human-readable multi-line report. */
-    std::string render() const;
+    /** Human-readable multi-line report of a validation of `prog`; a
+     * passing differential-execution line also names the source's
+     * symbolic trip count (symbolicTripCount), computed here and only
+     * here. */
+    std::string render(const ir::Program &prog) const;
 };
 
 /**
  * Validate that `nest` is an exact restructuring of `prog` under the
  * transformation it carries, and that it respects every dependence
  * column of `dep_matrix` (source-space distance vectors, one per
- * column, as produced by deps::DependenceInfo::matrix()). Validation
- * work is charged to `cancel` when given: the serving path passes the
- * request's token so validation cannot outlive the request budget.
+ * column, as produced by deps::DependenceInfo::matrix()) and, when
+ * `deps_imprecise`, every member of every family in `dep_families`.
+ * All three come from one deps::analyzeDependences run on `prog`
+ * (xform::NormalizeResult carries them). Validation work is charged to
+ * `cancel` when given: the serving path passes the request's token so
+ * validation cannot outlive the request budget.
  *
  * Never throws for a wrong nest -- wrongness is the verdict. Internal
  * arithmetic faults and deadline exhaustion DO propagate (anc::Error /
  * core::DeadlineExceeded): a caller that cannot finish validating must
  * not treat the plan as validated.
  */
-ValidationReport validate(const ir::Program &prog,
-                          const xform::TransformedNest &nest,
-                          const IntMatrix &dep_matrix,
-                          core::CancelToken *cancel = nullptr);
+ValidationReport
+validate(const ir::Program &prog, const xform::TransformedNest &nest,
+         const IntMatrix &dep_matrix,
+         const std::vector<deps::DependenceFamily> &dep_families,
+         bool deps_imprecise, core::CancelToken *cancel = nullptr);
 
 } // namespace anc::verify
 

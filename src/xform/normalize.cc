@@ -75,6 +75,7 @@ normalize(const ir::Program &prog, const AccessMatrixInfo &access,
     NormalizeResult r;
     r.access = access;
     r.depMatrix = dinfo.matrix(n);
+    r.depFamilies = dinfo.families;
     r.depsImprecise = dinfo.imprecise;
 
     enter(NormalizeStep::Basis);

@@ -52,6 +52,10 @@ struct NormalizeResult
 {
     AccessMatrixInfo access;   //!< the ordered data access matrix
     IntMatrix depMatrix;       //!< distance vectors (columns)
+    /** The analysis's distance families and imprecise flag, from the
+     * same deps::DependenceInfo as depMatrix (translation validation
+     * decides imprecise families whole from these). */
+    std::vector<deps::DependenceFamily> depFamilies;
     bool depsImprecise = false;
     IntMatrix basis;           //!< after BasisMatrix
     IntMatrix legal;           //!< after LegalBasis (== basis when legality

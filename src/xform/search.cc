@@ -9,7 +9,6 @@
 #include "deps/dependence.h"
 #include "numa/simulator.h"
 #include "ratmath/linalg.h"
-#include "verify/verify.h"
 #include "xform/stride.h"
 
 namespace anc::xform {
@@ -562,13 +561,17 @@ searchOverCandidates(const ir::Program &prog, const NormalizeResult &norm,
             if (other != ev && other->total == ev->total)
                 tie = true;
         if (!ev->isHeuristic) {
-            verify::ValidationReport report =
-                verify::validate(prog, *nest, norm.depMatrix, cancel);
+            uint64_t before = cancel ? cancel->steps() : 0;
+            verify::ValidationReport report = verify::validate(
+                prog, *nest, norm.depMatrix, norm.depFamilies,
+                norm.depsImprecise, cancel);
             if (!report.passed()) {
                 t.verdict = "failed-validation";
                 t.detail = report.firstFailure();
                 continue;
             }
+            r.validation = std::move(report);
+            r.validationSteps = cancel ? cancel->steps() - before : 0;
         }
         t.verdict = "winner";
         r.winnerOrigin = t.origin;

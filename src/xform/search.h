@@ -36,9 +36,9 @@
  *      When the heuristic itself cannot be scored, every survivor is
  *      scored over the whole sweep and the heuristic plan stands;
  *   6. symbolically validate any winner that differs from the heuristic
- *      (verify::validate) before it is returned; a winner that fails
- *      validation is discarded and the next-best admissible candidate
- *      is tried, down to the heuristic itself.
+ *      (verify::validate) before it is returned, with its report; a
+ *      winner that fails validation is discarded and the next-best
+ *      admissible candidate is tried, down to the heuristic itself.
  *
  * The search never throws for a losing or broken candidate: candidate
  * failures become trail verdicts. Deadline exhaustion (DeadlineExceeded)
@@ -55,6 +55,7 @@
 #include "core/cancel.h"
 #include "numa/machine.h"
 #include "numa/plan.h"
+#include "verify/verify.h"
 #include "xform/normalize.h"
 
 namespace anc::xform {
@@ -157,6 +158,13 @@ struct SearchResult
     IntMatrix transform;
     std::optional<TransformedNest> nest;
     numa::ExecutionPlan plan;
+    /** The passing verify::validate report of `nest`, and the deadline
+     * steps it spent, when the winner is not the heuristic (empty
+     * checks otherwise). A compile that adopts the nest moves the
+     * report into Compilation::validation instead of validating the
+     * same nest again. */
+    verify::ValidationReport validation;
+    uint64_t validationSteps = 0;
 };
 
 /**

@@ -484,7 +484,8 @@ eagerSearch(const ir::Program &prog, const NormalizeResult &norm,
     for (Ev *ev : order) {
         if (!ev->heuristic) {
             verify::ValidationReport report =
-                verify::validate(prog, *ev->nest, norm.depMatrix, {});
+                verify::validate(prog, *ev->nest, norm.depMatrix,
+                                 norm.depFamilies, norm.depsImprecise, {});
             if (!report.passed()) {
                 ref.verdicts[ev->idx] = "failed-validation";
                 ref.details[ev->idx] = report.firstFailure();

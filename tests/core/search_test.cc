@@ -107,10 +107,11 @@ TEST(SearchTest, EveryAdoptedWinnerPassesSymbolicValidation)
         if (!c.search.ran)
             continue;
         verify::ValidationReport rep = verify::validate(
-            c.program, c.nest(), c.normalization.depMatrix, {});
+            c.program, c.nest(), c.normalization.depMatrix,
+            c.normalization.depFamilies, c.normalization.depsImprecise, {});
         EXPECT_TRUE(rep.passed())
             << name << ": searched plan failed validation:\n"
-            << rep.render();
+            << rep.render(c.program);
     }
 }
 

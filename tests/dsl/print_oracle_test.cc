@@ -50,23 +50,11 @@ expectSameRendering(const ir::Program &p, const std::string &name)
     EXPECT_EQ(c.text, testutil::oracleDsl(c.program)) << name;
 }
 
-std::optional<ir::Program>
-programOf(const golden::Input &in)
-{
-    if (in.program)
-        return in.program;
-    try {
-        return dsl::parseProgramRecovering(in.source).program;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
-
 TEST(PrintOracle, FixedInputsRenderAsTheOracle)
 {
     size_t checked = 0;
     for (const golden::Input &in : golden::fixedInputs()) {
-        if (std::optional<ir::Program> p = programOf(in)) {
+        if (std::optional<ir::Program> p = golden::programOf(in)) {
             expectSameRendering(*p, in.name);
             ++checked;
         }
@@ -82,7 +70,7 @@ TEST(PrintOracle, StreamRequestsRenderAsTheOracle)
             if (!seen.insert(q.source).second)
                 continue;
             std::optional<ir::Program> p =
-                programOf({q.id, std::nullopt, q.source});
+                golden::programOf({q.id, std::nullopt, q.source});
             ASSERT_TRUE(p) << s.name << " " << q.id;
             // Except for the rescaled bounds, a stream's sources are
             // printDsl renderings themselves.

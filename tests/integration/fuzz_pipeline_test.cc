@@ -23,6 +23,7 @@
 #include "dsl/parser.h"
 #include "dsl/printer.h"
 #include "certificate_oracle.h"
+#include "dependence_oracle.h"
 #include "enumeration_oracle.h"
 #include "sim_walk_oracle.h"
 #include "executor_oracle.h"
@@ -515,6 +516,28 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         } catch (const Error &) {
             // Coefficients past 64 bits: neither side decides.
         }
+        // Validation with the compile's dependence facts, and with the
+        // facts of an analysis that also reports input dependences,
+        // decides as with a fresh analysis of the source.
+        auto factsAgree = [&](const IntMatrix &matrix,
+                              const std::vector<deps::DependenceFamily> &fams,
+                              bool imprecise, const char *what) {
+            EXPECT_EQ(oracle::dependenceDifferential(c.program, c.nest(),
+                                                     matrix, fams, imprecise)
+                          .mismatch,
+                      "")
+                << tag << " " << what;
+        };
+        try {
+            const xform::NormalizeResult &n = c.normalization;
+            factsAgree(n.depMatrix, n.depFamilies, n.depsImprecise,
+                       "compile facts");
+            deps::DependenceInfo d = deps::analyzeDependences(c.program, true);
+            factsAgree(d.matrix(c.program.nest.depth()), d.families,
+                       d.imprecise, "input deps");
+        } catch (const Error &) {
+            // Coefficients past 64 bits: neither side decides.
+        }
         // The append-only renderer matches the ostringstream oracle on
         // the source (or fails with the same error).
         auto rendered = [](auto &&render) {
@@ -590,12 +613,12 @@ TEST(FuzzPipeline, RandomProgramsSurviveTranslationValidation)
         ASSERT_NO_THROW(c = core::compileResilient(g.prog, ropts))
             << "trial " << trial;
         ASSERT_TRUE(c.validation.passed())
-            << "trial " << trial << "\n" << c.validation.render();
+            << "trial " << trial << "\n" << c.validation.render(c.program);
         ASSERT_EQ(c.validation.checks.size(), 3u);
         ASSERT_TRUE(c.validated) << "trial " << trial;
-        ASSERT_EQ(c.validation.render().find("skipped"),
+        ASSERT_EQ(c.validation.render(c.program).find("skipped"),
                   std::string::npos)
-            << "trial " << trial << "\n" << c.validation.render();
+            << "trial " << trial << "\n" << c.validation.render(c.program);
         oracle::EnumerationOracle o =
             oracle::enumerationOracle(c.program, c.nest());
         ASSERT_TRUE(o.feasible) << "trial " << trial << ": " << o.reason;

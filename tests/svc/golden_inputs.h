@@ -97,6 +97,20 @@ fixedInputs()
     return out;
 }
 
+/** The input's program: the gallery kernel, or its source parsed;
+ * std::nullopt when the source does not parse. */
+inline std::optional<ir::Program>
+programOf(const Input &in)
+{
+    if (in.program)
+        return in.program;
+    try {
+        return dsl::parseProgramRecovering(in.source).program;
+    } catch (const std::exception &) {
+        return std::nullopt;
+    }
+}
+
 /** A named request stream, pinned in blocks of kBlock requests. */
 struct Stream
 {

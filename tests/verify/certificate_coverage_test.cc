@@ -32,18 +32,6 @@ namespace {
 /** Passing plans whose validation still calls the prover, with why. */
 const std::map<std::string, std::string> kProverNeeded = {};
 
-std::optional<ir::Program>
-programOf(const Input &in)
-{
-    if (in.program)
-        return in.program;
-    try {
-        return dsl::parseProgramRecovering(in.source).program;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
-
 /** Validate the lattice part of (prog, nest); record a passing plan
  * that called the prover under `name`. */
 void

@@ -247,8 +247,10 @@ TEST(SymbolicTest, GalleryVerdictsAgreeWithTheEnumerationOracle)
         SCOPED_TRACE(name);
         core::Compilation c = core::compile(make());
         ValidationReport r =
-            validate(c.program, c.nest(), c.normalization.depMatrix);
-        EXPECT_TRUE(r.passed()) << r.render();
+            validate(c.program, c.nest(), c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
+        EXPECT_TRUE(r.passed()) << r.render(c.program);
 
         EnumerationOracle o = enumerationOracle(c.program, c.nest());
         if (!o.feasible)
@@ -410,8 +412,10 @@ TEST(SymbolicTest, FuzzedProgramsSymbolicAndOracleVerdictsAgree)
         core::Compilation c = core::compile(prog);
 
         ValidationReport r =
-            validate(c.program, c.nest(), c.normalization.depMatrix);
-        EXPECT_TRUE(r.passed()) << r.render();
+            validate(c.program, c.nest(), c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
+        EXPECT_TRUE(r.passed()) << r.render(c.program);
 
         EnumerationOracle o = enumerationOracle(c.program, c.nest());
         ASSERT_TRUE(o.feasible) << o.reason;
@@ -455,8 +459,10 @@ TEST(SymbolicTest, FuzzedMiscompiledPlansFailOnBothSides)
             rebuild(c.nest(), std::move(loops), c.nest().body());
 
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
-        EXPECT_FALSE(r.passed()) << r.render();
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
+        EXPECT_FALSE(r.passed()) << r.render(c.program);
         EXPECT_FALSE(check(r, CheckKind::LatticeEquivalence).passed);
 
         EnumerationOracle o = enumerationOracle(c.program, bad);
@@ -482,7 +488,9 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         xform::TransformedNest bad =
             rebuild(c.nest(), std::move(loops), c.nest().body());
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
         EXPECT_FALSE(check(r, CheckKind::LatticeEquivalence).passed);
         EnumerationOracle o = enumerationOracle(c.program, bad);
         ASSERT_TRUE(o.feasible) << o.reason;
@@ -499,8 +507,10 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
             t2, c.nest().inverseTransform(), c.nest().lattice(),
             c.nest().loops(), c.nest().body());
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
-        EXPECT_FALSE(r.passed()) << r.render();
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
+        EXPECT_FALSE(r.passed()) << r.render(c.program);
         EnumerationOracle o = enumerationOracle(c.program, bad);
         ASSERT_TRUE(o.feasible) << o.reason;
         EXPECT_FALSE(o.allOk());
@@ -516,7 +526,9 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         xform::TransformedNest bad =
             rebuild(c.nest(), c.nest().loops(), std::move(body));
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
         EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
         EXPECT_FALSE(
             check(r, CheckKind::DifferentialExecution).passed);
@@ -537,7 +549,9 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         xform::TransformedNest bad =
             rebuild(c.nest(), std::move(loops), c.nest().body());
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
         const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
         EXPECT_FALSE(lat.passed);
         EXPECT_NE(lat.detail.find("declares stride"), std::string::npos)
@@ -562,7 +576,9 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
             c.nest().loops(), c.nest().body());
         ASSERT_FALSE(bad.lattice().hnf() == c.nest().lattice().hnf());
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
         const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
         EXPECT_FALSE(lat.passed);
         EXPECT_NE(lat.detail.find("differs from the column HNF of T"),
@@ -583,7 +599,9 @@ TEST(SymbolicTest, GalleryTamperShapesFailOnBothSides)
         xform::TransformedNest bad =
             rebuild(c.nest(), std::move(loops), c.nest().body());
         ValidationReport r =
-            validate(c.program, bad, c.normalization.depMatrix);
+            validate(c.program, bad, c.normalization.depMatrix,
+                     c.normalization.depFamilies,
+                     c.normalization.depsImprecise);
         const CheckResult &dep =
             check(r, CheckKind::DependencePreservation);
         EXPECT_FALSE(dep.passed);
@@ -616,9 +634,12 @@ expectProverVerdict(const ir::Program &prog,
                     const xform::TransformedNest &nest,
                     const IntMatrix &deps, const std::string &what)
 {
-    ValidationReport r = validate(prog, nest, deps);
-    ValidationReport p = validate(prog, withoutCertificates(nest), deps);
-    EXPECT_EQ(r.passed(), p.passed()) << what << "\n" << r.render();
+    deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
+    ValidationReport r =
+        validate(prog, nest, deps, dinfo.families, dinfo.imprecise);
+    ValidationReport p = validate(prog, withoutCertificates(nest), deps,
+                                  dinfo.families, dinfo.imprecise);
+    EXPECT_EQ(r.passed(), p.passed()) << what << "\n" << r.render(prog);
     EXPECT_EQ(r.firstFailure(), p.firstFailure()) << what;
     return p.passed();
 }
@@ -752,7 +773,7 @@ TEST(SymbolicTest, DependenceViolationIsCaughtOnlySymbolically)
     deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
 
     ValidationReport r =
-        validate(prog, nest, dinfo.matrix(2));
+        validate(prog, nest, dinfo.matrix(2), dinfo.families, dinfo.imprecise);
     EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
     EXPECT_FALSE(check(r, CheckKind::DependencePreservation).passed);
 
@@ -800,7 +821,8 @@ TEST(SymbolicTest, DependenceFamilyViolationFailsOnBothSides)
         << "want a T that every dependence column allows";
     xform::TransformedNest nest = xform::applyTransform(prog, t);
 
-    ValidationReport r = validate(prog, nest, dinfo.matrix(3));
+    ValidationReport r =
+        validate(prog, nest, dinfo.matrix(3), dinfo.families, dinfo.imprecise);
     EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
     const CheckResult &dep = check(r, CheckKind::DependencePreservation);
     EXPECT_FALSE(dep.passed);

@@ -29,7 +29,9 @@ ValidationReport
 validateCompilation(const core::Compilation &c,
                     core::CancelToken *cancel = nullptr)
 {
-    return validate(c.program, c.nest(), c.normalization.depMatrix, cancel);
+    return validate(c.program, c.nest(), c.normalization.depMatrix,
+                    c.normalization.depFamilies,
+                    c.normalization.depsImprecise, cancel);
 }
 
 const CheckResult &
@@ -81,15 +83,15 @@ TEST(ValidateTest, CleanGalleryProgramsPassEveryCheck)
           ir::gallery::section3Example, ir::gallery::syr2kBanded}) {
         core::Compilation c = core::compile(make());
         ValidationReport r = validateCompilation(c);
-        EXPECT_TRUE(r.passed()) << r.render();
+        EXPECT_TRUE(r.passed()) << r.render(c.program);
         for (const CheckResult &cr : r.checks) {
             EXPECT_TRUE(cr.passed) << checkName(cr.kind) << ": "
                                    << cr.detail;
         }
         EXPECT_EQ(r.firstFailure(), "");
-        EXPECT_NE(r.render().find("PASS"), std::string::npos);
-        EXPECT_EQ(r.render().find("skipped"), std::string::npos)
-            << r.render();
+        EXPECT_NE(r.render(c.program).find("PASS"), std::string::npos);
+        EXPECT_EQ(r.render(c.program).find("skipped"), std::string::npos)
+            << r.render(c.program);
     }
 }
 
@@ -110,8 +112,9 @@ TEST(ValidateTest, TamperedLowerBoundCaughtWithCounterexamplePoint)
                                          c.nest().body());
 
     ValidationReport r =
-        validate(c.program, bad, c.normalization.depMatrix);
-    EXPECT_FALSE(r.passed()) << r.render();
+        validate(c.program, bad, c.normalization.depMatrix,
+                 c.normalization.depFamilies, c.normalization.depsImprecise);
+    EXPECT_FALSE(r.passed()) << r.render(c.program);
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     EXPECT_FALSE(lat.passed);
     // A concrete counterexample point, "(a, b)", in the diagnostic.
@@ -136,7 +139,8 @@ TEST(ValidateTest, TamperedUpperBoundInventedPointCaught)
                                          c.nest().body());
 
     ValidationReport r =
-        validate(c.program, bad, c.normalization.depMatrix);
+        validate(c.program, bad, c.normalization.depMatrix,
+                 c.normalization.depFamilies, c.normalization.depsImprecise);
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     EXPECT_FALSE(lat.passed);
     EXPECT_NE(lat.detail.find("image of no source iteration"),
@@ -158,7 +162,8 @@ TEST(ValidateTest, IllegalLoopOrderCaughtByDependenceCheck)
     xform::TransformedNest nest = xform::applyTransform(prog, rev);
     deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
 
-    ValidationReport r = validate(prog, nest, dinfo.matrix(2));
+    ValidationReport r =
+        validate(prog, nest, dinfo.matrix(2), dinfo.families, dinfo.imprecise);
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     EXPECT_TRUE(lat.passed) << lat.detail;
     const CheckResult &dep = check(r, CheckKind::DependencePreservation);
@@ -180,7 +185,8 @@ TEST(ValidateTest, TamperedBodyCaughtByDifferentialCheckAlone)
         rebuild(c.nest(), c.nest().loops(), std::move(body));
 
     ValidationReport r =
-        validate(c.program, bad, c.normalization.depMatrix);
+        validate(c.program, bad, c.normalization.depMatrix,
+                 c.normalization.depFamilies, c.normalization.depsImprecise);
     EXPECT_TRUE(check(r, CheckKind::LatticeEquivalence).passed);
     EXPECT_TRUE(check(r, CheckKind::DependencePreservation).passed);
     const CheckResult &diff = check(r, CheckKind::DifferentialExecution);
@@ -200,12 +206,12 @@ TEST(ValidateTest, OversizedSpaceIsProvenSymbolicallyNeverSkipped)
         oracle::enumerationOracle(c.program, c.nest());
     ASSERT_FALSE(o.feasible) << "want a space enumeration cannot reach";
     ValidationReport r = validateCompilation(c);
-    EXPECT_TRUE(r.passed()) << r.render();
+    EXPECT_TRUE(r.passed()) << r.render(c.program);
     ASSERT_EQ(r.checks.size(), 3u);
     for (const CheckResult &cr : r.checks)
         EXPECT_TRUE(cr.passed) << checkName(cr.kind) << ": " << cr.detail;
-    EXPECT_EQ(r.render().find("skipped"), std::string::npos)
-        << r.render();
+    EXPECT_EQ(r.render(c.program).find("skipped"), std::string::npos)
+        << r.render(c.program);
 }
 
 TEST(ValidateTest, TamperedPlanFailsEvenWhenEnumerationIsImpossible)
@@ -221,8 +227,9 @@ TEST(ValidateTest, TamperedPlanFailsEvenWhenEnumerationIsImpossible)
                                          c.nest().body());
     ASSERT_FALSE(oracle::enumerationOracle(c.program, bad).feasible);
     ValidationReport r =
-        validate(c.program, bad, c.normalization.depMatrix);
-    EXPECT_FALSE(r.passed()) << r.render();
+        validate(c.program, bad, c.normalization.depMatrix,
+                 c.normalization.depFamilies, c.normalization.depsImprecise);
+    EXPECT_FALSE(r.passed()) << r.render(c.program);
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     EXPECT_FALSE(lat.passed);
     EXPECT_NE(lat.detail.find("counterexample"), std::string::npos)
@@ -246,7 +253,8 @@ TEST(ValidateTest, SymbolicCounterexampleNamesParameterBinding)
     xform::TransformedNest bad = rebuild(c.nest(), std::move(loops),
                                          c.nest().body());
     ValidationReport r =
-        validate(c.program, bad, c.normalization.depMatrix);
+        validate(c.program, bad, c.normalization.depMatrix,
+                 c.normalization.depFamilies, c.normalization.depsImprecise);
     const CheckResult &lat = check(r, CheckKind::LatticeEquivalence);
     ASSERT_FALSE(lat.passed);
     EXPECT_NE(lat.detail.find("N="), std::string::npos) << lat.detail;
@@ -270,7 +278,7 @@ TEST(ValidateTest, ResilientLadderRunsValidationWhenRequested)
     ropts.base.validate = true;
     core::Compilation c =
         core::compileResilient(ir::gallery::syr2kBanded(), ropts);
-    EXPECT_TRUE(c.validated) << c.validation.render();
+    EXPECT_TRUE(c.validated) << c.validation.render(c.program);
     EXPECT_TRUE(c.diagnostics.mentionsStage(
         core::Stage::TranslationValidate))
         << c.diagnostics.render();
@@ -285,7 +293,7 @@ TEST(ValidateTest, IdentityTierValidatesToo)
     core::Compilation c =
         core::compileResilient(ir::gallery::jacobi2d(), ropts);
     EXPECT_EQ(c.tier, core::CompileTier::Identity);
-    EXPECT_TRUE(c.validation.passed()) << c.validation.render();
+    EXPECT_TRUE(c.validation.passed()) << c.validation.render(c.program);
 }
 
 TEST(ValidateTest, ValidationChargesTheCancelToken)
@@ -299,7 +307,7 @@ TEST(ValidateTest, ValidationChargesTheCancelToken)
 
     core::CancelToken roomy(1u << 20);
     ValidationReport r = validateCompilation(c, &roomy);
-    EXPECT_TRUE(r.passed()) << r.render();
+    EXPECT_TRUE(r.passed()) << r.render(c.program);
     EXPECT_GT(roomy.steps(), 0u);
 }
 
@@ -326,8 +334,10 @@ TEST(ValidateTest, OverflowInTheProjectionPropagates)
     ir::Program prog = b.build();
     IntMatrix t{{k, k - 1, 0}, {1, 1, 0}, {0, 0, 1}};
     xform::TransformedNest nest = xform::applyTransform(prog, t);
-    IntMatrix deps = deps::analyzeDependences(prog).matrix(3);
-    EXPECT_TRUE(validate(prog, nest, deps).passed());
+    deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
+    IntMatrix deps = dinfo.matrix(3);
+    EXPECT_TRUE(
+        validate(prog, nest, deps, dinfo.families, dinfo.imprecise).passed());
     EXPECT_EQ(checkLatticeSymbolic(prog, nest).byProver, 0u);
     // Widening the middle level's upper bound by one leaves a source
     // bound with no emitted row as tight, so the prover must decide it
@@ -339,7 +349,9 @@ TEST(ValidateTest, OverflowInTheProjectionPropagates)
     xform::TransformedNest widened(nest.transform(),
                                    nest.inverseTransform(), nest.lattice(),
                                    std::move(loops), nest.body());
-    EXPECT_THROW(validate(prog, widened, deps), OverflowError);
+    EXPECT_THROW(
+        validate(prog, widened, deps, dinfo.families, dinfo.imprecise),
+        OverflowError);
     // The validating ladder serves the solved plan at the full tier.
     core::ResilientOptions o;
     o.base.validate = true;

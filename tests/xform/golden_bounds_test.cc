@@ -43,18 +43,6 @@ namespace {
 const char *const kGoldenFile =
     ANC_SOURCE_DIR "/tests/xform/golden_bounds.txt";
 
-std::optional<ir::Program>
-programOf(const Input &in)
-{
-    if (in.program)
-        return in.program;
-    try {
-        return dsl::parseProgramRecovering(in.source).program;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
-
 /** Every enumerated candidate's printed nest, concatenated. */
 std::string
 candidateBounds(const ir::Program &prog, const core::ResilientOptions &o)
@@ -94,7 +82,9 @@ line(const ir::Program &prog, const char *mode)
     core::CancelToken token;
     try {
         verify::ValidationReport r = verify::validate(
-            c.program, c.nest(), c.normalization.depMatrix, &token);
+            c.program, c.nest(), c.normalization.depMatrix,
+            c.normalization.depFamilies, c.normalization.depsImprecise,
+            &token);
         out += std::string(r.passed() ? " 1 " : " 0 ") +
                hex16(fletcher64(r.firstFailure()));
     } catch (const Error &e) {

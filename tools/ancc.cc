@@ -11,6 +11,8 @@
  *   1  user error (bad arguments, unreadable file, malformed program)
  *   2  internal error (a compiler bug; please report)
  *   3  compilation succeeded but degraded (only with --strict)
+ *   4  input exceeds a limit (e.g. a simulation whose counters would
+ *      leave 64 bits; not a bug)
  *
  * For testing the recovery ladder end to end, the environment variable
  * ANCC_INJECT_FAULT=<n> arms the deterministic fault injector to throw
@@ -408,7 +410,7 @@ run(const Options &o)
     fault::disarm();
 
     if (o.validate)
-        std::printf("%s", c.validation.render().c_str());
+        std::printf("%s", c.validation.render(c.program).c_str());
 
     if (o.search) {
         const xform::SearchResult &sr = c.search;
@@ -572,7 +574,7 @@ run(const Options &o)
             std::fprintf(stderr,
                          "ancc: translation validation failed "
                          "(--validate):\n%s%s",
-                         c.validation.render().c_str(),
+                         c.validation.render(c.program).c_str(),
                          c.diagnostics.render().c_str());
             return 3;
         }
@@ -599,6 +601,10 @@ main(int argc, char **argv)
     } catch (const UserError &e) {
         std::fprintf(stderr, "ancc: %s\n", e.what());
         return 1;
+    } catch (const LimitError &e) {
+        std::fprintf(stderr, "ancc: input exceeds a limit: %s\n",
+                     e.what());
+        return 4;
     } catch (const Error &e) {
         std::fprintf(stderr,
                      "ancc: internal error: %s\n"

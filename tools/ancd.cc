@@ -26,6 +26,8 @@
  *      per-request results instead)
  *   1  user error (bad arguments, unreadable file)
  *   2  internal error (a service bug; please report)
+ *   4  input exceeds a limit (a LimitError outside any request, e.g. a
+ *      count that would leave 64 bits; not a bug)
  *
  * For testing the request-isolation guarantee end to end, the
  * environment variable ANCD_INJECT_FAULT=<n> arms the deterministic
@@ -437,6 +439,10 @@ main(int argc, char **argv)
     } catch (const UserError &e) {
         std::fprintf(stderr, "ancd: %s\n", e.what());
         return 1;
+    } catch (const LimitError &e) {
+        std::fprintf(stderr, "ancd: input exceeds a limit: %s\n",
+                     e.what());
+        return 4;
     } catch (const std::exception &e) {
         std::fprintf(stderr,
                      "ancd: internal error: %s\n"
