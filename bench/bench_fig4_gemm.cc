@@ -86,7 +86,7 @@ measure(const core::Compilation &c, Int p, bool blocks)
 }
 
 /** Processors whose own slice the simulator charges whole (walks
- * fewer of its positions, through Simulator::walkedPositions, than the
+ * fewer of its positions, through Simulator::sliceTally, than the
  * slice of positions q, q + P, ... below N has); the gate keeps the
  * path from silently disengaging. */
 std::string
@@ -100,7 +100,7 @@ wholeSlices(const core::Compilation &c, Int p, bool blocks)
     const Int n = data().n;
     Int whole = 0;
     for (Int q = 0; q < p && q < n; ++q)
-        whole += sim.walkedPositions({{n}, {}}, q) <
+        whole += sim.sliceTally({{n}, {}}, q).walked <
                  uint64_t((n - 1 - q) / p + 1);
     return std::to_string(whole);
 }

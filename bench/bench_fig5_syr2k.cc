@@ -99,7 +99,7 @@ measure(const core::Compilation &c, Int p, bool blocks)
 }
 
 /** Positions the processors' own slices walk, through
- * Simulator::walkedPositions: the rest are charged by stretches, and
+ * Simulator::sliceTally: the rest are charged by stretches, and
  * the gate keeps a fall-back to the per-position walk from passing. */
 std::string
 walkedPositions(const core::Compilation &c, Int p, bool blocks)
@@ -111,7 +111,8 @@ walkedPositions(const core::Compilation &c, Int p, bool blocks)
     numa::Simulator sim(c.program, c.nest(), c.plan, opts);
     uint64_t walked = 0;
     for (Int q = 0; q < p; ++q)
-        walked += sim.walkedPositions({{data().n, data().b}, {1.0, 1.0}}, q);
+        walked +=
+            sim.sliceTally({{data().n, data().b}, {1.0, 1.0}}, q).walked;
     return std::to_string(walked);
 }
 

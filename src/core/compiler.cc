@@ -265,8 +265,7 @@ runPipeline(ir::Program prog, const CompileOptions &opts, OnFailure policy)
             "dependence analysis failed; assuming an outer-carried "
             "dependence and compiling the original nest",
             [&] {
-                dinfo = deps::analyzeDependences(c.program,
-                                                 nopts.includeInputDeps);
+                dinfo = deps::analyzeDependences(c.program);
             });
 
     std::vector<CompileTier> rungs;

@@ -35,13 +35,9 @@ collectSites(const ir::LoopNest &nest)
 DepKind
 kindOf(bool src_write, bool dst_write)
 {
-    if (src_write && dst_write)
-        return DepKind::Output;
     if (src_write)
-        return DepKind::Flow;
-    if (dst_write)
-        return DepKind::Anti;
-    return DepKind::Input;
+        return dst_write ? DepKind::Output : DepKind::Flow;
+    return DepKind::Anti; // read-read pairs are never analyzed
 }
 
 /**
@@ -123,8 +119,6 @@ DependenceInfo::matrix(size_t depth) const
     std::set<IntVec> seen;
     std::vector<IntVec> cols;
     for (const Dependence &d : deps) {
-        if (d.kind == DepKind::Input)
-            continue;
         if (isZero(d.distance))
             continue;
         if (seen.insert(d.distance).second)
@@ -149,7 +143,7 @@ DependenceInfo::carried() const
 }
 
 DependenceInfo
-analyzeDependences(const ir::Program &prog, bool include_input)
+analyzeDependences(const ir::Program &prog)
 {
     const ir::LoopNest &nest = prog.nest;
     size_t n = nest.depth();
@@ -162,7 +156,7 @@ analyzeDependences(const ir::Program &prog, bool include_input)
             const RefSite &sb = sites[b];
             if (sa.ref->arrayId != sb.ref->arrayId)
                 continue;
-            if (!sa.isWrite && !sb.isWrite && !include_input)
+            if (!sa.isWrite && !sb.isWrite)
                 continue;
 
             IntMatrix mat;
@@ -210,8 +204,7 @@ analyzeDependences(const ir::Program &prog, bool include_input)
 
             // Record the full solution family for exact legality
             // queries (skip the trivial self-family {0}).
-            if (!(gens.empty() && isZero(d0)) &&
-                (sa.isWrite || sb.isWrite)) {
+            if (!(gens.empty() && isZero(d0))) {
                 IntMatrix g(n, gens.size());
                 for (size_t c = 0; c < gens.size(); ++c)
                     for (size_t i = 0; i < n; ++i)

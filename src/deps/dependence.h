@@ -34,7 +34,6 @@ enum class DepKind
     Flow,   //!< write then read
     Anti,   //!< read then write
     Output, //!< write then write
-    Input,  //!< read then read (only if requested)
 };
 
 /** One dependence between two references of the nest. */
@@ -91,12 +90,11 @@ struct DependenceInfo
 };
 
 /**
- * Analyze all conflicting reference pairs of the program's nest.
- * Input (read-read) dependences are reported only when include_input
- * is set; they never constrain legality but matter for locality study.
+ * Analyze all conflicting reference pairs of the program's nest (at
+ * least one of the two a write: read-read pairs never constrain
+ * legality).
  */
-DependenceInfo analyzeDependences(const ir::Program &prog,
-                                  bool include_input = false);
+DependenceInfo analyzeDependences(const ir::Program &prog);
 
 /**
  * True if transformation t preserves every dependence: the leading

@@ -133,23 +133,13 @@ CompiledAffine::valueOf(Int128 n) const
 Int
 CompiledAffine::floorOf(Int128 n) const
 {
-    if (den == 1)
-        return narrow128(n);
-    Int128 q = n / den; // den > 0: adjust truncation toward -inf
-    if (n % den != 0 && n < 0)
-        --q;
-    return narrow128(q);
+    return narrow128(floorDiv128(n, den));
 }
 
 Int
 CompiledAffine::ceilOf(Int128 n) const
 {
-    if (den == 1)
-        return narrow128(n);
-    Int128 q = n / den; // den > 0: adjust truncation toward +inf
-    if (n % den != 0 && n > 0)
-        ++q;
-    return narrow128(q);
+    return narrow128(ceilDiv128(n, den));
 }
 
 Int

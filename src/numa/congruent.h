@@ -24,18 +24,12 @@
 namespace anc::numa {
 
 /** 128-bit products and sums of closed-form counts; throw
- * OverflowError instead of wrapping. A product of two 64-bit values
- * always fits, and skips the checked multiply (a library call). */
+ * OverflowError instead of wrapping. */
 inline Int128
 mulCount128(Int128 x, Int128 y)
 {
-    auto narrow = [](Int128 v) {
-        return v >= Int128(INT64_MIN) && v <= Int128(INT64_MAX);
-    };
-    if (narrow(x) && narrow(y))
-        return x * y;
     Int128 r;
-    if (__builtin_mul_overflow(x, y, &r))
+    if (mulOverflow128(x, y, &r))
         throw OverflowError("closed-form count leaves 128 bits");
     return r;
 }
@@ -71,8 +65,7 @@ floorSum(uint64_t n, Int m, Int128 a, Int128 b)
         b = addCount128(b, mulCount128(a, nn - 1));
         a = mulCount128(a, -1);
     }
-    const bool narrow = a <= Int128(INT64_MAX) && b >= Int128(INT64_MIN) &&
-                        b <= Int128(INT64_MAX);
+    const bool narrow = fitsInt(a) && fitsInt(b);
     Int128 qa = narrow ? Int(a) / m : a / m;
     Int128 qb = narrow ? Int(b) / m : b / m;
     if ((narrow ? Int(b) % m : Int128(b % m)) < 0)

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "numa/congruent.h"
+#include "numa/stretch.h"
 #include "numa/thread_pool.h"
 
 namespace anc::numa {
@@ -83,6 +84,9 @@ struct RefEval
 {
     size_t arrayId;
     bool isWrite;
+    /** A hoisted read whose remote elements arrive by block transfer
+     * (SimOptions::blockTransfers). */
+    bool byBlocks = false;
     int hoistLevel = kNoHoist;
     size_t globalIdx = 0;  //!< index into the per-run lastKey table
     size_t coordBase = 0;  //!< offset into the per-run coordinate buffer
@@ -491,67 +495,13 @@ Simulator::planClasses(const Compiled &c) const
 
 namespace {
 
-// The run geometry is 128-bit, but its values nearly always fit 64
-// bits, where a division is one instruction instead of a library call.
-
-bool
-fitsInt(Int128 v)
-{
-    return v >= Int128(INT64_MIN) && v <= Int128(INT64_MAX);
-}
-
-Int128
-gcd128(Int128 a, Int128 b)
-{
-    a = a < 0 ? -a : a;
-    b = b < 0 ? -b : b;
-    if (a <= Int128(INT64_MAX) && b <= Int128(INT64_MAX))
-        return std::gcd(Int(a), Int(b));
-    while (b != 0) {
-        Int128 t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-Int128
-floorDiv128(Int128 a, Int128 b) // b > 0
-{
-    if (b == 1)
-        return a;
-    if (fitsInt(a) && fitsInt(b)) {
-        Int q = Int(a) / Int(b);
-        return Int(a) % Int(b) != 0 && a < 0 ? q - 1 : q;
-    }
-    Int128 q = a / b;
-    return a % b != 0 && a < 0 ? q - 1 : q;
-}
-
-Int128
-ceilDiv128(Int128 a, Int128 b) // b > 0
-{
-    return -floorDiv128(-a, b);
-}
-
-/** a mod m in [0, m), m > 0. */
-Int
-mod128(Int128 a, Int m)
-{
-    Int r = fitsInt(a) ? Int(a) % m : Int(a % m);
-    return r < 0 ? r + m : r;
-}
-
-/** Run-geometry arithmetic: a result past 128 bits declines the run.
- * A product of two 64-bit values always fits, and skips the checked
- * multiply (a library call). */
+/** Run-geometry arithmetic (see int_util.h): a result past 128 bits
+ * declines the run. */
 Int128
 geoMul(Int128 a, Int128 b)
 {
-    if (fitsInt(a) && fitsInt(b))
-        return a * b;
     Int128 r;
-    if (__builtin_mul_overflow(a, b, &r))
+    if (mulOverflow128(a, b, &r))
         throw Decline{};
     return r;
 }
@@ -1114,8 +1064,8 @@ Simulator::solveMiddleRun(const Compiled &c, Int p, MiddleRun &run) const
                 }
             }
             q.remote = run.iterations - q.local;
-            if (q.remotePositions == 0 || r.hoistLevel != int(in) ||
-                r.isWrite || !opts_.blockTransfers)
+            if (q.remotePositions == 0 || !r.byBlocks ||
+                r.hoistLevel != int(in))
                 continue;
             // An innermost-level hoist ends on the key of the last remote
             // element: evaluate that position directly.
@@ -1139,72 +1089,18 @@ Simulator::solveMiddleRun(const Compiled &c, Int p, MiddleRun &run) const
     }
 }
 
-bool
-Simulator::closedFormMiddle(const ir::Bindings &binds, Int p) const
-{
-    if (binds.paramValues.size() != prog_.params.size())
-        throw UserError("wrong number of parameter values");
-    Compiled c = compile(binds, false);
-    OuterSlice slice = outerSlice(c, p);
-    if (slice.count() == 0 || !c.closedMiddle)
-        return false;
-    MiddleRun run;
-    IntVec u(c.depth, 0), y;
-    if (c.depth == 2) {
-        run.first = slice.start;
-        run.step = slice.step;
-        run.trip = uint64_t(slice.count());
-        run.clamp = slice.clamp1;
-        run.clampLo = slice.clamp1Lo;
-        run.clampHi = slice.clamp1Hi;
-    } else {
-        // The first middle run of the slice: every level above it at
-        // its first point, as the walk reaches it.
-        for (size_t k = 0;; ++k) {
-            Int lo = k == 0 ? slice.start : c.bounds.lower(k, u);
-            Int hi = k == 0 ? slice.hi : c.bounds.upper(k, u);
-            if (k == 1 && slice.clamp1) {
-                lo = std::max(lo, slice.clamp1Lo);
-                hi = std::min(hi, slice.clamp1Hi);
-            }
-            Int start = k == 0 ? lo : nest_.startAt(k, lo, y);
-            if (start > hi)
-                return false;
-            if (k == c.depth - 2) {
-                run.mid = k;
-                run.first = start;
-                run.step = c.strides[k];
-                run.trip = uint64_t((Int128(hi) - start) / c.strides[k] + 1);
-                break;
-            }
-            u[k] = start;
-            y.push_back(nest_.lattice().solveY(k, start, y));
-        }
-    }
-    if (!worthSolving(c, run.trip))
-        return false;
-    y.push_back(0); // the middle level's entry: H(inner, middle) == 0
-    run.anchor = nest_.lattice().anchor(c.depth - 1, y);
-    std::vector<Int128> num;
-    for (const ir::CompiledAffine &f : c.forms)
-        num.push_back(f.numerator(u));
-    run.u = &u;
-    run.num = &num;
-    return planMiddleRun(c, p, run);
-}
-
-uint64_t
-Simulator::walkedPositions(const ir::Bindings &binds, Int p) const
+Simulator::SliceTally
+Simulator::sliceTally(const ir::Bindings &binds, Int p) const
 {
     if (binds.paramValues.size() != prog_.params.size())
         throw UserError("wrong number of parameter values");
     Compiled c = compile(binds, false);
     OuterSlice slice = outerSlice(c, p);
     ProcStats stats;
-    uint64_t walked = 0;
+    SliceTally tally;
     runSlice(c, p, slice, 0, slice.count(), 1, stats, nullptr, binds,
-             nullptr, "outer", &walked);
-    return walked;
+             nullptr, "outer", &tally);
+    return tally;
 }
 
 bool
@@ -1217,7 +1113,7 @@ Simulator::stretchBounds(const Compiled &c, const OuterSlice &slice,
     const Int128 step = Int128(slice.step) * idxStep;
     for (const auto &[num, mod] : c.outerMoves) {
         Int128 moved;
-        if (__builtin_mul_overflow(num, step, &moved) || moved % mod != 0)
+        if (mulOverflow128(num, step, &moved) || moved % mod != 0)
             return false;
     }
     // A stretch starts at each position at or past a cut.
@@ -1225,9 +1121,9 @@ Simulator::stretchBounds(const Compiled &c, const OuterSlice &slice,
     bounds.assign(1, 0);
     for (const auto &[num, den] : c.cuts) {
         Int128 x0d, at, per;
-        if (__builtin_mul_overflow(x0, den, &x0d) ||
+        if (mulOverflow128(x0, den, &x0d) ||
             __builtin_sub_overflow(num, x0d, &at) ||
-            __builtin_mul_overflow(den, step, &per))
+            mulOverflow128(den, step, &per))
             return false;
         const Int128 j = ceilDiv128(at, per);
         if (j > Int128(bounds.back()) && j < Int128(positions))
@@ -1242,7 +1138,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                     Int fromIdx, Int toIdx, Int idxStep, ProcStats &stats,
                     ir::ArrayStorage *storage, const ir::Bindings &binds,
                     std::vector<obs::TraceEvent> *events,
-                    const char *spanName, uint64_t *walked) const
+                    const char *spanName, SliceTally *tally) const
 {
     if (slice.empty || fromIdx >= toIdx || idxStep <= 0)
         return;
@@ -1360,38 +1256,31 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     auto sub_now = [&](const DistSub &d) {
         return c.forms[d.form].valueOf(num[d.form]);
     };
-    auto owner_now = [&](const RefEval &r) -> Int {
+    // The owner of r's element at the walk's point (-1: replicated),
+    // from the numerators or, `fresh`, evaluated from u (the naive
+    // walk's way).
+    auto owner_of = [&](const RefEval &r, bool fresh) -> Int {
         if (r.distSubs.empty())
             return -1;
-        Int c0 = sub_now(r.distSubs[0]);
-        Int c1 = r.distSubs.size() > 1 ? sub_now(r.distSubs[1]) : 0;
+        auto sub = [&](const DistSub &d) {
+            return fresh ? c.forms[d.form].eval(u) : sub_now(d);
+        };
+        Int c0 = sub(r.distSubs[0]);
+        Int c1 = r.distSubs.size() > 1 ? sub(r.distSubs[1]) : 0;
         return c.dists[r.arrayId].ownerOfDistCoords(c0, c1);
     };
-    auto owner_at = [&](const RefEval &r) -> Int {
-        if (r.distSubs.empty())
-            return -1;
-        Int c0 = c.forms[r.distSubs[0].form].eval(u);
-        Int c1 = r.distSubs.size() > 1
-                     ? c.forms[r.distSubs[1].form].eval(u)
-                     : 0;
-        return c.dists[r.arrayId].ownerOfDistCoords(c0, c1);
-    };
-    auto lower_now = [&](size_t k) {
-        const std::vector<size_t> &fs = c.lowerForms[k];
+    // Level k's lower bound (the max of its forms) or upper bound (the
+    // min) at the point the numerators describe.
+    auto bound_now = [&](size_t k, bool lower) {
+        const std::vector<size_t> &fs =
+            lower ? c.lowerForms[k] : c.upperForms[k];
         if (fs.empty())
-            throw InternalError("loop without lower bounds");
-        Int best = c.forms[fs[0]].ceilOf(num[fs[0]]);
-        for (size_t i = 1; i < fs.size(); ++i)
-            best = std::max(best, c.forms[fs[i]].ceilOf(num[fs[i]]));
-        return best;
-    };
-    auto upper_now = [&](size_t k) {
-        const std::vector<size_t> &fs = c.upperForms[k];
-        if (fs.empty())
-            throw InternalError("loop without upper bounds");
-        Int best = c.forms[fs[0]].floorOf(num[fs[0]]);
-        for (size_t i = 1; i < fs.size(); ++i)
-            best = std::min(best, c.forms[fs[i]].floorOf(num[fs[i]]));
+            throw InternalError(lower ? "loop without lower bounds"
+                                      : "loop without upper bounds");
+        Int best = lower ? INT64_MIN : INT64_MAX;
+        for (size_t f : fs)
+            best = lower ? std::max(best, c.forms[f].ceilOf(num[f]))
+                         : std::min(best, c.forms[f].floorOf(num[f]));
         return best;
     };
     // Trip count of start, start + s, ... <= hi (start <= hi), taken in
@@ -1476,6 +1365,15 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         addCount(stats.remoteByArray[r.arrayId], count);
     };
 
+    // The hoist key reference r's elements arrive under: 0 unhoisted, 1
+    // hoisted above the nest, else the tick count of its hoist level
+    // (the innermost walk passes its own tick for that level).
+    auto hoist_key = [&](const RefEval &r) -> uint64_t {
+        return r.hoistLevel == kNoHoist ? 0
+               : r.hoistLevel < 0       ? 1
+                                        : ticks[size_t(r.hoistLevel)];
+    };
+
     // Charge `count` consecutive innermost accesses of one reference
     // whose owner is the same at every one of them. `key` is the hoist
     // key in effect (callers pass the value the naive walk would see).
@@ -1484,8 +1382,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         if (own < 0 || own == p) {
             addCount(acc.localAccesses, count);
             ref_local(r.globalIdx, count);
-        } else if (!r.isWrite && opts_.blockTransfers &&
-                   r.hoistLevel != kNoHoist) {
+        } else if (r.byBlocks) {
             charge_hoisted(r, own, key, count);
         } else {
             charge_remote_elems(r, own, count);
@@ -1523,14 +1420,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         addCount(acc.iterations, 1);
         for (const StmtEval &s : c.stmts) {
             addCount(acc.flops, s.flops);
-            for (const RefEval &r : s.refs) {
-                uint64_t key =
-                    r.hoistLevel == kNoHoist
-                        ? 0
-                        : (r.hoistLevel < 0 ? 1
-                                            : ticks[size_t(r.hoistLevel)]);
-                charge_uniform(r, owner_at(r), 1, key);
-            }
+            for (const RefEval &r : s.refs)
+                charge_uniform(r, owner_of(r, true), 1, hoist_key(r));
         }
         if (body)
             body->exec(u, *storage, nullptr);
@@ -1552,9 +1443,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                     // The hoist key: constant when hoisted above the
                     // innermost level, fresh every iteration when the
                     // hoist boundary is the innermost loop itself.
-                    if (r.hoistLevel == int(n) - 1 && !r.isWrite &&
-                        opts_.blockTransfers) {
-                        Int own = owner_now(r);
+                    if (r.byBlocks && r.hoistLevel == int(n) - 1) {
+                        Int own = owner_of(r, false);
                         if (own < 0 || own == p) {
                             addCount(acc.localAccesses, count);
                             ref_local(r.globalIdx, count);
@@ -1563,13 +1453,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                             lastKey[r.globalIdx] = ticks[n - 1] + count;
                         }
                     } else {
-                        uint64_t key =
-                            r.hoistLevel == kNoHoist
-                                ? 0
-                                : (r.hoistLevel < 0
-                                       ? 1
-                                       : ticks[size_t(r.hoistLevel)]);
-                        charge_uniform(r, owner_now(r), count, key);
+                        charge_uniform(r, owner_of(r, false), count,
+                                       hoist_key(r));
                     }
                     break;
                   }
@@ -1584,11 +1469,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                     ref_local(r.globalIdx, local.hits);
                     if (remote == 0)
                         break;
-                    const bool hoisted = !r.isWrite &&
-                                         opts_.blockTransfers &&
-                                         r.hoistLevel != kNoHoist;
-                    const bool bulk =
-                        hoisted && r.hoistLevel == int(n) - 1;
+                    const bool bulk = r.byBlocks && r.hoistLevel == int(n) - 1;
                     // Per-owner attribution for the communication
                     // matrix: walk the owner residue cycle once
                     // (O(min(count, procs/gcd)), bounded by what the
@@ -1605,15 +1486,11 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                         uint64_t distinct =
                             std::min<uint64_t>(count, period);
                         Int q = euclidMod(a, procs);
-                        if (hoisted && !bulk) {
+                        if (r.byBlocks && !bulk) {
                             // One hoist key covers the whole run: the
                             // naive walk charges the (at most one) new
                             // transfer at the first remote iteration.
-                            uint64_t key =
-                                r.hoistLevel < 0
-                                    ? 1
-                                    : ticks[size_t(r.hoistLevel)];
-                            if (lastKey[r.globalIdx] != key) {
+                            if (lastKey[r.globalIdx] != hoist_key(r)) {
                                 Int first_owner =
                                     q != p ? q
                                            : euclidMod(q + d, procs);
@@ -1626,7 +1503,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                                     r.stepper.count(a, count, q).hits;
                                 if (bulk)
                                     comm_add(q, 0, hits, hits);
-                                else if (hoisted)
+                                else if (r.byBlocks)
                                     comm_add(q, 0, 0, hits);
                                 else
                                     comm_add(q, hits, 0, 0);
@@ -1636,7 +1513,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                                 q -= procs;
                         }
                     }
-                    if (hoisted) {
+                    if (r.byBlocks) {
                         if (bulk) {
                             // Every remote iteration ticks the hoist
                             // level, so each fetches a fresh block; the
@@ -1651,11 +1528,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                             lastKey[r.globalIdx] =
                                 ticks[n - 1] + j_last_remote + 1;
                         } else {
-                            uint64_t key =
-                                r.hoistLevel < 0
-                                    ? 1
-                                    : ticks[size_t(r.hoistLevel)];
-                            charge_hoisted(r, kCommByCaller, key,
+                            charge_hoisted(r, kCommByCaller, hoist_key(r),
                                            remote);
                         }
                     } else {
@@ -1697,16 +1570,12 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                             own = c.dists[r.arrayId].ownerOfDistCoords(
                                 c0, c1);
                         } else {
-                            own = owner_at(r);
+                            own = owner_of(r, true);
                         }
-                        uint64_t key =
-                            r.hoistLevel == kNoHoist
-                                ? 0
-                                : (r.hoistLevel < 0 ? 1
-                                   : r.hoistLevel == int(n) - 1
-                                       ? inner_tick
-                                       : ticks[size_t(r.hoistLevel)]);
-                        charge_uniform(r, own, 1, key);
+                        charge_uniform(r, own, 1,
+                                       r.hoistLevel == int(n) - 1
+                                           ? inner_tick
+                                           : hoist_key(r));
                         if (r.innerKind == InnerKind::Stepped)
                             for (size_t d = 0; d < r.distSubs.size(); ++d)
                                 coords[r.coordBase + d] +=
@@ -1745,6 +1614,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         mrun.num = &num;
         if (!planMiddleRun(c, p, mrun))
             return false;
+        if (tally)
+            ++tally->closedRuns;
         const uint64_t mid_ticks = ticks[k], inner_ticks = ticks[n - 1];
         addCount(acc.iterations, mrun.iterations);
         for (const StmtEval &se : c.stmts) {
@@ -1754,8 +1625,7 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                 addCount(acc.localAccesses, q.local);
                 if (q.remote == 0)
                     continue;
-                if (r.isWrite || !opts_.blockTransfers ||
-                    r.hoistLevel == kNoHoist) {
+                if (!r.byBlocks) {
                     charge_remote_elems(r, kCommByCaller, q.remote);
                     continue;
                 }
@@ -1769,15 +1639,10 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                     // One block per position with a remote element.
                     addCount(acc.blockTransfers, q.remotePositions);
                     last = mid_ticks + q.lastPos + 1;
-                } else {
+                } else if (last != hoist_key(r)) {
                     // A key above the run: at most one new block.
-                    uint64_t key = r.hoistLevel < 0
-                                       ? 1
-                                       : ticks[size_t(r.hoistLevel)];
-                    if (last != key) {
-                        addCount(acc.blockTransfers, 1);
-                        last = key;
-                    }
+                    addCount(acc.blockTransfers, 1);
+                    last = hoist_key(r);
                 }
             }
         }
@@ -1815,8 +1680,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     // The fast walk of levels 1 .. n - 1: incremental bounds, the
     // innermost level in closed form, the middle level too where it can.
     auto fast_walk = [&](auto &self, size_t k) -> void {
-        Int lo = lower_now(k);
-        Int hi = upper_now(k);
+        Int lo = bound_now(k, true);
+        Int hi = bound_now(k, false);
         if (k == 1 && clamp1) {
             lo = std::max(lo, clamp1_lo);
             hi = std::min(hi, clamp1_hi);
@@ -1857,8 +1722,8 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     // can (never when tracing).
     ProcStats snap;
     auto position = [&](uint64_t j) {
-        if (walked)
-            ++*walked;
+        if (tally)
+            ++tally->walked;
         Int idx = fromIdx + Int(j) * idxStep;
         Int v = checkedAdd(slice.start, checkedMul(idx, slice.step));
         double ts0 = 0.0;
@@ -1938,20 +1803,18 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         if (closed && !plan_.outerParallel)
             addCount(acc.syncs, positions);
     }
-    // Charge the positions by stretches (stretchBounds), on each of
-    // which every counter's change per position is a polynomial of
-    // degree D = Compiled::stretchDegree in the position: walk the
-    // stretch's first D + 1 positions and add the polynomial their
-    // changes fix for the rest. The last position of the slice is
-    // walked, so that it raises what the per-position walk raises
-    // there: every value moves affinely with the outer variable, so the
-    // positions between lie between the two ends.
+    // Charge the positions by stretches (stretchBounds; see
+    // numa/stretch.h). The last position of the slice is walked, so
+    // that it raises what the per-position walk raises there: every
+    // value moves affinely with the outer variable, so the positions
+    // between lie between the two ends.
     std::vector<uint64_t> &bounds = ws.bounds;
     const bool stretched =
         !closed &&
         stretchBounds(c, slice, fromIdx, idxStep, positions, bounds);
-    if (!stretched)
-        bounds.assign({0, closed ? 0 : positions});
+    if (!closed && !stretched)
+        for (uint64_t j = 0; j < positions; ++j)
+            position(j);
     // The state crossing positions: the counters, every level's ticks
     // and remoteByArray (empty while all zero). A hoist key of a level
     // h >= 0 is dead across positions, since the next position's keys
@@ -1959,83 +1822,15 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
     // is consumed by the slice's first position with a remote element,
     // the first of all where nothing moves (planStretches): that
     // position is walked before the samples.
-    const size_t samples = c.stretchDegree + 1;
     const size_t width = std::size(kAccumFields) + n + n_arrays;
-    std::vector<uint64_t> &states = ws.states;
-    auto save = [&](size_t i) {
-        uint64_t *to = &states[i * width];
+    auto save = [&](uint64_t *to) {
         for (uint64_t ProcAccum::*f : kAccumFields)
             *to++ = acc.*f;
         to = std::copy(ticks.begin(), ticks.end(), to);
         for (size_t a = 0; a < n_arrays; ++a)
             *to++ = stats.remoteByArray.empty() ? 0 : stats.remoteByArray[a];
     };
-    for (size_t b = 1; b < bounds.size(); ++b) {
-        uint64_t first = bounds[b - 1];
-        const uint64_t end = bounds[b];
-        const uint64_t lead = b == 1 ? c.stretchLead : 0;
-        const uint64_t last = end == positions ? 1 : 0;
-        if (!stretched || end - first <= lead + samples + last) {
-            for (uint64_t j = first; j < end; ++j)
-                position(j);
-            continue;
-        }
-        for (uint64_t j = 0; j < lead; ++j)
-            position(first++);
-        states.resize((samples + 1) * width);
-        save(0);
-        for (size_t i = 1; i <= samples; ++i) {
-            position(first + i - 1);
-            save(i);
-        }
-        // The changes of the `rest` positions after the samples, as
-        // sums of binomials: sample s's change is sum_k C(s, k) D^k,
-        // with D^k the k-th forward difference at sample 0, and
-        // sum_{s = samples}^{samples + rest - 1} C(s, k) is
-        // C(samples + rest, k + 1) - C(samples, k + 1).
-        const uint64_t rest = end - first - samples - last;
-        auto choose = [](Int128 m, size_t k) -> std::optional<Int128> {
-            Int128 r = 1;
-            for (size_t i = 0; i < k; ++i) {
-                if (__builtin_mul_overflow(r, m - Int128(i), &r))
-                    return std::nullopt;
-                r /= Int128(i + 1);
-            }
-            return r;
-        };
-        std::optional<Int128> coeff[3];
-        for (size_t k = 0; k < samples; ++k) {
-            std::optional<Int128> hi = choose(samples + rest, k + 1);
-            if (hi)
-                coeff[k] = *hi - *choose(samples, k + 1);
-        }
-        auto overflow = [] {
-            anc::detail::throwLimit("simulator counter exceeds 2^64-1");
-        };
-        for (size_t f = 0; f < width; ++f) {
-            Int128 d[3];
-            for (size_t i = 0; i < samples; ++i)
-                d[i] = Int128(states[(i + 1) * width + f]) -
-                       states[i * width + f];
-            for (size_t k = 1; k < samples; ++k)
-                for (size_t i = samples - 1; i >= k; --i)
-                    d[i] -= d[i - 1];
-            Int128 total = states[samples * width + f], term;
-            for (size_t k = 0; k < samples; ++k) {
-                if (d[k] == 0)
-                    continue;
-                if (!coeff[k] ||
-                    __builtin_mul_overflow(d[k], *coeff[k], &term) ||
-                    __builtin_add_overflow(total, term, &total))
-                    overflow();
-            }
-            if (total > Int128(UINT64_MAX))
-                overflow();
-            if (total < 0)
-                throw InternalError("stretch charge below zero");
-            states[f] = uint64_t(total);
-        }
-        const uint64_t *v = states.data();
+    auto load = [&](const uint64_t *v) {
         for (uint64_t ProcAccum::*f : kAccumFields)
             acc.*f = *v++;
         for (size_t k = 0; k < n; ++k)
@@ -2044,9 +1839,11 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
             stats.remoteByArray.clear();
         else
             stats.remoteByArray.assign(v, v + n_arrays);
-        if (last)
-            position(end - 1);
-    }
+    };
+    for (size_t b = 1; stretched && b < bounds.size(); ++b)
+        chargeStretch({bounds[b - 1], bounds[b], c.stretchDegree,
+                       b == 1 ? c.stretchLead : 0, bounds[b] == positions},
+                      width, ws.states, position, save, load);
     acc.flushInto(stats);
     // Fold the slice's comm cells into the processor's sparse row
     // (owner-sorted, duplicates from earlier slices -- e.g. the
@@ -2073,17 +1870,6 @@ Simulator::runSlice(const Compiled &c, Int p, const OuterSlice &slice,
         }
         stats.comm.resize(w);
     }
-}
-
-void
-Simulator::runProcessor(const Compiled &c, Int p, ProcStats &stats,
-                        ir::ArrayStorage *storage, const ir::Bindings &binds,
-                        std::vector<obs::TraceEvent> *events) const
-{
-    stats.proc = p;
-    OuterSlice slice = outerSlice(c, p);
-    runSlice(c, p, slice, 0, slice.count(), 1, stats, storage, binds,
-             events);
 }
 
 Simulator::Compiled
@@ -2195,6 +1981,7 @@ Simulator::compile(const ir::Bindings &binds, bool values) const
             for (const BlockHoist &h : plan_.hoists)
                 if (h.stmt == si && h.readIdx == read_idx)
                     re.hoistLevel = h.level;
+            re.byBlocks = opts_.blockTransfers && re.hoistLevel != kNoHoist;
             re.globalIdx = global++;
             se.refs.push_back(std::move(re));
             ++read_idx;
@@ -2254,30 +2041,34 @@ Simulator::compile(const ir::Bindings &binds, bool values) const
             c.alignInv = euclidMod(e.x, c.alignModG);
         }
     }
-    planClosedMiddle(c, values);
+    // Middle runs and stretches are charged from the counters alone, so
+    // neither applies where more crosses positions than the counters:
+    // value execution, message-fault streams, per-reference counters
+    // and communication-matrix cells.
+    const bool counters_only = opts_.fastInner && !values &&
+                               !opts_.faults.anyMessage() &&
+                               !opts_.perReference && !opts_.commMatrix;
+    planClosedMiddle(c, counters_only);
     if (c.closedMiddle)
         buildOwnerTables(c);
-    planStretches(c, values);
+    planStretches(c, counters_only);
     return c;
 }
 
 void
-Simulator::planStretches(Compiled &c, bool values) const
+Simulator::planStretches(Compiled &c, bool countersOnly) const
 {
     // A slice is charged by stretches on the fast walk of a nest at
     // least three deep (two deep, the slice is one closed-form middle
-    // run) when the counters are the whole state crossing positions, as
-    // for the closed-form middle runs, and each position carries no
-    // trace span of its own; when no lattice anchor below level 0 and no
-    // non-wrapped owner reads the outer variable; and when each position
-    // moves every form that does by a multiple of P (outerMoves, checked
-    // per slice by stretchBounds). Where only wrapped owners read it,
-    // every position runs the same sub-walk: the counters are degree 0
-    // in the position. Where bounds of levels >= 1 read it too, see
-    // planCuts.
-    if (!opts_.fastInner || values || c.depth < 3 || opts_.trace ||
-        opts_.faults.anyMessage() || opts_.perReference ||
-        opts_.commMatrix || c.outerEmpty)
+    // run) when the counters are the whole state crossing positions
+    // (countersOnly) and each position carries no trace span of its
+    // own; when no lattice anchor below level 0 and no non-wrapped
+    // owner reads the outer variable; and when each position moves
+    // every form that does by a multiple of P (outerMoves, checked per
+    // slice by stretchBounds). Where only wrapped owners read it, every
+    // position runs the same sub-walk: the counters are degree 0 in the
+    // position. Where bounds of levels >= 1 read it too, see planCuts.
+    if (!countersOnly || c.depth < 3 || opts_.trace || c.outerEmpty)
         return;
     bool moving = false;
     for (size_t k = 1; k < c.depth; ++k) {
@@ -2306,8 +2097,7 @@ Simulator::planStretches(Compiled &c, bool values) const
                     if (wrapped ? f.num[k] % f.den != 0 : f.num[k] != 0)
                         return;
             }
-            if (r.hoistLevel == -1 && !r.isWrite && opts_.blockTransfers &&
-                !r.distSubs.empty()) {
+            if (r.byBlocks && r.hoistLevel == -1 && !r.distSubs.empty()) {
                 if (moving)
                     return; // the first transfer may land mid-stretch
                 c.stretchLead = 1;
@@ -2543,19 +2333,16 @@ Simulator::planCuts(Compiled &c) const
 }
 
 void
-Simulator::planClosedMiddle(Compiled &c, bool values) const
+Simulator::planClosedMiddle(Compiled &c, bool countersOnly) const
 {
     // Middle runs are charged in closed form on the fast walk when the
-    // counters are the whole state crossing positions (no fault
-    // streams, per-reference or per-owner cells; a two-deep nest's
-    // positions each carry their own trace span), the inner lattice
-    // anchor stays put along the middle loop, and every owner is a
-    // closed form of the position: replicated, wrapped, or a
+    // counters are the whole state crossing positions (countersOnly; a
+    // two-deep nest's positions each carry their own trace span), the
+    // inner lattice anchor stays put along the middle loop, and every
+    // owner is a closed form of the position: replicated, wrapped, or a
     // non-wrapped one that ignores the middle variable and, when it
     // moves along the inner run, sees the same inner run everywhere.
-    if (!opts_.fastInner || values || c.depth < 2 ||
-        opts_.faults.anyMessage() || opts_.perReference ||
-        opts_.commMatrix || (c.depth == 2 && opts_.trace))
+    if (!countersOnly || c.depth < 2 || (c.depth == 2 && opts_.trace))
         return;
     const size_t mid = c.depth - 2, in = c.depth - 1;
     if (nest_.lattice().hnf()(in, mid) != 0)
@@ -2656,30 +2443,36 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
         return tracing ? &buffers[i] : nullptr;
     };
 
+    // An instant event on simulated processor i's track, stamped with
+    // its simulated clock now.
+    auto mark = [&](size_t i, const char *name) -> obs::TraceEvent & {
+        ProcStats at = out.perProc[i];
+        finalizeProcTime(at, c.rates);
+        obs::TraceEvent e;
+        e.name = name;
+        e.ph = 'i';
+        e.tid = procs[i];
+        e.ts = at.time;
+        buffers[i].push_back(std::move(e));
+        return buffers[i].back();
+    };
+
     // Phase 1: every simulated processor walks its own slice (the victim
     // only up to its point of death).
     auto phase1 = [&](size_t i, ir::ArrayStorage *st) {
-        Int p = procs[i];
+        const Int p = procs[i];
         ProcStats &ps = out.perProc[i];
-        if (kill && p == f.killProc) {
-            ps.proc = p;
-            ps.killed = 1;
-            runSlice(c, p, victim_slice, 0, victim_done, 1, ps, st, binds,
-                     buf(i));
-            if (tracing) {
-                ProcStats at = ps;
-                finalizeProcTime(at, c.rates);
-                obs::TraceEvent e;
-                e.name = "killed";
-                e.ph = 'i';
-                e.tid = p;
-                e.ts = at.time;
-                e.arg("afterSlices", obs::jsonNum(uint64_t(victim_done)));
-                buffers[i].push_back(std::move(e));
-            }
-        } else {
-            runProcessor(c, p, ps, st, binds, buf(i));
+        ps.proc = p;
+        if (!kill || p != f.killProc) {
+            const OuterSlice slice = outerSlice(c, p);
+            runSlice(c, p, slice, 0, slice.count(), 1, ps, st, binds, buf(i));
+            return;
         }
+        ps.killed = 1;
+        runSlice(c, p, victim_slice, 0, victim_done, 1, ps, st, binds, buf(i));
+        if (tracing)
+            mark(i, "killed").arg("afterSlices",
+                                  obs::jsonNum(uint64_t(victim_done)));
     };
 
     size_t threads = opts_.hostThreads > 0
@@ -2725,16 +2518,8 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
                     continue;
                 ProcStats &ps = out.perProc[i];
                 addCount(ps.restarts, 1);
-                if (tracing) {
-                    ProcStats at = ps;
-                    finalizeProcTime(at, c.rates);
-                    obs::TraceEvent e;
-                    e.name = "restart";
-                    e.ph = 'i';
-                    e.tid = f.killProc;
-                    e.ts = at.time;
-                    buffers[i].push_back(std::move(e));
-                }
+                if (tracing)
+                    mark(i, "restart");
                 runSlice(c, f.killProc, victim_slice, victim_done,
                          victim_total, 1, ps, storage, binds, buf(i),
                          "restart");

@@ -26,11 +26,11 @@
  * changes by a polynomial in the position (a constant where every
  * position runs the same sub-walk), so a stretch walks as many
  * positions as the polynomial has terms and sums the rest by forward
- * differences (all SimOptions::fastInner). Each processor's clock is
- * derived once from its integer event counters, so every execution
- * strategy yields bit-identical SimStats; a run whose counters or loop
- * trip counts would leave uint64_t throws LimitError (an
- * OverflowError).
+ * differences (numa/stretch.h; all SimOptions::fastInner). Each
+ * processor's clock is derived once from its integer event counters,
+ * so every execution strategy yields bit-identical SimStats; a run
+ * whose counters or loop trip counts would leave uint64_t throws
+ * LimitError (an OverflowError).
  *
  * The block-transfer model assumes each element of a fetched block is
  * used once per block epoch (true of the paper's workloads, where the
@@ -211,22 +211,25 @@ class Simulator
     SimStats run(const ir::Bindings &binds,
                  ir::ArrayStorage *storage = nullptr) const;
 
-    /**
-     * Whether a value-free run under these bindings charges the first
-     * middle run of processor p's own slice (for a two-deep nest, the
-     * slice itself) in closed form rather than walking its positions.
-     * For tests and diagnostics.
-     */
-    bool closedFormMiddle(const ir::Bindings &binds, Int p = 0) const;
+    /** What a run did on one slice (see sliceTally). */
+    struct SliceTally
+    {
+        /** Positions walked: every one, unless the slice is charged by
+         * stretches (see SimOptions::fastInner) or, two deep, as one
+         * middle run (none). */
+        uint64_t walked = 0;
+        /** Middle runs charged in closed form rather than walked (a
+         * two-deep nest's slice is one middle run). */
+        uint64_t closedRuns = 0;
+    };
 
     /**
-     * How many positions of processor p's own slice a value-free run
-     * under these bindings walks: every one, unless it charges the
-     * slice by stretches (see SimOptions::fastInner) or, two deep, as
-     * one middle run (none). Runs the slice to find out. For tests and
+     * What a value-free run under these bindings does on processor p's
+     * own slice: the positions it walks and the middle runs it charges
+     * in closed form. Runs the slice to find out. For tests and
      * diagnostics.
      */
-    uint64_t walkedPositions(const ir::Bindings &binds, Int p = 0) const;
+    SliceTally sliceTally(const ir::Bindings &binds, Int p = 0) const;
 
   private:
     const ir::Program &prog_;
@@ -241,8 +244,9 @@ class Simulator
     Compiled compile(const ir::Bindings &binds, bool values) const;
 
     /** Decide whether the run may charge middle runs in closed form
-     * (Compiled::closedMiddle). */
-    void planClosedMiddle(Compiled &c, bool values) const;
+     * (Compiled::closedMiddle). `countersOnly` when the counters are the
+     * whole state crossing positions (compile decides it). */
+    void planClosedMiddle(Compiled &c, bool countersOnly) const;
 
     /** Build the wrapped references' owner progressions for the closed
      * middle runs (Compiled::ownerTables), once per run. */
@@ -250,7 +254,7 @@ class Simulator
 
     /** Decide whether slices may be charged by stretches, up to the
      * per-slice step check (Compiled::stretches, outerMoves). */
-    void planStretches(Compiled &c, bool values) const;
+    void planStretches(Compiled &c, bool countersOnly) const;
 
     /** Where bounds below level 0 read the outer variable: the outer
      * values at which stretches are cut (Compiled::cuts) and the moves
@@ -322,23 +326,20 @@ class Simulator
 
     /**
      * Walk outer-slice positions fromIdx, fromIdx + idxStep, ... up to
-     * (excluding) toIdx, charging stats as processor `p`. Used both
-     * for a processor's own slice (step 1) and for the round-robin
-     * share of slices adopted from a dead one. When `events` is set,
-     * one trace span named `spanName` is recorded per position,
-     * stamped from the simulated clock. `walked`, when set, counts the
-     * positions walked (see walkedPositions).
+     * (excluding) toIdx of `slice`, charging `stats` as processor `p`.
+     * Used both for a processor's own slice (step 1) and for the
+     * round-robin share of slices adopted from a dead one. `storage`
+     * receives statement values when the run executes them (else null),
+     * under `binds`. When `events` is set, one trace span named
+     * `spanName` is recorded per position, stamped from the simulated
+     * clock. `tally`, when set, counts what the walk did (sliceTally).
      */
     void runSlice(const Compiled &c, Int p, const OuterSlice &slice,
                   Int fromIdx, Int toIdx, Int idxStep, ProcStats &stats,
                   ir::ArrayStorage *storage, const ir::Bindings &binds,
                   std::vector<obs::TraceEvent> *events = nullptr,
                   const char *spanName = "outer",
-                  uint64_t *walked = nullptr) const;
-
-    void runProcessor(const Compiled &c, Int p, ProcStats &stats,
-                      ir::ArrayStorage *storage, const ir::Bindings &binds,
-                      std::vector<obs::TraceEvent> *events = nullptr) const;
+                  SliceTally *tally = nullptr) const;
 };
 
 /**

@@ -12,6 +12,7 @@
 #define ANC_RATMATH_INT_UTIL_H
 
 #include <cstdint>
+#include <numeric>
 
 #include "ratmath/error.h"
 #include "ratmath/fault.h"
@@ -76,6 +77,86 @@ narrow128(Int128 v)
     if (v > Int128(INT64_MAX) || v < Int128(INT64_MIN)) [[unlikely]]
         detail::throwOverflow("128-bit value does not fit in 64 bits");
     return Int(v);
+}
+
+// The 128-bit helpers below serve the exact geometry inside a
+// simulation (CompiledAffine, congruence counting, the simulator's run
+// planning) and exact rationals. They take no fault checkpoint: one
+// here would move every fault index inside a simulation. Their values
+// nearly always fit 64 bits, where a division is one instruction
+// instead of a library call.
+
+/** Whether v fits in 64 bits. */
+inline bool
+fitsInt(Int128 v)
+{
+    return v >= Int128(INT64_MIN) && v <= Int128(INT64_MAX);
+}
+
+/** Non-negative greatest common divisor in 128 bits; gcd128(0, 0) == 0. */
+inline Int128
+gcd128(Int128 a, Int128 b)
+{
+    a = a < 0 ? -a : a;
+    b = b < 0 ? -b : b;
+    if (a <= Int128(INT64_MAX) && b <= Int128(INT64_MAX))
+        return std::gcd(Int(a), Int(b));
+    while (b != 0) {
+        Int128 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/** floor(a / b) for b > 0. */
+inline Int128
+floorDiv128(Int128 a, Int128 b)
+{
+    if (b == 1)
+        return a;
+    if (fitsInt(a) && fitsInt(b)) {
+        Int q = Int(a) / Int(b);
+        return Int(a) % Int(b) != 0 && a < 0 ? q - 1 : q;
+    }
+    Int128 q = a / b;
+    return a % b != 0 && a < 0 ? q - 1 : q;
+}
+
+/** ceil(a / b) for b > 0. */
+inline Int128
+ceilDiv128(Int128 a, Int128 b)
+{
+    if (b == 1)
+        return a;
+    if (fitsInt(a) && fitsInt(b)) {
+        Int q = Int(a) / Int(b);
+        return Int(a) % Int(b) != 0 && a > 0 ? q + 1 : q;
+    }
+    Int128 q = a / b;
+    return a % b != 0 && a > 0 ? q + 1 : q;
+}
+
+/** a mod m in [0, m), for m > 0. */
+inline Int
+mod128(Int128 a, Int m)
+{
+    Int r = fitsInt(a) ? Int(a) % m : Int(a % m);
+    return r < 0 ? r + m : r;
+}
+
+/** r = a * b; true when the product leaves 128 bits, as
+ * __builtin_mul_overflow. A product of two 64-bit values always fits
+ * and skips the checked multiply (a library call). Callers pick their
+ * own failure. */
+inline bool
+mulOverflow128(Int128 a, Int128 b, Int128 *r)
+{
+    if (fitsInt(a) && fitsInt(b)) {
+        *r = a * b;
+        return false;
+    }
+    return __builtin_mul_overflow(a, b, r);
 }
 
 /** Non-negative greatest common divisor; gcd(0, 0) == 0. */

@@ -4,25 +4,6 @@
 
 namespace anc {
 
-namespace {
-
-Int128
-gcd128(Int128 a, Int128 b)
-{
-    if (a < 0)
-        a = -a;
-    if (b < 0)
-        b = -b;
-    while (b != 0) {
-        Int128 t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-} // namespace
-
 Rational::Rational(Int n, Int d)
 {
     if (d == 0)

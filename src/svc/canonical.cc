@@ -232,7 +232,6 @@ planKey(const CanonicalForm &canonical, const numa::MachineParams &machine,
     h.update(uint64_t(opts.identityTransform) << 0 |
              uint64_t(opts.validate) << 1 |
              uint64_t(opts.normalize.enforceLegality) << 2 |
-             uint64_t(opts.normalize.includeInputDeps) << 3 |
              uint64_t(opts.normalize.useDistributionHint) << 4 |
              uint64_t(opts.search.enabled) << 6);
     // Search knobs select the plan, so they select the cache entry.

@@ -127,8 +127,7 @@ accessNormalize(const ir::Program &prog, const NormalizeOptions &opts)
     prog.validate();
     AccessMatrixInfo access =
         buildAccessMatrix(prog, opts.useDistributionHint);
-    deps::DependenceInfo dinfo =
-        deps::analyzeDependences(prog, opts.includeInputDeps);
+    deps::DependenceInfo dinfo = deps::analyzeDependences(prog);
     return normalize(prog, access, dinfo, opts, /*unimodular=*/false);
 }
 

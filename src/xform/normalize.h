@@ -32,8 +32,6 @@ struct NormalizeOptions
      * this reproduces the Section 4/5 construction without Section 6,
      * for study only. */
     bool enforceLegality = true;
-    /** Also report input (read-read) dependences in the result. */
-    bool includeInputDeps = false;
     /** Use the paper's Section 2.2 ordering heuristic (distribution
      * dimensions first). Disable only to ablate the heuristic. */
     bool useDistributionHint = true;

@@ -186,24 +186,6 @@ TEST(ParamSubscripts, EqualParamPartsCancel)
     EXPECT_FALSE(info.imprecise);
 }
 
-TEST(InputDeps, OnlyWhenRequested)
-{
-    Program p = ir::gallery::gemm();
-    DependenceInfo without = analyzeDependences(p, false);
-    DependenceInfo with = analyzeDependences(p, true);
-    auto count_input = [](const DependenceInfo &i) {
-        size_t n = 0;
-        for (const Dependence &d : i.deps)
-            if (d.kind == DepKind::Input)
-                ++n;
-        return n;
-    };
-    EXPECT_EQ(count_input(without), 0u);
-    EXPECT_GT(count_input(with), 0u);
-    // Input deps never enter the legality matrix.
-    EXPECT_EQ(without.matrix(3), with.matrix(3));
-}
-
 TEST(LoopIndependent, CrossStatementZeroDistance)
 {
     // S1: A[i] = 1; S2: B[i] = A[i]. Flow dependence, zero distance.

@@ -516,25 +516,17 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         } catch (const Error &) {
             // Coefficients past 64 bits: neither side decides.
         }
-        // Validation with the compile's dependence facts, and with the
-        // facts of an analysis that also reports input dependences,
-        // decides as with a fresh analysis of the source.
-        auto factsAgree = [&](const IntMatrix &matrix,
-                              const std::vector<deps::DependenceFamily> &fams,
-                              bool imprecise, const char *what) {
-            EXPECT_EQ(oracle::dependenceDifferential(c.program, c.nest(),
-                                                     matrix, fams, imprecise)
-                          .mismatch,
-                      "")
-                << tag << " " << what;
-        };
+        // Validation with the compile's dependence facts decides as with
+        // a fresh analysis of the source.
         try {
             const xform::NormalizeResult &n = c.normalization;
-            factsAgree(n.depMatrix, n.depFamilies, n.depsImprecise,
-                       "compile facts");
-            deps::DependenceInfo d = deps::analyzeDependences(c.program, true);
-            factsAgree(d.matrix(c.program.nest.depth()), d.families,
-                       d.imprecise, "input deps");
+            EXPECT_EQ(oracle::dependenceDifferential(c.program, c.nest(),
+                                                     n.depMatrix,
+                                                     n.depFamilies,
+                                                     n.depsImprecise)
+                          .mismatch,
+                      "")
+                << tag << " compile facts";
         } catch (const Error &) {
             // Coefficients past 64 bits: neither side decides.
         }

@@ -92,12 +92,15 @@ expectFoldMatches(const core::Compilation &c, SimOptions opts,
     return expectMatch(c.program, c.nest(), c.plan, opts, binds, what);
 }
 
+/** Whether processor p's own slice charges at least one middle run in
+ * closed form. */
 bool
 closedOf(const core::Compilation &c, const SimOptions &opts,
          const ir::Bindings &binds, Int p = 0)
 {
     return Simulator(c.program, c.nest(), c.plan, opts)
-        .closedFormMiddle(binds, p);
+               .sliceTally(binds, p)
+               .closedRuns > 0;
 }
 
 /** The configurations of GalleryGridMatchesNaiveWalk on which the
@@ -452,9 +455,9 @@ TEST(FoldOracle, SearchCandidateNestsMatchNaiveWalk)
                                        " N=" + std::to_string(n) +
                                        " P=" + std::to_string(p);
                     expectMatch(k.prog, *nest, plan, opts, binds, what);
-                    closed +=
-                        Simulator(k.prog, *nest, plan, opts)
-                            .closedFormMiddle(binds);
+                    closed += Simulator(k.prog, *nest, plan, opts)
+                                  .sliceTally(binds)
+                                  .closedRuns > 0;
                 }
             }
         }
@@ -607,9 +610,11 @@ TEST(FoldOracle, HoistsAtEveryLevelMatchNaiveWalk)
                         expectMatch(c.program, c.nest(), plan, opts, binds,
                                     what);
                         if (n == 24 && (depth == 3 || p <= 2)) {
-                            EXPECT_TRUE(
+                            EXPECT_GT(
                                 Simulator(c.program, c.nest(), plan, opts)
-                                    .closedFormMiddle(binds))
+                                    .sliceTally(binds)
+                                    .closedRuns,
+                                0u)
                                 << what;
                         }
                     }
@@ -721,11 +726,11 @@ walkedOf(const ir::Program &prog, const xform::TransformedNest &nest,
          Int p)
 {
     uint64_t walked =
-        Simulator(prog, nest, plan, opts).walkedPositions(binds, p);
+        Simulator(prog, nest, plan, opts).sliceTally(binds, p).walked;
     obs::Trace trace;
     opts.trace = &trace;
     return {walked,
-            Simulator(prog, nest, plan, opts).walkedPositions(binds, p)};
+            Simulator(prog, nest, plan, opts).sliceTally(binds, p).walked};
 }
 
 /** How many processors' own slices are charged by stretches: walk
@@ -1017,7 +1022,8 @@ TEST(Stretches, PaperSyr2kWalksAsManyPositionsAtEveryN)
                                  {{400, 100}, {1.0, 1.0}}, q);
                     uint64_t large =
                         Simulator(c.program, c.nest(), c.plan, opts)
-                            .walkedPositions({{4000, 100}, {1.0, 1.0}}, q);
+                            .sliceTally({{4000, 100}, {1.0, 1.0}}, q)
+                            .walked;
                     const std::string what =
                         std::string(identity ? "plain" : "normalized") +
                         " P=" + std::to_string(p) + (blocks ? " B" : " T") +
@@ -1166,7 +1172,8 @@ TEST(WholeSlice, TotalsThatLeaveUint64Throw)
     const Int k = Int(1) << 57;
     const ir::Bindings fits{{16, k}, {}};
     ASSERT_EQ(Simulator(c.program, c.nest(), c.plan, opts)
-                  .walkedPositions(fits),
+                  .sliceTally(fits)
+                  .walked,
               2u); // the first and the last
     SimStats s = core::simulate(c, opts, fits);
     EXPECT_EQ(s.perProc[0].iterations, (uint64_t(1) << 62) + 16);

@@ -31,6 +31,16 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
+// The nothrow form too (std::stable_sort's buffer takes it), so that
+// every new pairs with the free below, also where a sanitizer supplies
+// its own allocator.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
+}
+
 void
 operator delete(void *p) noexcept
 {

@@ -4,11 +4,10 @@
  * validation with a fresh dependence analysis (dependence_oracle.h).
  *
  * Inputs: every fixed input of tests/svc/golden_inputs.h (gallery,
- * samples, examples, corpus seeds), compiled with input dependences
- * off and on, validated on the served nest and on every search
- * candidate's nest whose bounds solve. The time-boxed fuzz smoke
- * (tests/integration/fuzz_pipeline_test.cc) runs the same comparison on
- * its random nests. A tampered T that keeps every dependence column
+ * samples, examples, corpus seeds), validated on the served nest and
+ * on every search candidate's nest whose bounds solve. The time-boxed
+ * fuzz smoke (tests/integration/fuzz_pipeline_test.cc) runs the same
+ * comparison on its random nests. A tampered T that keeps every dependence column
  * positive but reverses a member of an imprecise family must FAIL on
  * both sides.
  */
@@ -35,8 +34,7 @@ struct Tally
 void
 expectAgree(const std::string &name, const ir::Program &prog,
             const xform::TransformedNest &nest,
-            const xform::NormalizeResult &norm, bool input_deps,
-            Tally &tally)
+            const xform::NormalizeResult &norm, Tally &tally)
 {
     oracle::DependenceDifferential d;
     try {
@@ -47,11 +45,9 @@ expectAgree(const std::string &name, const ir::Program &prog,
         return; // coefficients past 64 bits: neither side decides
     }
     EXPECT_EQ(d.mismatch, "") << name;
-    // Without input dependences the two runs read the same families
-    // under the same flag, so they also spend the same steps.
-    if (!input_deps) {
-        EXPECT_EQ(d.passedSteps, d.freshSteps) << name;
-    }
+    // The two runs read the same families under the same flag, so they
+    // also spend the same steps.
+    EXPECT_EQ(d.passedSteps, d.freshSteps) << name;
     ++tally.compared;
     size_t n = nest.depth();
     tally.familyChecked += norm.depsImprecise &&
@@ -62,42 +58,37 @@ expectAgree(const std::string &name, const ir::Program &prog,
 TEST(DependenceFacts, FixedInputsAndSearchCandidatesAgreeWithAFreshAnalysis)
 {
     Tally tally;
-    for (bool input_deps : {false, true}) {
-        for (const Input &in : fixedInputs()) {
-            std::optional<ir::Program> prog = programOf(in);
-            if (!prog)
-                continue;
-            std::string name =
-                in.name + (input_deps ? " (input deps)" : "");
-            core::ResilientOptions o;
-            o.base.normalize.includeInputDeps = input_deps;
-            core::Compilation c;
+    for (const Input &in : fixedInputs()) {
+        std::optional<ir::Program> prog = programOf(in);
+        if (!prog)
+            continue;
+        core::ResilientOptions o;
+        core::Compilation c;
+        try {
+            c = core::compileResilient(*prog, o);
+        } catch (const Error &) {
+            continue;
+        }
+        expectAgree(in.name + " served", c.program, c.nest(),
+                    c.normalization, tally);
+        if (c.tier != core::CompileTier::Full)
+            continue;
+        std::vector<xform::SearchCandidate> cands;
+        try {
+            cands = xform::enumerateSearchCandidates(
+                c.program, c.normalization, o.base.search);
+        } catch (const Error &) {
+            continue;
+        }
+        for (const xform::SearchCandidate &cand : cands) {
+            std::optional<xform::TransformedNest> nest;
             try {
-                c = core::compileResilient(*prog, o);
+                nest = xform::applyTransform(c.program, cand.transform);
             } catch (const Error &) {
-                continue;
+                continue; // bounds do not solve
             }
-            expectAgree(name + " served", c.program, c.nest(),
-                        c.normalization, input_deps, tally);
-            if (c.tier != core::CompileTier::Full)
-                continue;
-            std::vector<xform::SearchCandidate> cands;
-            try {
-                cands = xform::enumerateSearchCandidates(
-                    c.program, c.normalization, o.base.search);
-            } catch (const Error &) {
-                continue;
-            }
-            for (const xform::SearchCandidate &cand : cands) {
-                std::optional<xform::TransformedNest> nest;
-                try {
-                    nest = xform::applyTransform(c.program, cand.transform);
-                } catch (const Error &) {
-                    continue; // bounds do not solve
-                }
-                expectAgree(name + " candidate " + cand.origin, c.program,
-                            *nest, c.normalization, input_deps, tally);
-            }
+            expectAgree(in.name + " candidate " + cand.origin, c.program,
+                        *nest, c.normalization, tally);
         }
     }
     // The family check ran on restructured nests, not only on the
@@ -143,29 +134,23 @@ TEST(DependenceFacts, TamperedTransformReversingAFamilyFailsOnBothSides)
     t(1, 0) = -1, t(1, 1) = 1, t(1, 2) = 1;
     t(2, 1) = 1, t(2, 2) = 1;
     xform::TransformedNest nest = xform::applyTransform(prog, t);
-    for (bool input_deps : {false, true}) {
-        core::CompileOptions o;
-        o.normalize.includeInputDeps = input_deps;
-        core::Compilation c = core::compile(prog, o);
-        const xform::NormalizeResult &norm = c.normalization;
-        ASSERT_TRUE(norm.depsImprecise);
-        ASSERT_TRUE(deps::isLegalTransformation(t, norm.depMatrix))
-            << "want a T that every dependence column allows";
+    core::Compilation c = core::compile(prog);
+    const xform::NormalizeResult &norm = c.normalization;
+    ASSERT_TRUE(norm.depsImprecise);
+    ASSERT_TRUE(deps::isLegalTransformation(t, norm.depMatrix))
+        << "want a T that every dependence column allows";
 
-        oracle::DependenceDifferential d = oracle::dependenceDifferential(
-            prog, nest, norm.depMatrix, norm.depFamilies,
-            norm.depsImprecise);
-        EXPECT_EQ(d.mismatch, "");
-        EXPECT_FALSE(d.passed.passed());
-        EXPECT_FALSE(d.fresh.passed());
-        EXPECT_EQ(d.passed.firstFailure().rfind("dependence-preservation: ",
-                                                0),
-                  0u)
-            << d.passed.firstFailure();
-        // The families decide it: the columns alone let T through.
-        EXPECT_TRUE(verify::validate(prog, nest, norm.depMatrix, {}, false)
-                        .passed());
-    }
+    oracle::DependenceDifferential d = oracle::dependenceDifferential(
+        prog, nest, norm.depMatrix, norm.depFamilies, norm.depsImprecise);
+    EXPECT_EQ(d.mismatch, "");
+    EXPECT_FALSE(d.passed.passed());
+    EXPECT_FALSE(d.fresh.passed());
+    EXPECT_EQ(d.passed.firstFailure().rfind("dependence-preservation: ", 0),
+              0u)
+        << d.passed.firstFailure();
+    // The families decide it: the columns alone let T through.
+    EXPECT_TRUE(
+        verify::validate(prog, nest, norm.depMatrix, {}, false).passed());
 }
 
 } // namespace

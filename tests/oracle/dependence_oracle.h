@@ -6,8 +6,8 @@
  * verify::validate takes the dependence columns, the distance families
  * and the imprecise flag from the compile's one deps::analyzeDependences
  * run (xform::NormalizeResult). Before it did, the dependence check
- * re-ran deps::analyzeDependences(prog) itself (input dependences
- * excluded) for the families and the flag. This helper validates one
+ * re-ran deps::analyzeDependences(prog) itself for the families and
+ * the flag. This helper validates one
  * nest both ways, with the same columns, and reports where the verdicts
  * or the first failures differ.
  */

@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for checked integer arithmetic and number-theory helpers.
+ * Unit tests for checked integer arithmetic and number-theory helpers,
+ * and for the 128-bit helpers against their definitions.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
+#include "ratmath/fault.h"
 #include "ratmath/int_util.h"
 
 namespace anc {
@@ -224,6 +227,129 @@ TEST(EuclidModTest, Int64MinDivisorDoesNotOverflow)
     EXPECT_EQ(euclidMod(7, kMin), 7);
     EXPECT_EQ(euclidMod(0, kMin), 0);
     EXPECT_EQ(euclidMod(kMin, kMin), 0);
+}
+
+// The 128-bit helpers, on operands at and around the 64-bit boundary,
+// where they switch between 64-bit and 128-bit division.
+
+constexpr Int128 kTwo63 = Int128(1) << 63, kTwo64 = Int128(1) << 64;
+
+std::vector<Int128>
+boundaryValues()
+{
+    std::vector<Int128> out;
+    for (Int128 v : {Int128(0), Int128(1), Int128(2), Int128(7), Int128(12),
+                     Int128(kMax) - 1, Int128(kMax), kTwo63, kTwo63 + 1,
+                     kTwo64 - 1, kTwo64, kTwo64 * 3, (Int128(1) << 100) + 3}) {
+        out.push_back(v);
+        out.push_back(-v);
+    }
+    out.push_back(Int128(kMin) - 1);
+    return out;
+}
+
+/** floor(a / b) and ceil(a / b), b > 0, straight from the definition:
+ * the truncated quotient, moved by one where it lies on the wrong side. */
+Int128
+floorRef(Int128 a, Int128 b)
+{
+    Int128 q = a / b;
+    return q * b > a ? q - 1 : q;
+}
+
+Int128
+ceilRef(Int128 a, Int128 b)
+{
+    Int128 q = a / b;
+    return q * b < a ? q + 1 : q;
+}
+
+Int128
+gcdRef(Int128 a, Int128 b)
+{
+    a = a < 0 ? -a : a;
+    b = b < 0 ? -b : b;
+    while (b != 0) {
+        Int128 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+TEST(Int128Helpers, FloorCeilAndModMatchTheDefinition)
+{
+    for (Int128 a : boundaryValues()) {
+        for (Int128 b : boundaryValues()) {
+            if (b <= 0)
+                continue;
+            EXPECT_EQ(floorDiv128(a, b), floorRef(a, b));
+            EXPECT_EQ(ceilDiv128(a, b), ceilRef(a, b));
+            if (b <= kMax) {
+                Int128 r = a % b;
+                EXPECT_EQ(mod128(a, Int(b)), r < 0 ? r + b : r);
+            }
+        }
+    }
+    // Divisor 1 and negative operands.
+    EXPECT_EQ(floorDiv128(Int128(kMin) - 5, 1), Int128(kMin) - 5);
+    EXPECT_EQ(ceilDiv128(Int128(kMin) - 5, 1), Int128(kMin) - 5);
+    EXPECT_EQ(floorDiv128(-7, 2), -4);
+    EXPECT_EQ(ceilDiv128(-7, 2), -3);
+    EXPECT_EQ(floorDiv128(kMin, kMax), -2);
+    EXPECT_EQ(ceilDiv128(kMin, kMax), -1);
+    EXPECT_EQ(floorDiv128(-kTwo64, kTwo63), -2);
+    EXPECT_EQ(ceilDiv128(-kTwo64 - 1, kTwo63), -2);
+    EXPECT_EQ(mod128(kMin, 3), 1); // -2^63 == 1 (mod 3)
+    EXPECT_EQ(mod128(-kTwo64, kMax), kMax - 2); // 2^63 == 1 (mod kMax)
+    EXPECT_EQ(mod128(-1, 1), 0);
+}
+
+TEST(Int128Helpers, GcdMatchesEuclid)
+{
+    EXPECT_EQ(gcd128(0, 0), 0);
+    EXPECT_EQ(gcd128(0, -5), 5);
+    EXPECT_EQ(gcd128(kMin, 0), kTwo63); // past 64 bits once negated
+    EXPECT_EQ(gcd128(kMin, kMin), kTwo63);
+    EXPECT_EQ(gcd128(kMax, kMax - 1), 1);
+    EXPECT_EQ(gcd128(kTwo64, kTwo63 * 3), kTwo63);
+    EXPECT_EQ(gcd128(12, -18), 6);
+    for (Int128 a : boundaryValues())
+        for (Int128 b : boundaryValues())
+            EXPECT_EQ(gcd128(a, b), gcdRef(a, b));
+}
+
+TEST(Int128Helpers, FitsAndMultiplyAtTheBoundaries)
+{
+    EXPECT_TRUE(fitsInt(kMax));
+    EXPECT_TRUE(fitsInt(kMin));
+    EXPECT_FALSE(fitsInt(kTwo63));
+    EXPECT_FALSE(fitsInt(Int128(kMin) - 1));
+    Int128 r = 0;
+    EXPECT_FALSE(mulOverflow128(kMin, kMin, &r)); // 2^126, the 64-bit path
+    EXPECT_EQ(r, Int128(1) << 126);
+    EXPECT_FALSE(mulOverflow128(kTwo64, Int128(1) << 62, &r));
+    EXPECT_EQ(r, Int128(1) << 126);
+    EXPECT_FALSE(mulOverflow128(-kTwo64, kTwo63, &r)); // -2^127 fits
+    EXPECT_EQ(r, -kTwo64 * kTwo63);
+    EXPECT_TRUE(mulOverflow128(kTwo64, kTwo63, &r)); // 2^127 does not
+    EXPECT_TRUE(mulOverflow128(kTwo64, kTwo64, &r));
+    EXPECT_FALSE(mulOverflow128(kTwo64 * 3, -7, &r));
+    EXPECT_EQ(r, -kTwo64 * 21);
+}
+
+TEST(Int128Helpers, TakeNoFaultCheckpoint)
+{
+    // A checkpoint here would move every fault index inside a
+    // simulation, whose geometry these helpers compute.
+    fault::startCounting();
+    Int128 r;
+    Int128 sink = fitsInt(kTwo63) + gcd128(kTwo64, 6) +
+                  floorDiv128(-kTwo64, 3) + ceilDiv128(kTwo64, 3) +
+                  mod128(-kTwo64, 7) + mulOverflow128(kTwo64, 3, &r);
+    EXPECT_EQ(fault::opCount(), 0u);
+    fault::disarm();
+    EXPECT_NE(sink, 0);
 }
 
 } // namespace

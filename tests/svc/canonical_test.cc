@@ -227,10 +227,6 @@ TEST(CanonicalTest, KeyCoversEverySemanticsAffectingOptionField)
          [](core::CompileOptions &o) {
              o.normalize.enforceLegality = false;
          }},
-        {"normalize.includeInputDeps",
-         [](core::CompileOptions &o) {
-             o.normalize.includeInputDeps = true;
-         }},
         {"normalize.useDistributionHint",
          [](core::CompileOptions &o) {
              o.normalize.useDistributionHint = false;
