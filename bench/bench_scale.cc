@@ -17,9 +17,11 @@
  *     timer noise), which would be off by orders of magnitude if any
  *     O(P) loop crept back into the aggregated path.
  *
- * Output: BENCH_scale.json with per-point wall time, class count, and
- * speedup versus the extrapolated O(P) direct-simulation cost
- * (direct wall at the smallest P, scaled linearly in P).
+ * Output: BENCH_scale.json with per-point wall time, class count,
+ * processors charged by evaluation across processors rather than walked
+ * (Simulator::runTally), and speedup versus the extrapolated O(P)
+ * direct-simulation cost (direct wall at the smallest P, scaled
+ * linearly in P).
  */
 
 #include <benchmark/benchmark.h>
@@ -86,6 +88,7 @@ struct Point
     size_t classes = 0;
     double simTimeUs = 0.0;
     uint64_t iterations = 0;
+    uint64_t evaluated = 0; //!< processors charged by evaluation
 };
 
 Point
@@ -102,6 +105,10 @@ measure(const Kernel &k, Int p, numa::SymmetryMode mode)
         pt.simTimeUs = s.parallelTime();
         pt.iterations = s.totalIterations();
     }
+    pt.evaluated = numa::Simulator(k.comp.program, k.comp.nest(),
+                                   k.comp.plan, scaleOpts(p, mode))
+                       .runTally(k.binds)
+                       .evaluated;
     return pt;
 }
 
@@ -151,8 +158,8 @@ printScaleSweep()
 
     std::printf("\nsymmetry-class scaling sweep (N = %lld)\n",
                 static_cast<long long>(n));
-    std::printf("%8s %10s %10s %14s %16s %12s\n", "kernel", "P",
-                "classes", "wall (ms)", "sim time (us)",
+    std::printf("%8s %10s %10s %10s %14s %16s %12s\n", "kernel", "P",
+                "classes", "evaluated", "wall (ms)", "sim time (us)",
                 "vs direct");
 
     for (const Kernel &k : kernels()) {
@@ -174,11 +181,13 @@ printScaleSweep()
                 firstWall = pt.wallS;
             if (p == sweepProcessorCounts().back())
                 lastWall = pt.wallS;
-            std::printf("%8s %10lld %10zu %14.3f %16.0f %11.0fx\n",
+            std::printf("%8s %10lld %10zu %10llu %14.3f %16.0f %11.0fx\n",
                         k.name, static_cast<long long>(p), pt.classes,
+                        static_cast<unsigned long long>(pt.evaluated),
                         pt.wallS * 1e3, pt.simTimeUs, vs_direct);
             report.run(k.name, p, pt.wallS, pt.simTimeUs, 0.0,
                        {{"classes", std::to_string(pt.classes)},
+                        {"evaluated", std::to_string(pt.evaluated)},
                         {"speedup_vs_direct",
                          std::to_string(vs_direct)}});
         }

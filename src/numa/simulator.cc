@@ -10,6 +10,7 @@
 #include "numa/congruent.h"
 #include "numa/stretch.h"
 #include "numa/thread_pool.h"
+#include "ratmath/fault.h"
 
 namespace anc::numa {
 
@@ -47,6 +48,13 @@ constexpr uint64_t ProcAccum::*kAccumFields[] = {
     &ProcAccum::localAccesses,  &ProcAccum::remoteAccesses,
     &ProcAccum::blockTransfers, &ProcAccum::blockElements,
     &ProcAccum::guardChecks,    &ProcAccum::syncs};
+
+/** The same counters in ProcStats, for evaluation across processors. */
+constexpr uint64_t ProcStats::*kStatFields[] = {
+    &ProcStats::iterations,     &ProcStats::flops,
+    &ProcStats::localAccesses,  &ProcStats::remoteAccesses,
+    &ProcStats::blockTransfers, &ProcStats::blockElements,
+    &ProcStats::guardChecks,    &ProcStats::syncs};
 
 /** One distribution-dimension subscript of a compiled reference. */
 struct DistSub
@@ -182,6 +190,23 @@ struct OwnerTable
     std::vector<OwnerSlot> slots; //!< by globalIdx * perRef + slot
 };
 
+/**
+ * A wrapped reference whose owner, modulo P, reads the middle variable
+ * y with coefficient +-1 and not the inner one z, or z with coefficient
+ * +-1 and y with an integral one (planAcross): the elements processor p
+ * owns lie on the planes y = v + k * P, or z = tilt * y + v + k * P,
+ * where v = sign * (p - the outer part of the subscript) moves by
+ * `step` when p moves by one.
+ */
+struct AcrossRef
+{
+    size_t form = 0;  //!< the owner subscript (Compiled::forms)
+    size_t level = 1; //!< the variable the plane fixes: 1 y, 2 z
+    Int sign = 1;
+    Int128 step = 0;
+    Int128 tilt = 0; //!< level 2: the plane's slope in y
+};
+
 /** Thrown inside planMiddleRun when the run's geometry leaves 128 bits
  * or a value the walk would reject turns up: the run is walked. */
 struct Decline
@@ -233,8 +258,28 @@ struct Simulator::Compiled
      * change per unit of the outer variable, as (num, den * P). */
     std::vector<std::pair<Int128, Int128>> outerMoves;
     /** The outer values at which the middle run's piece structure can
-     * change, ascending, as (num, den) (planCuts; degree > 0 only). */
-    std::vector<std::pair<Int128, Int128>> cuts;
+     * change, ascending, as (num, den), and the slope (num, den) of
+     * every bound and crossing that shapes the pieces (eventCuts, once
+     * per run: eventState 1 when found, -1 when the nest has none). */
+    std::vector<std::pair<Int128, Int128>> cuts, eventSlopes;
+    int eventState = 0;
+    /**
+     * Processors may be charged by evaluation across processors
+     * (planAcross): moving the processor index by one moves each
+     * position of its slice by acrossStep, and between the cuts
+     * acrossCuts places (where those positions cross cuts, and where the
+     * owner planes of acrossRefs meet the bounds) every counter of a
+     * processor's stats is a polynomial of degree acrossDegree in the
+     * index.
+     */
+    bool across = false;
+    size_t acrossDegree = 0;
+    Int acrossStep = 1;
+    /** The references whose owner planes move with the processor, and
+     * a range holding every middle ([0]) and inner ([1]) value of the
+     * run. */
+    std::vector<AcrossRef> acrossRefs;
+    Int128 boxLo[2] = {0, 0}, boxHi[2] = {0, 0};
     /** Each reference's owner twin (by globalIdx): the first reference
      * with the same owner function, a wrapped one on the same P with an
      * identical distribution subscript and inner kind, or itself. */
@@ -1130,6 +1175,158 @@ Simulator::stretchBounds(const Compiled &c, const OuterSlice &slice,
             bounds.push_back(uint64_t(j));
     }
     bounds.push_back(positions);
+    return true;
+}
+
+bool
+Simulator::acrossCuts(const Compiled &c, Int first, const OuterSlice &slice,
+                      uint64_t count, std::vector<uint64_t> &cuts) const
+{
+    // Processor first + q walks x_j(q) = start + j * step + d * q. Every
+    // value below is an affine function h0 + h1 * q with integral
+    // coefficients; a stretch of processors must not straddle a point
+    // where a condition h(q) >= 0 changes (cut at the first q past it).
+    constexpr uint64_t kMaxPlanes = 512; // beyond: walk the processors
+    const Int128 d = c.acrossStep, procs = opts_.processors;
+    const Int128 last = Int128(count) - 1;
+    auto cut_at = [&](Int128 q) {
+        if (q > 0 && q < Int128(count))
+            cuts.push_back(uint64_t(q));
+    };
+    struct Aff
+    {
+        Int128 h0, h1;
+    };
+    auto boundary = [&](Aff h) {
+        if (h.h1 > 0)
+            cut_at(ceilDiv128(-h.h0, h.h1));
+        else if (h.h1 < 0)
+            cut_at(floorDiv128(h.h0, -h.h1) + 1);
+    };
+    std::vector<Aff> lows, ups;
+    uint64_t planes = 0;
+    try {
+        const uint64_t positions = uint64_t(slice.count());
+        for (uint64_t j = 0; j < positions; ++j) {
+            const Int128 x0 =
+                geoAdd(slice.start, geoMul(Int128(j), slice.step));
+            // Where x_j crosses a cut of the middle run's pieces.
+            for (const auto &[num, den] : c.cuts)
+                cut_at(ceilDiv128(geoAdd(num, -geoMul(x0, den)),
+                                  geoMul(den, d)));
+            // A form's numerator along x_j, at middle value y = y0 + y1 q.
+            auto along = [&](const ir::CompiledAffine &f, Aff y) {
+                return Aff{geoAdd(geoAdd(geoMul(coeffOf(f, 0), x0),
+                                         geoMul(coeffOf(f, 1), y.h0)),
+                                  f.cst),
+                           geoAdd(geoMul(coeffOf(f, 0), d),
+                                  geoMul(coeffOf(f, 1), y.h1))};
+            };
+            for (const AcrossRef &r : c.acrossRefs) {
+                // p owns the elements whose variable v satisfies
+                // v == sign * (p - rest) (mod P), rest the subscript's
+                // outer part: v = t0 + step * q + k * P.
+                const ir::CompiledAffine &f = c.forms[r.form];
+                const Aff rest = along(f, {0, 0});
+                if (rest.h0 % f.den != 0)
+                    return false; // the walk meets a fractional owner
+                const Int128 t0 =
+                    geoMul(r.sign, geoAdd(first, -(rest.h0 / f.den)));
+                const Int128 tl = geoAdd(t0, geoMul(r.step, last));
+                // The range of v + k * P: of y, or of z - tilt * y.
+                Int128 lo = c.boxLo[r.level - 1], hi = c.boxHi[r.level - 1];
+                if (r.tilt != 0) {
+                    const Int128 ends[2] = {geoMul(r.tilt, c.boxLo[0]),
+                                            geoMul(r.tilt, c.boxHi[0])};
+                    lo = geoAdd(lo, -std::max(ends[0], ends[1]));
+                    hi = geoAdd(hi, -std::min(ends[0], ends[1]));
+                }
+                const Int128 k_lo =
+                    ceilDiv128(geoAdd(lo, -std::max(t0, tl)), procs);
+                const Int128 k_hi =
+                    floorDiv128(geoAdd(hi, -std::min(t0, tl)), procs);
+                if (k_hi >= k_lo &&
+                    (planes += uint64_t(std::min<Int128>(
+                         k_hi - k_lo + 1, kMaxPlanes + 1))) > kMaxPlanes)
+                    return false;
+                for (Int128 k = k_lo; k <= k_hi; ++k) {
+                    const Aff v{geoAdd(t0, geoMul(k, procs)), r.step};
+                    lows.clear();
+                    ups.clear();
+                    // lo <= num / den (lower) or num / den <= hi: the
+                    // rounded bound, integral along q once its slope is.
+                    auto rounded = [&](Aff n, Int128 den, bool lower) {
+                        if (n.h1 % den != 0)
+                            throw Decline{};
+                        (lower ? lows : ups)
+                            .push_back({lower ? ceilDiv128(n.h0, den)
+                                              : floorDiv128(n.h0, den),
+                                        n.h1 / den});
+                    };
+                    if (r.level == 1) {
+                        // The middle position y = v, if the middle run
+                        // holds it, and the inner run there.
+                        for (bool lower : {true, false})
+                            for (size_t g : lower ? c.lowerForms[1]
+                                                  : c.upperForms[1]) {
+                                const ir::CompiledAffine &e = c.forms[g];
+                                const Aff n = along(e, {0, 0});
+                                const Aff vd{geoMul(v.h0, e.den),
+                                             geoMul(v.h1, e.den)};
+                                boundary(lower ? Aff{geoAdd(vd.h0, -n.h0),
+                                                     geoAdd(vd.h1, -n.h1)}
+                                               : Aff{geoAdd(n.h0, -vd.h0),
+                                                     geoAdd(n.h1, -vd.h1)});
+                            }
+                        for (bool lower : {true, false})
+                            for (size_t g : lower ? c.lowerForms[2]
+                                                  : c.upperForms[2])
+                                rounded(along(c.forms[g], v), c.forms[g].den,
+                                        lower);
+                    } else {
+                        // The middle positions whose inner run holds
+                        // z = tilt * y + v: the middle bounds, and the
+                        // bound on y each inner bound puts there.
+                        for (bool lower : {true, false})
+                            for (size_t g : lower ? c.lowerForms[1]
+                                                  : c.upperForms[1])
+                                rounded(along(c.forms[g], {0, 0}),
+                                        c.forms[g].den, lower);
+                        for (bool lower : {true, false})
+                            for (size_t g : lower ? c.lowerForms[2]
+                                                  : c.upperForms[2]) {
+                                // lower: ey * y <= m; upper: ey * y >= m.
+                                const ir::CompiledAffine &e = c.forms[g];
+                                const Aff w = along(e, {0, 0});
+                                const Aff m{geoAdd(geoMul(v.h0, e.den), -w.h0),
+                                            geoAdd(geoMul(v.h1, e.den), -w.h1)};
+                                const Int128 ey = geoAdd(
+                                    coeffOf(e, 1), -geoMul(r.tilt, e.den));
+                                if (ey == 0) {
+                                    boundary(lower ? m : Aff{-m.h0, -m.h1});
+                                    continue;
+                                }
+                                const bool y_upper = lower == (ey > 0);
+                                const Aff mm = ey > 0 ? m : Aff{-m.h0, -m.h1};
+                                rounded(mm, ey > 0 ? ey : -ey, !y_upper);
+                            }
+                    }
+                    // The max of the lowers, the min of the uppers and
+                    // whether the range is empty hold one form each
+                    // between the cuts.
+                    for (Aff &u : ups)
+                        u.h0 = geoAdd(u.h0, 1);
+                    lows.insert(lows.end(), ups.begin(), ups.end());
+                    for (size_t a = 0; a < lows.size(); ++a)
+                        for (size_t e = a + 1; e < lows.size(); ++e)
+                            boundary({geoAdd(lows[a].h0, -lows[e].h0),
+                                      geoAdd(lows[a].h1, -lows[e].h1)});
+                }
+            }
+        }
+    } catch (const Decline &) {
+        return false;
+    }
     return true;
 }
 
@@ -2052,6 +2249,7 @@ Simulator::compile(const ir::Bindings &binds, bool values) const
     if (c.closedMiddle)
         buildOwnerTables(c);
     planStretches(c, counters_only);
+    planAcross(c, counters_only);
     return c;
 }
 
@@ -2177,27 +2375,52 @@ struct Line
 bool
 Simulator::planCuts(Compiled &c) const
 {
-    // Three deep, with outer variable x, middle y and inner z. Each
-    // bound of y is a line Y(x); each bound of z is k * y + W(x) with
-    // an integral k (planStretches). At position x the middle run's
-    // pieces are the stretches of y between the events: where two inner
-    // bounds cross, y = (W_b(x) - W_a(x)) / (k_a - k_b), bounded by the
-    // active bounds of y. While no two events that bound pieces cross,
-    // the pieces keep their bounds and every event moves by a multiple
-    // of P per position: an inner bound's W and a crossing must, like a
-    // moving owner, so that every owner pattern repeats (outerMoves).
-    // Cut where two events cross and both are active there: a middle
-    // bound holds as the max of the lowers / min of the uppers, an inner
-    // crossing as the max / min of its side at that point, and it lies
-    // within one of the middle range. Two inner bounds with equal k
-    // swap everywhere at once: cut wherever they do.
+    // Along a slice every event must move by a multiple of P per
+    // position, like a moving owner, so that every owner pattern
+    // repeats (outerMoves).
     const Int procs = opts_.processors;
     const Int128 positions =
         (Int128(c.outerHi) - c.outerBase) / sliceStep() + 1;
     if (plan_.scheme == PartitionScheme::OwnerBlock2D ||
-        plan_.scheme == PartitionScheme::OwnerBlocked || c.depth != 3 ||
-        c.strides[1] != 1 || c.strides[2] != 1 || positions < 16)
+        plan_.scheme == PartitionScheme::OwnerBlocked || positions < 16)
         return false; // walking the short slices costs less
+    if (!eventCuts(c))
+        return false;
+    for (const auto &[num, den] : c.eventSlopes) {
+        Int128 mod;
+        if (mulOverflow128(den, procs, &mod))
+            return false;
+        c.outerMoves.push_back({num, mod});
+    }
+    return true;
+}
+
+bool
+Simulator::eventCuts(Compiled &c) const
+{
+    if (c.eventState == 0)
+        c.eventState = findEvents(c) ? 1 : -1;
+    return c.eventState > 0;
+}
+
+bool
+Simulator::findEvents(Compiled &c) const
+{
+    // Three deep, with outer variable x, middle y and inner z. Each
+    // bound of y is a line Y(x); each bound of z is k * y + W(x) with
+    // an integral k. At position x the middle run's pieces are the
+    // stretches of y between the events: where two inner bounds cross,
+    // y = (W_b(x) - W_a(x)) / (k_a - k_b), bounded by the active bounds
+    // of y. While no two events that bound pieces cross, the pieces keep
+    // their bounds; once every event moves by a whole number per step of
+    // x (the caller checks the slopes), the pieces move by whole numbers
+    // too. Cut where two events cross and both are active there: a
+    // middle bound holds as the max of the lowers / min of the uppers,
+    // an inner crossing as the max / min of its side at that point, and
+    // it lies within one of the middle range. Two inner bounds with
+    // equal k swap everywhere at once: cut wherever they do.
+    if (c.depth != 3 || c.strides[1] != 1 || c.strides[2] != 1)
+        return false;
     struct Bound
     {
         Line w;
@@ -2222,10 +2445,9 @@ Simulator::planCuts(Compiled &c) const
                 }
             }
         }
-        std::vector<std::pair<Int128, Int128>> moves;
         auto must_move = [&](Q slope) {
             if (slope.n != 0)
-                moves.push_back({slope.n, geoMul(slope.d, procs)});
+                c.eventSlopes.push_back({slope.n, slope.d});
         };
         // The events: the middle bounds, then each inner crossing.
         struct Event
@@ -2320,16 +2542,178 @@ Simulator::planCuts(Compiled &c) const
         }
         std::sort(cuts.begin(), cuts.end(),
                   [](Q a, Q b) { return cmp(a, b) < 0; });
-        c.cuts.clear();
         for (const Q &x : cuts)
             if (c.cuts.empty() ||
                 cmp(x, {c.cuts.back().first, c.cuts.back().second}) != 0)
                 c.cuts.push_back({x.n, x.d});
-        c.outerMoves.insert(c.outerMoves.end(), moves.begin(), moves.end());
     } catch (const Decline &) {
         return false;
     }
     return true;
+}
+
+void
+Simulator::planAcross(Compiled &c, bool countersOnly) const
+{
+    // Processors are charged by evaluation across processors (see
+    // SimOptions::fastInner) on the fast walk of a three-deep nest with
+    // a unit lattice below level 0, partitioned round robin or
+    // owner-wrapped on a unit outer stride, when the counters are the
+    // whole state (countersOnly) and no trace span is recorded. Moving
+    // processor p to p + 1 then moves every position x of its slice by
+    // d = acrossStep, and p is an affine function of x there. For the
+    // counters to be polynomial in p between cuts:
+    //  - the geometry: every bound and inner crossing (eventCuts) moves
+    //    by a whole number per step d, so that between the cuts in x
+    //    the iterations, and the middle positions with a nonempty inner
+    //    run, are polynomials of degree 2;
+    //  - the owners: each distributed reference is replicated or
+    //    wrapped, and its subscript f, modulo P, either reads neither y
+    //    nor z and moves by 1 per step d (owned by p everywhere or
+    //    nowhere, alike along the run), or reads y with coefficient +-1
+    //    and not z, or z with coefficient +-1 and y with an integral one
+    //    (an AcrossRef). The elements p owns then lie on planes
+    //    y = v + k * P or z = tilt * y + v + k * P, v linear in p;
+    //    acrossCuts cuts where a plane enters or leaves the iteration
+    //    space or the bounds that shape it cross on it;
+    //  - hoisted reads that may be remote are hoisted to the middle
+    //    level (one transfer per middle position with a remote element,
+    //    owner alike along the inner run) or the inner one.
+    if (!countersOnly || opts_.trace || c.depth != 3 || c.outerEmpty ||
+        c.strides[1] != 1 || c.strides[2] != 1)
+        return;
+    const Int procs = opts_.processors;
+    const Int d = c.strides[0];
+    if (plan_.scheme == PartitionScheme::OwnerWrapped
+            ? d != 1
+            : plan_.scheme != PartitionScheme::RoundRobin)
+        return;
+    // Slices of three positions or more are charged by stretches along
+    // the slice, or walked because they are short: the counters of such
+    // a processor are cheap enough to walk. So are a few processors:
+    // fewer than 8 with work, or 64 where bounds below level 0 read x
+    // and the cuts of the middle run's pieces must be planned first.
+    const Int128 outer = (Int128(c.outerHi) - c.outerBase) / d + 1;
+    bool moving = false, shaped = false; // bounds below 0 read x; x or y
+    for (size_t k = 1; k < 3; ++k)
+        for (const auto *level : {&c.lowerForms[k], &c.upperForms[k]})
+            for (size_t f : *level) {
+                moving = moving || c.forms[f].dependsOnVar(0);
+                shaped = shaped || c.forms[f].dependsOnVar(0) ||
+                         c.forms[f].dependsOnVar(1);
+            }
+    if (outer > 2 * Int128(procs) ||
+        std::min(outer, Int128(procs)) < (moving ? 64 : 8))
+        return;
+    std::vector<AcrossRef> refs;
+    try {
+        // A range of y over x in [outerLo, outerHi], then of z over
+        // that box: each bound is affine, so its extremes lie at the
+        // corners.
+        for (size_t level : {1, 2}) {
+            const size_t b = level - 1;
+            for (bool lower : {true, false}) {
+                bool first = true;
+                for (size_t f : lower ? c.lowerForms[level]
+                                      : c.upperForms[level]) {
+                    const ir::CompiledAffine &a = c.forms[f];
+                    Int128 best = 0;
+                    for (int corner = 0; corner < 4; ++corner) {
+                        const Int128 x = corner & 1 ? c.outerHi : c.outerLo;
+                        const Int128 y = corner & 2 ? c.boxHi[0] : c.boxLo[0];
+                        const Int128 n =
+                            geoAdd(geoAdd(geoMul(coeffOf(a, 0), x),
+                                          geoMul(coeffOf(a, 1), y)),
+                                   a.cst);
+                        const Int128 v = lower ? ceilDiv128(n, a.den)
+                                               : floorDiv128(n, a.den);
+                        if (corner == 0 || (lower ? v < best : v > best))
+                            best = v;
+                    }
+                    Int128 &w = lower ? c.boxLo[b] : c.boxHi[b];
+                    if (first || (lower ? best > w : best < w))
+                        w = best;
+                    first = false;
+                }
+                if (first)
+                    return; // the walk reports the malformed loop
+            }
+        }
+        for (const StmtEval &se : c.stmts) {
+            for (const RefEval &r : se.refs) {
+                if (r.distSubs.empty())
+                    continue; // replicated: always local
+                if (c.dists[r.arrayId].spec().kind != ir::DistKind::Wrapped)
+                    return;
+                if (r.byBlocks && r.hoistLevel < 1)
+                    return; // one transfer above the middle level
+                const ir::CompiledAffine &f = c.forms[r.distSubs[0].form];
+                const Int128 den = f.den, wrap = geoMul(den, procs);
+                const Int128 a0d = geoMul(coeffOf(f, 0), d);
+                if (a0d % den != 0)
+                    return;
+                const Int a1 = coeffOf(f, 1), a2 = coeffOf(f, 2);
+                const bool reads1 = a1 % wrap != 0, reads2 = a2 % wrap != 0;
+                if (!reads1 && !reads2) {
+                    if ((a0d - den) % wrap != 0)
+                        return;
+                    continue;
+                }
+                AcrossRef ar;
+                ar.form = r.distSubs[0].form;
+                ar.level = reads2 ? 2 : 1;
+                const Int a = reads2 ? a2 : a1;
+                if (a != den && a != -den)
+                    return;
+                // One transfer per middle position with a remote element
+                // needs the owner alike along the inner run.
+                if (ar.level == 2 && r.byBlocks && r.hoistLevel == 1)
+                    return;
+                ar.sign = a / den;
+                ar.step = geoMul(ar.sign, geoAdd(1, -(a0d / den)));
+                if (ar.level == 2) {
+                    if (reads1 && a1 % den != 0)
+                        return;
+                    ar.tilt = reads1 ? -geoMul(ar.sign, a1 / den) : 0;
+                    // The y bound each inner bound puts on the plane
+                    // must move by a whole number per step.
+                    for (bool lower : {true, false})
+                        for (size_t g : lower ? c.lowerForms[2]
+                                              : c.upperForms[2]) {
+                            const ir::CompiledAffine &e = c.forms[g];
+                            const Int128 ey =
+                                geoAdd(coeffOf(e, 1), -geoMul(ar.tilt, e.den));
+                            const Int128 m1 =
+                                geoAdd(geoMul(ar.step, e.den),
+                                       -geoMul(coeffOf(e, 0), d));
+                            if (ey != 0 && m1 % ey != 0)
+                                return;
+                        }
+                }
+                bool seen = false;
+                for (const AcrossRef &o : refs) {
+                    const ir::CompiledAffine &g = c.forms[o.form];
+                    seen = seen || (g.num == f.num && g.cst == f.cst &&
+                                    g.den == f.den);
+                }
+                if (!seen)
+                    refs.push_back(ar);
+            }
+        }
+    } catch (const Decline &) {
+        return;
+    }
+    if (moving && !eventCuts(c))
+        return;
+    for (const auto &[num, den] : c.eventSlopes) {
+        Int128 moved;
+        if (mulOverflow128(num, d, &moved) || moved % den != 0)
+            return;
+    }
+    c.acrossRefs = std::move(refs);
+    c.acrossStep = d;
+    c.acrossDegree = shaped ? 2 : 0;
+    c.across = true;
 }
 
 void
@@ -2372,8 +2756,23 @@ Simulator::planClosedMiddle(Compiled &c, bool countersOnly) const
     c.fixedInner = fixed_geometry;
 }
 
+Simulator::RunTally
+Simulator::runTally(const ir::Bindings &binds) const
+{
+    RunTally tally;
+    runWith(binds, nullptr, &tally);
+    return tally;
+}
+
 SimStats
 Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
+{
+    return runWith(binds, storage, nullptr);
+}
+
+SimStats
+Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
+                   RunTally *tally) const
 {
     if (binds.paramValues.size() != prog_.params.size())
         throw UserError("wrong number of parameter values");
@@ -2413,9 +2812,28 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
             procs.push_back(p);
     }
 
+    // Each simulated processor's stats: an aggregated run charges its
+    // class table's representatives in place, perProc stays empty.
     SimStats out;
     out.processors = opts_.processors;
-    out.perProc.assign(procs.size(), ProcStats{});
+    if (aggregate) {
+        out.classes.resize(procs.size());
+        size_t i = 0;
+        for (SymmetryPlan::Group &g : sym.groups) {
+            out.classes[i].multiplicity = g.multiplicity;
+            out.classes[i++].members = std::move(g.members);
+        }
+        if (sym.hasDefault) {
+            out.classes[i].multiplicity = sym.defaultCount;
+            out.classes[i].isDefault = true;
+        }
+        out.aggregated = true;
+    } else {
+        out.perProc.assign(procs.size(), ProcStats{});
+    }
+    auto stat = [&](size_t i) -> ProcStats & {
+        return aggregate ? out.classes[i].rep : out.perProc[i];
+    };
 
     // Fail-stop injection: the victim stops after killAfterSlices of
     // its outer-slice iterations (phase 1); its unstarted positions are
@@ -2446,7 +2864,7 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
     // An instant event on simulated processor i's track, stamped with
     // its simulated clock now.
     auto mark = [&](size_t i, const char *name) -> obs::TraceEvent & {
-        ProcStats at = out.perProc[i];
+        ProcStats at = stat(i);
         finalizeProcTime(at, c.rates);
         obs::TraceEvent e;
         e.name = name;
@@ -2458,13 +2876,16 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
     };
 
     // Phase 1: every simulated processor walks its own slice (the victim
-    // only up to its point of death).
+    // only up to its point of death). `slices` holds the slices by index
+    // into procs once the evaluation across processors planned them.
+    std::vector<OuterSlice> slices;
     auto phase1 = [&](size_t i, ir::ArrayStorage *st) {
         const Int p = procs[i];
-        ProcStats &ps = out.perProc[i];
+        ProcStats &ps = stat(i);
         ps.proc = p;
         if (!kill || p != f.killProc) {
-            const OuterSlice slice = outerSlice(c, p);
+            const OuterSlice slice =
+                slices.empty() ? outerSlice(c, p) : slices[i];
             runSlice(c, p, slice, 0, slice.count(), 1, ps, st, binds, buf(i));
             return;
         }
@@ -2475,18 +2896,123 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
                                   obs::jsonNum(uint64_t(victim_done)));
     };
 
+    // Evaluation across processors (planAcross): a run of consecutive
+    // simulated processors whose slices hold as many positions and start
+    // acrossStep apart is cut by acrossCuts into stretches; a stretch
+    // long enough walks its first degree + 1 processors and evaluates
+    // the others from them (evaluateStretch). The run's last processor
+    // is walked, so that it raises what its walk raises: every value
+    // moves affinely with the processor, so the ones between lie
+    // between the two ends. The kill victim and its adopters are
+    // walked.
+    struct ProcStretch
+    {
+        size_t first, evalFrom, evalTo; //!< indices into procs
+    };
+    std::vector<ProcStretch> stretches;
+    std::vector<uint8_t> evaluated(procs.size(), 0);
+    const size_t samples = c.acrossDegree + 1;
+    if (c.across && procs.size() >= samples + 2) {
+        const Int survivors = opts_.processors - 1;
+        auto walked_anyway = [&](Int p) {
+            if (!kill)
+                return false;
+            if (p == f.killProc)
+                return true;
+            const Int si = p < f.killProc ? p : p - 1;
+            return survivors > 0 && plan_.outerParallel &&
+                   victim_done + si < victim_total;
+        };
+        slices.resize(procs.size());
+        std::vector<uint8_t> eligible(procs.size(), 0);
+        for (size_t i = 0; i < procs.size(); ++i) {
+            slices[i] = outerSlice(c, procs[i]);
+            const Int positions = slices[i].count();
+            eligible[i] = positions > 0 && positions <= 2 &&
+                          !walked_anyway(procs[i]);
+        }
+        std::vector<uint64_t> cuts;
+        for (size_t i = 0, j; i < procs.size(); i = j) {
+            for (j = i + 1; eligible[i] && j < procs.size() && eligible[j] &&
+                            procs[j] == procs[j - 1] + 1 &&
+                            slices[j].count() == slices[i].count() &&
+                            Int128(slices[j].start) ==
+                                Int128(slices[j - 1].start) + c.acrossStep;
+                 ++j) {
+            }
+            const uint64_t count = j - i;
+            cuts.assign({0, count});
+            if (count < samples + 2 ||
+                !acrossCuts(c, procs[i], slices[i], count, cuts))
+                continue;
+            std::sort(cuts.begin(), cuts.end());
+            cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+            for (size_t b = 1; b < cuts.size(); ++b) {
+                const uint64_t from = cuts[b - 1], to = cuts[b],
+                               last = to == count;
+                if (to - from < samples + 1 + last)
+                    continue;
+                ProcStretch st{i + from, i + from + samples, i + to - last};
+                std::fill(evaluated.begin() + st.evalFrom,
+                          evaluated.begin() + st.evalTo, 1);
+                stretches.push_back(st);
+            }
+        }
+    }
+    std::vector<size_t> walk;
+    for (size_t i = 0; i < procs.size(); ++i)
+        if (!evaluated[i])
+            walk.push_back(i);
+    if (tally) {
+        tally->walked = walk.size();
+        tally->evaluated = procs.size() - walk.size();
+    }
+
+    // Only the walks use the host threads. A thread that counts or
+    // injects checked-arithmetic faults keeps them to itself, so that
+    // the operation indices it sees do not depend on scheduling.
     size_t threads = opts_.hostThreads > 0
                          ? size_t(opts_.hostThreads)
                          : ThreadPool::shared().concurrency();
     bool serial = storage != nullptr || !plan_.outerParallel ||
-                  threads <= 1 || procs.size() <= 1;
+                  threads <= 1 || walk.size() <= 1 || fault::active();
     if (serial) {
-        for (size_t i = 0; i < procs.size(); ++i)
+        for (size_t i : walk)
             phase1(i, storage);
     } else {
         ThreadPool::shared().parallelFor(
-            procs.size(), threads,
-            [&](size_t i) { phase1(i, nullptr); });
+            walk.size(), threads,
+            [&](size_t k) { phase1(walk[k], nullptr); });
+    }
+    // Each evaluated processor's stats: the counters and remoteByArray
+    // at its offset in the stretch (remoteByArray stays empty while all
+    // zero, as the walk leaves it).
+    const size_t n_arrays = c.dists.size();
+    const size_t width = std::size(kStatFields) + n_arrays;
+    std::vector<uint64_t> states(samples * width), values;
+    for (const ProcStretch &st : stretches) {
+        for (size_t k = 0; k < samples; ++k) {
+            const ProcStats &ps = stat(st.first + k);
+            uint64_t *to = &states[k * width];
+            for (uint64_t ProcStats::*fld : kStatFields)
+                *to++ = ps.*fld;
+            for (size_t a = 0; a < n_arrays; ++a)
+                *to++ = ps.remoteByArray.empty() ? 0 : ps.remoteByArray[a];
+        }
+        values.resize((st.evalTo - st.evalFrom) * width);
+        evaluateStretch(states.data(), samples, width,
+                        st.evalFrom - st.first, st.evalTo - st.evalFrom,
+                        values.data());
+        for (size_t i = st.evalFrom; i < st.evalTo; ++i) {
+            ProcStats &ps = stat(i);
+            ps.proc = procs[i];
+            const uint64_t *v = &values[(i - st.evalFrom) * width];
+            for (uint64_t ProcStats::*fld : kStatFields)
+                ps.*fld = *v++;
+            if (!std::all_of(v, v + n_arrays,
+                             [](uint64_t x) { return x == 0; }))
+                ps.remoteByArray.assign(v, v + n_arrays);
+        }
     }
 
     // Phase 2: the victim's unstarted outer-slice positions. With a
@@ -2501,7 +3027,7 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
                 Int p = procs[i];
                 if (p == f.killProc)
                     continue;
-                ProcStats &ps = out.perProc[i];
+                ProcStats &ps = stat(i);
                 addCount(ps.syncs, 1);
                 Int si = p < f.killProc ? p : p - 1;
                 Int first = victim_done + si;
@@ -2516,7 +3042,7 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
             for (size_t i = 0; i < procs.size(); ++i) {
                 if (procs[i] != f.killProc)
                     continue;
-                ProcStats &ps = out.perProc[i];
+                ProcStats &ps = stat(i);
                 addCount(ps.restarts, 1);
                 if (tracing)
                     mark(i, "restart");
@@ -2527,8 +3053,8 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
         }
     }
 
-    for (ProcStats &ps : out.perProc)
-        finalizeProcTime(ps, c.rates);
+    for (size_t i = 0; i < procs.size(); ++i)
+        finalizeProcTime(stat(i), c.rates);
 
     // Per-reference labels, for the observability layer's tables.
     if (opts_.perReference) {
@@ -2564,8 +3090,8 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
             sum.ph = 'X';
             sum.tid = procs[i];
             sum.ts = 0.0;
-            sum.dur = out.perProc[i].time;
-            const ProcStats &ps = out.perProc[i];
+            const ProcStats &ps = stat(i);
+            sum.dur = ps.time;
             sum.arg("iterations", obs::jsonNum(ps.iterations));
             sum.arg("local", obs::jsonNum(ps.localAccesses));
             sum.arg("remote", obs::jsonNum(ps.remoteAccesses));
@@ -2586,29 +3112,6 @@ Simulator::run(const ir::Bindings &binds, ir::ArrayStorage *storage) const
         }
     }
 
-    // Fold representative results into the class table; perProc stays
-    // empty (materializePerProc expands on demand) so memory is
-    // O(#classes) however large P is.
-    if (aggregate) {
-        out.classes.reserve(sym.classCount());
-        size_t i = 0;
-        for (SymmetryPlan::Group &g : sym.groups) {
-            ProcClass pc;
-            pc.rep = std::move(out.perProc[i++]);
-            pc.multiplicity = g.multiplicity;
-            pc.members = std::move(g.members);
-            out.classes.push_back(std::move(pc));
-        }
-        if (sym.hasDefault) {
-            ProcClass pc;
-            pc.rep = std::move(out.perProc[i++]);
-            pc.multiplicity = sym.defaultCount;
-            pc.isDefault = true;
-            out.classes.push_back(std::move(pc));
-        }
-        out.perProc.clear();
-        out.aggregated = true;
-    }
     return out;
 }
 

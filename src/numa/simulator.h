@@ -26,7 +26,10 @@
  * changes by a polynomial in the position (a constant where every
  * position runs the same sub-walk), so a stretch walks as many
  * positions as the polynomial has terms and sums the rest by forward
- * differences (numa/stretch.h; all SimOptions::fastInner). Each
+ * differences (numa/stretch.h); and where processors own one or two
+ * positions each, a run of them on which every counter is a
+ * polynomial in the processor walks a few and evaluates the rest (all
+ * SimOptions::fastInner). Each
  * processor's clock is derived once from its integer event counters,
  * so every execution strategy yields bit-identical SimStats; a run
  * whose counters or loop trip counts would leave uint64_t throws
@@ -70,8 +73,10 @@ struct SimOptions
      * hardware thread, 1 forces the serial path, N caps the pool. Each
      * simulated processor's walk is independent, and per-processor
      * results are merged in processor order, so stats are bit-identical
-     * for every thread count. Value-executing runs and plans whose
-     * outer loop is not parallel always take the serial path.
+     * for every thread count. Value-executing runs, plans whose outer
+     * loop is not parallel and runs on a thread that counts or injects
+     * checked-arithmetic faults (fault::active) always take the serial
+     * path.
      */
     Int hostThreads = 0;
     /**
@@ -119,9 +124,29 @@ struct SimOptions
      * tracing, message faults, perReference, commMatrix and value
      * execution, and where walking costs less: on stretches with no
      * position left to sum, and with moving bounds on runs whose
-     * slices average fewer than 16 positions. Produces bit-identical
-     * stats to the naive walk (it counts exactly what the naive walk
-     * counts, and simulated time is derived from the counts).
+     * slices average fewer than 16 positions. Across processors, the
+     * simulated processors (an aggregated run's classes) whose slices
+     * hold one or two positions of a three-deep nest on a unit lattice
+     * below level 0, partitioned round robin or owner-wrapped on a
+     * unit outer stride, are charged by evaluation: moving p by one
+     * moves each position of its slice by one outer step, every bound
+     * and inner crossing moves by a whole number then, and each
+     * wrapped owner either moves with p everywhere or, read by the
+     * middle or inner variable with coefficient +-1, puts p's elements
+     * on planes that move linearly in p. A run of consecutive
+     * processors with as many positions is cut where a position
+     * crosses a cut of the middle run's pieces and where an owner
+     * plane enters the iteration space, leaves it, or sees two bounds
+     * cross on it; between cuts every counter is a polynomial of
+     * degree at most 2 in p, so the first degree + 1 processors of
+     * each stretch are walked (on the host threads) and the others
+     * evaluated (numa/stretch.h), and the run's last processor is
+     * walked too. That declines where stretches do, for reads hoisted
+     * above the middle level that may be remote, for the kill victim
+     * and its adopters, and for stretches of fewer than degree + 3
+     * processors. Produces bit-identical stats to the naive walk (it
+     * counts exactly what the naive walk counts, and simulated time is
+     * derived from the counts).
      */
     bool fastInner = true;
     /**
@@ -231,6 +256,26 @@ class Simulator
      */
     SliceTally sliceTally(const ir::Bindings &binds, Int p = 0) const;
 
+    /** What a run did across its simulated processors (see runTally). */
+    struct RunTally
+    {
+        /** Processors whose own slice was walked (by whatever strategy
+         * the slice allows). */
+        uint64_t walked = 0;
+        /** Processors charged by evaluation across processors: their
+         * stats come from the polynomial a few walked neighbours fix
+         * (see SimOptions::fastInner). */
+        uint64_t evaluated = 0;
+    };
+
+    /**
+     * What a value-free run under these bindings does across its
+     * simulated processors (the class representatives of an aggregated
+     * run): how many it walks and how many it charges by evaluation.
+     * Runs the simulation to find out. For tests and diagnostics.
+     */
+    RunTally runTally(const ir::Bindings &binds) const;
+
   private:
     const ir::Program &prog_;
     const xform::TransformedNest &nest_;
@@ -238,6 +283,10 @@ class Simulator
     SimOptions opts_;
 
     struct Compiled; // per-run compiled representation
+
+    /** run(), counting what it did into tally when set. */
+    SimStats runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
+                     RunTally *tally) const;
 
     /** Compile the nest against one binding; `values` when the run
      * executes statement values. */
@@ -261,6 +310,18 @@ class Simulator
      * those bounds and their crossings must make, or false when the
      * slices are walked. */
     bool planCuts(Compiled &c) const;
+
+    /** The outer values at which the middle run's pieces can change,
+     * and the slope of every bound and crossing that shapes them
+     * (Compiled::cuts, eventSlopes; three deep, unit lattice below
+     * level 0), or false. findEvents finds them; eventCuts, once per
+     * run. */
+    bool eventCuts(Compiled &c) const;
+    bool findEvents(Compiled &c) const;
+
+    /** Decide whether processors may be charged by evaluation across
+     * processors (Compiled::across), up to the per-run cuts. */
+    void planAcross(Compiled &c, bool countersOnly) const;
 
     struct Workspace; // a host thread's walk buffers, reused
 
@@ -297,6 +358,10 @@ class Simulator
         {
             if (empty || step <= 0 || start > hi)
                 return 0;
+            Int span;
+            if (!__builtin_sub_overflow(hi, start, &span) &&
+                span / step < INT64_MAX)
+                return span / step + 1; // 64 bits suffice
             return narrow128((Int128(hi) - start) / step + 1);
         }
     };
@@ -318,6 +383,15 @@ class Simulator
     bool stretchBounds(const Compiled &c, const OuterSlice &slice,
                        Int fromIdx, Int idxStep, uint64_t positions,
                        std::vector<uint64_t> &bounds) const;
+
+    /** Where a run of `count` consecutive processors from `first`,
+     * whose slices hold the same number of positions and start `slice`
+     * (the first's) plus Compiled::acrossStep per processor, is cut into
+     * stretches on which every counter is a polynomial in the processor:
+     * offsets in (0, count) appended to cuts, or false when the run is
+     * walked. */
+    bool acrossCuts(const Compiled &c, Int first, const OuterSlice &slice,
+                    uint64_t count, std::vector<uint64_t> &cuts) const;
 
     /** Plan symmetry classes for this run (see numa/symmetry.h);
      * !usable when the structure cannot be bounded and the run must

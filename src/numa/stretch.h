@@ -1,19 +1,25 @@
 /**
  * @file
- * Charging a stretch of positions from a few samples.
+ * Charging a stretch of positions, or of processors, from a few samples.
  *
- * On a stretch every counter of a walk's state changes from one
- * position to the next by a polynomial of degree D in the position (the
- * simulator cuts a processor's slice into such stretches; see
- * SimOptions::fastInner). chargeStretch walks the stretch's first D + 1
- * positions, records the state after each, and adds for the remaining
- * positions the sum of the polynomial that their changes fix, by
- * forward differences: sample s's change is sum_k C(s, k) D^k, with D^k
- * the k-th forward difference at sample 0, and sum over
- * s = m .. m + rest - 1 of C(s, k) is C(m + rest, k + 1) - C(m, k + 1)
- * (m = D + 1 samples). The caller hands over the state as `width`
- * unsigned counters through two callbacks and walks one position through
- * a third; the sampler knows nothing else of the walk.
+ * On a stretch every counter of a walk's state is a polynomial of degree
+ * at most D in the point of the stretch. The simulator uses one
+ * forward-difference table two ways (see SimOptions::fastInner):
+ *
+ *   - along a processor's slice, cut into stretches of positions:
+ *     chargeStretch walks the stretch's first D + 1 positions, records
+ *     the state after each, and adds for the remaining positions the sum
+ *     of the polynomial that their changes fix: sample s's change is
+ *     sum_k C(s, k) D^k, with D^k the k-th forward difference at sample
+ *     0, and sum over s = m .. m + rest - 1 of C(s, k) is
+ *     C(m + rest, k + 1) - C(m, k + 1) (m = D + 1 samples);
+ *   - across processors, where the processor index moves every
+ *     slice's positions by one step: the first D + 1 processors of a
+ *     stretch are walked and evaluateStretch gives each other one its
+ *     state, sum_k C(t, k) D^k at offset t.
+ *
+ * The caller hands over the state as `width` unsigned counters; the
+ * sampler knows nothing else of the walk.
  */
 
 #ifndef ANC_NUMA_STRETCH_H
@@ -51,6 +57,16 @@ struct Stretch
  */
 void extrapolateStretch(uint64_t *states, size_t samples, size_t width,
                         uint64_t rest);
+
+/**
+ * Given states[i * width + f], i in [0, samples), the state at
+ * `samples` consecutive points (samples = degree + 1), write to
+ * out[i * width + f], i in [0, count), the state at point from + i of
+ * the same polynomial, counted from the first sample. Throws like
+ * extrapolateStretch.
+ */
+void evaluateStretch(const uint64_t *states, size_t samples, size_t width,
+                     uint64_t from, uint64_t count, uint64_t *out);
 
 /**
  * Charge stretch s: walk(j) walks position j, save(to) writes the

@@ -60,6 +60,12 @@ armed()
     return detail::active && g_next < g_schedule.size();
 }
 
+bool
+active()
+{
+    return detail::active;
+}
+
 std::uint64_t
 opCount()
 {

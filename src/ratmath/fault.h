@@ -55,6 +55,13 @@ void disarm();
 /** True when a fault is still pending on this thread. */
 bool armed();
 
+/**
+ * True while this thread counts or is armed (and not paused). Work that
+ * would spread checked operations over other threads keeps them on this
+ * one then, so the operation indices stay reproducible.
+ */
+bool active();
+
 /** Checked operations observed since the last arm/startCounting. */
 std::uint64_t opCount();
 

@@ -13,6 +13,7 @@
 #include "ir/builder.h"
 #include "ir/gallery.h"
 #include "numa/simulator.h"
+#include "ratmath/fault.h"
 
 namespace anc::numa {
 namespace {
@@ -248,6 +249,27 @@ TEST(SimParallel, OwnershipBaselineDeterministic)
     SimStats a = simulateOwnership(p, opts, {{9}, {}});
     SimStats b = simulateOwnership(p, opts, {{9}, {}});
     expectIdentical(a, b, "ownership");
+}
+
+TEST(SimParallel, FaultCountingRunsOnTheCallingThread)
+{
+    // Checked-arithmetic faults are counted per thread, so a thread that
+    // counts simulates on itself: the search's scoring runs then see the
+    // same checkpoints at every host-thread count.
+    auto count = [](Int threads) {
+        core::CompileOptions co;
+        co.search.enabled = true;
+        co.search.hostThreads = threads;
+        fault::startCounting();
+        core::compile(ir::gallery::figure1(), co);
+        const uint64_t ops = fault::opCount();
+        fault::disarm();
+        return ops;
+    };
+    const uint64_t serial = count(1);
+    EXPECT_GT(serial, 0u);
+    for (int run = 0; run < 3; ++run)
+        EXPECT_EQ(count(0), serial) << run;
 }
 
 } // namespace

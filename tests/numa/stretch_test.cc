@@ -4,7 +4,9 @@
  * fake walks whose counters change by polynomials of degree 0 to 2 in
  * the position, stretches at and just past the length where sampling
  * starts, sums at the 64-bit limit and past it, and a counter that
- * falls.
+ * falls; and the point evaluation across processors (evaluateStretch)
+ * against the same polynomials, at and past the 64-bit limit and on a
+ * falling counter.
  */
 
 #include <gtest/gtest.h>
@@ -147,6 +149,88 @@ TEST(StretchSampler, AFallingCounterIsAnInternalError)
                   std::string::npos)
             << e.what();
     }
+}
+
+/** Counter f of point t: c[f][0] + c[f][1] * t + c[f][2] * t^2. */
+std::vector<uint64_t>
+pointState(const std::vector<std::array<Int, 3>> &coeffs, uint64_t t)
+{
+    std::vector<uint64_t> out;
+    const Int x = Int(t);
+    for (const auto &c : coeffs)
+        out.push_back(uint64_t(c[0] + c[1] * x + c[2] * x * x));
+    return out;
+}
+
+/** evaluateStretch of the polynomials, sampled at points 0..degree. */
+std::vector<uint64_t>
+evaluated(const std::vector<std::array<Int, 3>> &coeffs, size_t degree,
+          uint64_t at)
+{
+    std::vector<uint64_t> states;
+    for (uint64_t t = 0; t <= degree; ++t) {
+        std::vector<uint64_t> s = pointState(coeffs, t);
+        states.insert(states.end(), s.begin(), s.end());
+    }
+    std::vector<uint64_t> out(coeffs.size());
+    evaluateStretch(states.data(), degree + 1, coeffs.size(), at, 1,
+                    out.data());
+    return out;
+}
+
+TEST(StretchEvaluation, EqualsThePolynomialAtEveryPoint)
+{
+    for (size_t degree = 0; degree <= kMaxStretchDegree; ++degree) {
+        const std::vector<std::array<Int, 3>> coeffs = {
+            {7, degree >= 1 ? 3 : 0, degree >= 2 ? 2 : 0},
+            {0, 0, 0},
+            {1000, degree >= 1 ? -1 : 0, degree >= 2 ? 1 : 0}};
+        for (uint64_t at : {0, 1, 2, 3, 4, 17, 999})
+            EXPECT_EQ(evaluated(coeffs, degree, at), pointState(coeffs, at))
+                << "degree " << degree << " at " << at;
+        // A run of points at once.
+        std::vector<uint64_t> states, run(5 * coeffs.size());
+        for (uint64_t t = 0; t <= degree; ++t) {
+            std::vector<uint64_t> st = pointState(coeffs, t);
+            states.insert(states.end(), st.begin(), st.end());
+        }
+        evaluateStretch(states.data(), degree + 1, coeffs.size(), 40, 5,
+                        run.data());
+        for (uint64_t i = 0; i < 5; ++i)
+            EXPECT_EQ(std::vector<uint64_t>(
+                          run.begin() + i * coeffs.size(),
+                          run.begin() + (i + 1) * coeffs.size()),
+                      pointState(coeffs, 40 + i))
+                << "degree " << degree << " at " << 40 + i;
+    }
+}
+
+TEST(StretchEvaluation, ReachesTheLastUint64AndThrowsPastIt)
+{
+    // 5 * 3689348814741910323 == 2^64 - 1.
+    const std::vector<std::array<Int, 3>> line = {{0, 3689348814741910323, 0}};
+    EXPECT_EQ(evaluated(line, 1, 5)[0], UINT64_MAX);
+    try {
+        evaluated(line, 1, 6);
+        ADD_FAILURE() << "a value past 2^64 - 1 was evaluated";
+    } catch (const LimitError &e) {
+        EXPECT_STREQ(e.what(), "simulator counter exceeds 2^64-1");
+    }
+    // C(2^64 - 1, 2) still fits 128 bits; the product does not.
+    EXPECT_THROW(evaluated({{0, 0, 1}}, 2, UINT64_MAX), LimitError);
+}
+
+TEST(StretchEvaluation, AFallingCounterIsAnInternalError)
+{
+    try {
+        evaluated({{10, -1, 0}}, 1, 11);
+        ADD_FAILURE() << "a counter below zero was evaluated";
+    } catch (const InternalError &e) {
+        EXPECT_NE(std::string(e.what()).find("stretch charge below zero"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(evaluated({{10, -1, 0}}, 1, 10)[0], 0u);
 }
 
 } // namespace

@@ -32,7 +32,7 @@ simWalkDifferential(const ir::Program &prog,
     out.naiveCompleted = naive.has_value();
     if (!naive)
         return out;
-    const std::pair<const char *, bool> sides[] = {{"stretch", false},
+    const std::pair<const char *, bool> sides[] = {{"across-processor", false},
                                                    {"per-position", true}};
     for (const auto &[name, traced] : sides) {
         std::optional<numa::SimStats> fast = simulate(true, traced);
@@ -44,6 +44,10 @@ simWalkDifferential(const ir::Program &prog,
             return out;
         }
     }
+    opts.trace = nullptr;
+    opts.fastInner = true;
+    out.evaluated =
+        numa::Simulator(prog, nest, plan, opts).runTally(binds).evaluated;
     return out;
 }
 
