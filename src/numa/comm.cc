@@ -146,16 +146,12 @@ buildCommMatrix(const SimStats &stats, uint64_t materialize_budget)
                 throw InternalError(
                     "comm fold: default symmetry class has traffic "
                     "but no explicit members");
-            for (const ProcRange &r : c.members) {
-                for (Int i = 0; i < r.count; ++i) {
-                    obs::CommMatrix::Row row;
-                    row.origin = r.memberAt(i, P);
-                    Int t = euclidMod(checkedSub(row.origin,
-                                                 c.rep.proc),
-                                      P);
-                    translateRow(c.rep.comm, t, P, row.edges);
-                    out.rows.push_back(std::move(row));
-                }
+            for (Int i = 0; i < c.members.count; ++i) {
+                obs::CommMatrix::Row row;
+                row.origin = c.members.memberAt(i, P);
+                Int t = euclidMod(checkedSub(row.origin, c.rep.proc), P);
+                translateRow(c.rep.comm, t, P, row.edges);
+                out.rows.push_back(std::move(row));
             }
         }
         std::sort(out.rows.begin(), out.rows.end(),
@@ -206,11 +202,8 @@ buildCommMatrix(const SimStats &stats, uint64_t materialize_budget)
                 const ProcClass &B = stats.classes[bi];
                 if (B.isDefault)
                     continue;
-                uint64_t members = 0;
-                for (const ProcRange &ra : A.members)
-                    for (const ProcRange &rb : B.members)
-                        members += pairCount(ra, A.rep.proc, rb,
-                                             e.owner, P);
+                const uint64_t members = pairCount(
+                    A.members, A.rep.proc, B.members, e.owner, P);
                 if (members) {
                     cell_add(ai, bi, e, members);
                     placed += members;

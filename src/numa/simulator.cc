@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "numa/congruent.h"
+#include "numa/piece_cuts.h"
 #include "numa/stretch.h"
 #include "numa/thread_pool.h"
 #include "ratmath/fault.h"
@@ -258,10 +259,10 @@ struct Simulator::Compiled
      * change per unit of the outer variable, as (num, den * P). */
     std::vector<std::pair<Int128, Int128>> outerMoves;
     /** The outer values at which the middle run's piece structure can
-     * change, ascending, as (num, den), and the slope (num, den) of
-     * every bound and crossing that shapes the pieces (eventCuts, once
-     * per run: eventState 1 when found, -1 when the nest has none). */
-    std::vector<std::pair<Int128, Int128>> cuts, eventSlopes;
+     * change, and the slope of every bound and crossing that shapes the
+     * pieces (eventCuts, once per run: eventState 1 when found, -1 when
+     * the nest has none). */
+    PieceCuts events;
     int eventState = 0;
     /**
      * Processors may be charged by evaluation across processors
@@ -293,6 +294,7 @@ struct Simulator::Compiled
      */
     bool outerEmpty = true;
     Int outerLo = 0, outerHi = 0, outerBase = 0;
+    Int128 sliceStep = 1; //!< of every non-empty slice, in 128 bits
     Int alignRem = 0, alignGcd = 1, alignModG = 1, alignInv = 0;
     IntVec origin; //!< the all-zero point (level 0 bounds read none of it)
 };
@@ -335,6 +337,10 @@ struct Simulator::Workspace
     /** Stretch charging: the stretches' bounds, and the state after
      * each walked position of one stretch. */
     std::vector<uint64_t> bounds, states;
+    /** Evaluation across processors, on the calling thread: the
+     * evaluated processors' states and the difference table. */
+    std::vector<uint64_t> values;
+    std::vector<Int128> diffs;
 };
 
 Simulator::Workspace &
@@ -386,22 +392,6 @@ Simulator::Simulator(const ir::Program &prog,
                             " outside the nest depth " +
                             std::to_string(prog_.nest.depth()));
     }
-}
-
-Int128
-Simulator::sliceStep() const
-{
-    const Int s = nest_.lattice().stride(0), procs = opts_.processors;
-    switch (plan_.scheme) {
-      case PartitionScheme::RoundRobin:
-        return Int128(s) * procs;
-      case PartitionScheme::OwnerWrapped:
-        return Int128(s / std::gcd(s, procs)) * procs; // lcm(s, P)
-      case PartitionScheme::OwnerBlock2D:
-      case PartitionScheme::OwnerBlocked:
-        break;
-    }
-    return s;
 }
 
 Simulator::OuterSlice
@@ -483,13 +473,21 @@ Simulator::outerSlice(const Compiled &c, Int p) const
 
     os.empty = false;
     os.start = start;
-    os.step = narrow128(sliceStep());
+    os.step = narrow128(c.sliceStep);
     os.hi = hi;
+    Int span;
+    if (os.step <= 0 || start > hi)
+        os.positions = 0;
+    else if (!__builtin_sub_overflow(hi, start, &span) &&
+             span / os.step < INT64_MAX)
+        os.positions = span / os.step + 1; // 64 bits suffice
+    else
+        os.positions = narrow128((Int128(hi) - start) / os.step + 1);
     return os;
 }
 
 SymmetryPlan
-Simulator::planClasses(const Compiled &c) const
+Simulator::planClasses(const Compiled &c, Int victimRemaining) const
 {
     SymmetryInput in;
     in.processors = opts_.processors;
@@ -517,24 +515,15 @@ Simulator::planClasses(const Compiled &c) const
         // and every potential adopter of its redistributed positions
         // must stay singletons (the planner handles the split).
         in.killVictim = f.killProc;
-        OuterSlice vs = outerSlice(c, f.killProc);
-        Int vt = vs.empty ? 0 : vs.count();
-        Int vd = f.killAfterSlices > uint64_t(vt)
-                     ? vt
-                     : Int(f.killAfterSlices);
-        Int remaining = vt - vd;
-        if (remaining > 0 && plan_.outerParallel && opts_.processors > 1)
+        if (victimRemaining > 0 && plan_.outerParallel &&
+            opts_.processors > 1)
             in.killAdopterBound =
-                std::min(opts_.processors, remaining + 1);
+                std::min(opts_.processors, victimRemaining + 1);
     } else {
         in.mergeable =
             checkTranslationMerge(prog_, nest_, plan_, opts_.processors)
                 .mergeable;
     }
-    in.sliceCount = [this, &c](Int p) -> Int {
-        OuterSlice s = outerSlice(c, p);
-        return s.empty ? 0 : s.count();
-    };
     return planSymmetryClasses(in);
 }
 
@@ -627,7 +616,7 @@ Simulator::buildOwnerTables(Compiled &c) const
     if (c.depth > 2) {
         steps.push_back(c.strides[mid]);
     } else {
-        const Int128 own = sliceStep();
+        const Int128 own = c.sliceStep;
         steps.push_back(own);
         const FaultOptions &f = opts_.faults;
         if (f.killProc >= 0 && f.killProc < procs && procs > 1 &&
@@ -1164,7 +1153,7 @@ Simulator::stretchBounds(const Compiled &c, const OuterSlice &slice,
     // A stretch starts at each position at or past a cut.
     const Int128 x0 = Int128(slice.start) + Int128(fromIdx) * slice.step;
     bounds.assign(1, 0);
-    for (const auto &[num, den] : c.cuts) {
+    for (const auto &[num, den] : c.events.cuts) {
         Int128 x0d, at, per;
         if (mulOverflow128(x0, den, &x0d) ||
             __builtin_sub_overflow(num, x0d, &at) ||
@@ -1211,7 +1200,7 @@ Simulator::acrossCuts(const Compiled &c, Int first, const OuterSlice &slice,
             const Int128 x0 =
                 geoAdd(slice.start, geoMul(Int128(j), slice.step));
             // Where x_j crosses a cut of the middle run's pieces.
-            for (const auto &[num, den] : c.cuts)
+            for (const auto &[num, den] : c.events.cuts)
                 cut_at(ceilDiv128(geoAdd(num, -geoMul(x0, den)),
                                   geoMul(den, d)));
             // A form's numerator along x_j, at middle value y = y0 + y1 q.
@@ -2227,6 +2216,17 @@ Simulator::compile(const ir::Bindings &binds, bool values) const
         c.outerHi = c.bounds.upper(0, c.origin);
         c.outerEmpty = c.outerLo > c.outerHi;
     }
+    // The step of every non-empty slice: s * P round robin, lcm(s, P)
+    // owner-wrapped and s under the block schemes, where s is the outer
+    // lattice stride.
+    if (c.depth > 0) {
+        const Int s = c.strides[0], procs = opts_.processors;
+        c.sliceStep = plan_.scheme == PartitionScheme::RoundRobin
+                          ? Int128(s) * procs
+                      : plan_.scheme == PartitionScheme::OwnerWrapped
+                          ? Int128(s / std::gcd(s, procs)) * procs
+                          : s;
+    }
     if (!c.outerEmpty) {
         c.outerBase = nest_.startAt(0, c.outerLo, {});
         if (plan_.scheme == PartitionScheme::OwnerWrapped) {
@@ -2309,69 +2309,6 @@ Simulator::planStretches(Compiled &c, bool countersOnly) const
     c.stretches = true;
 }
 
-namespace {
-
-/** An exact rational in 128 bits, denominator positive; an operation
- * that leaves 128 bits declines (the run walks position by
- * position). */
-struct Q
-{
-    Int128 n = 0, d = 1;
-};
-
-Q
-qmake(Int128 n, Int128 d)
-{
-    if (d < 0) {
-        n = geoMul(n, -1);
-        d = geoMul(d, -1);
-    }
-    const Int128 g = gcd128(n, d);
-    return g > 1 ? Q{n / g, d / g} : Q{n, d};
-}
-
-Q
-operator+(Q a, Q b)
-{
-    return qmake(geoAdd(geoMul(a.n, b.d), geoMul(b.n, a.d)),
-                 geoMul(a.d, b.d));
-}
-
-Q
-operator-(Q a, Q b)
-{
-    return a + Q{geoMul(b.n, -1), b.d};
-}
-
-Q
-operator*(Q a, Q b)
-{
-    return qmake(geoMul(a.n, b.n), geoMul(a.d, b.d));
-}
-
-Q
-operator/(Q a, Q b) // b != 0
-{
-    return qmake(geoMul(a.n, b.d), geoMul(a.d, b.n));
-}
-
-int
-cmp(Q a, Q b)
-{
-    const Int128 l = geoMul(a.n, b.d), r = geoMul(b.n, a.d);
-    return l < r ? -1 : (l > r ? 1 : 0);
-}
-
-/** slope * x + icpt: a bound or a crossing as a function of the outer
- * variable x. */
-struct Line
-{
-    Q slope, icpt;
-    Q at(Q x) const { return slope * x + icpt; }
-};
-
-} // namespace
-
 bool
 Simulator::planCuts(Compiled &c) const
 {
@@ -2380,13 +2317,13 @@ Simulator::planCuts(Compiled &c) const
     // repeats (outerMoves).
     const Int procs = opts_.processors;
     const Int128 positions =
-        (Int128(c.outerHi) - c.outerBase) / sliceStep() + 1;
+        (Int128(c.outerHi) - c.outerBase) / c.sliceStep + 1;
     if (plan_.scheme == PartitionScheme::OwnerBlock2D ||
         plan_.scheme == PartitionScheme::OwnerBlocked || positions < 16)
         return false; // walking the short slices costs less
     if (!eventCuts(c))
         return false;
-    for (const auto &[num, den] : c.eventSlopes) {
+    for (const auto &[num, den] : c.events.slopes) {
         Int128 mod;
         if (mulOverflow128(den, procs, &mod))
             return false;
@@ -2398,158 +2335,13 @@ Simulator::planCuts(Compiled &c) const
 bool
 Simulator::eventCuts(Compiled &c) const
 {
-    if (c.eventState == 0)
-        c.eventState = findEvents(c) ? 1 : -1;
-    return c.eventState > 0;
-}
-
-bool
-Simulator::findEvents(Compiled &c) const
-{
-    // Three deep, with outer variable x, middle y and inner z. Each
-    // bound of y is a line Y(x); each bound of z is k * y + W(x) with
-    // an integral k. At position x the middle run's pieces are the
-    // stretches of y between the events: where two inner bounds cross,
-    // y = (W_b(x) - W_a(x)) / (k_a - k_b), bounded by the active bounds
-    // of y. While no two events that bound pieces cross, the pieces keep
-    // their bounds; once every event moves by a whole number per step of
-    // x (the caller checks the slopes), the pieces move by whole numbers
-    // too. Cut where two events cross and both are active there: a
-    // middle bound holds as the max of the lowers / min of the uppers,
-    // an inner crossing as the max / min of its side at that point, and
-    // it lies within one of the middle range. Two inner bounds with
-    // equal k swap everywhere at once: cut wherever they do.
-    if (c.depth != 3 || c.strides[1] != 1 || c.strides[2] != 1)
-        return false;
-    struct Bound
-    {
-        Line w;
-        bool lower;
-        Int k = 0;
-    };
-    std::vector<Bound> mid, in;
-    try {
-        for (size_t level : {1, 2}) {
-            for (bool lower : {true, false}) {
-                for (size_t f : lower ? c.lowerForms[level]
-                                      : c.upperForms[level]) {
-                    const ir::CompiledAffine &a = c.forms[f];
-                    const Int ky = coeffOf(a, 1);
-                    if (level == 2 && ky % a.den != 0)
-                        return false;
-                    (level == 1 ? mid : in)
-                        .push_back({{qmake(coeffOf(a, 0), a.den),
-                                     qmake(a.cst, a.den)},
-                                    lower,
-                                    level == 2 ? ky / a.den : 0});
-                }
-            }
-        }
-        auto must_move = [&](Q slope) {
-            if (slope.n != 0)
-                c.eventSlopes.push_back({slope.n, slope.d});
-        };
-        // The events: the middle bounds, then each inner crossing.
-        struct Event
-        {
-            Line y;
-            size_t a, b; //!< b == SIZE_MAX: middle bound a
-        };
-        std::vector<Event> events;
-        for (size_t i = 0; i < mid.size(); ++i) {
-            must_move(mid[i].w.slope);
-            events.push_back({mid[i].w, i, SIZE_MAX});
-        }
-        for (size_t a = 0; a < in.size(); ++a) {
-            must_move(in[a].w.slope);
-            for (size_t b = a + 1; b < in.size(); ++b) {
-                if (in[a].k == in[b].k)
-                    continue;
-                const Q dk{Int128(in[a].k) - in[b].k, 1};
-                const Line y{(in[b].w.slope - in[a].w.slope) / dk,
-                             (in[b].w.icpt - in[a].w.icpt) / dk};
-                must_move(y.slope);
-                events.push_back({y, a, b});
-            }
-        }
-        // Whether bound i of bs is the max of its side's lowers / min of
-        // its uppers, each valued by v.
-        auto holds = [](const std::vector<Bound> &bs, size_t i, auto &&v) {
-            const Q vi = v(bs[i]);
-            for (const Bound &o : bs) {
-                if (o.lower != bs[i].lower)
-                    continue;
-                const int s = cmp(v(o), vi);
-                if (bs[i].lower ? s > 0 : s < 0)
-                    return false;
-            }
-            return true;
-        };
-        auto inner_at = [](Q x, Q y) {
-            return [x, y](const Bound &o) {
-                return Q{o.k, 1} * y + o.w.at(x);
-            };
-        };
-        // The middle range at x, widened by one on each side.
-        auto range = [&](Q x, Q &lo, Q &hi) {
-            bool has_lo = false, has_hi = false;
-            for (const Bound &o : mid) {
-                const Q v = o.w.at(x);
-                Q &w = o.lower ? lo : hi;
-                bool &has = o.lower ? has_lo : has_hi;
-                if (!has || (o.lower ? cmp(v, w) > 0 : cmp(v, w) < 0))
-                    w = v;
-                has = true;
-            }
-            lo = lo - Q{1, 1};
-            hi = hi + Q{1, 1};
-        };
-        auto active = [&](const Event &e, Q x, Q y) {
-            if (e.b == SIZE_MAX)
-                return holds(mid, e.a, [&](const Bound &o) {
-                    return o.w.at(x);
-                });
-            return holds(in, e.a, inner_at(x, y)) &&
-                   holds(in, e.b, inner_at(x, y));
-        };
-        const Q x_lo{Int128(c.outerLo) - 1, 1}, x_hi{Int128(c.outerHi) + 1, 1};
-        std::vector<Q> cuts;
-        auto cut = [&](Q x) {
-            if (cmp(x, x_lo) >= 0 && cmp(x, x_hi) <= 0)
-                cuts.push_back(x);
-        };
-        for (size_t i = 0; i < events.size(); ++i) {
-            for (size_t j = i + 1; j < events.size(); ++j) {
-                const Q ds = events[i].y.slope - events[j].y.slope;
-                if (ds.n == 0)
-                    continue; // parallel or the same event
-                const Q x = (events[j].y.icpt - events[i].y.icpt) / ds;
-                const Q y = events[i].y.at(x);
-                Q lo, hi;
-                range(x, lo, hi);
-                if (cmp(y, lo) >= 0 && cmp(y, hi) <= 0 &&
-                    active(events[i], x, y) && active(events[j], x, y))
-                    cut(x);
-            }
-        }
-        for (size_t a = 0; a < in.size(); ++a) {
-            for (size_t b = a + 1; b < in.size(); ++b) {
-                const Q ds = in[a].w.slope - in[b].w.slope;
-                if (in[a].k != in[b].k || ds.n == 0)
-                    continue;
-                cut((in[b].w.icpt - in[a].w.icpt) / ds);
-            }
-        }
-        std::sort(cuts.begin(), cuts.end(),
-                  [](Q a, Q b) { return cmp(a, b) < 0; });
-        for (const Q &x : cuts)
-            if (c.cuts.empty() ||
-                cmp(x, {c.cuts.back().first, c.cuts.back().second}) != 0)
-                c.cuts.push_back({x.n, x.d});
-    } catch (const Decline &) {
-        return false;
+    if (c.eventState == 0) {
+        const bool found =
+            c.depth == 3 && c.strides[1] == 1 && c.strides[2] == 1 &&
+            findPieceCuts(c.bounds, c.outerLo, c.outerHi, c.events);
+        c.eventState = found ? 1 : -1;
     }
-    return true;
+    return c.eventState > 0;
 }
 
 void
@@ -2705,14 +2497,22 @@ Simulator::planAcross(Compiled &c, bool countersOnly) const
     }
     if (moving && !eventCuts(c))
         return;
-    for (const auto &[num, den] : c.eventSlopes) {
+    for (const auto &[num, den] : c.events.slopes) {
         Int128 moved;
         if (mulOverflow128(num, d, &moved) || moved % den != 0)
             return;
     }
+    // Without bounds that read x or y, a run's counters are constant in
+    // p between the cuts, except on a tilted plane z = tilt * y + v:
+    // the middle positions it crosses within the inner range are a
+    // clipped difference of linear functions of v.
+    const bool tilted = std::any_of(refs.begin(), refs.end(),
+                                    [](const AcrossRef &r) {
+                                        return r.tilt != 0;
+                                    });
     c.acrossRefs = std::move(refs);
     c.acrossStep = d;
-    c.acrossDegree = shaped ? 2 : 0;
+    c.acrossDegree = shaped ? 2 : tilted ? 1 : 0;
     c.across = true;
 }
 
@@ -2783,58 +2583,6 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
 
     Compiled c = compile(binds, storage != nullptr);
 
-    // Symmetry-class aggregation: when the partition's structure can
-    // be bounded, simulate one representative per equivalence class
-    // instead of all P processors. Value-executing runs always take the
-    // direct path (every processor's stores must happen).
-    std::vector<Int> procs;
-    SymmetryPlan sym;
-    bool aggregate = false;
-    if (!storage &&
-        (opts_.symmetry == SymmetryMode::Force ||
-         (opts_.symmetry == SymmetryMode::Auto &&
-          opts_.processors > opts_.symmetryThreshold))) {
-        sym = planClasses(c);
-        aggregate = sym.usable;
-    }
-    std::vector<uint64_t> multiplicity;
-    if (aggregate) {
-        for (const SymmetryPlan::Group &g : sym.groups) {
-            procs.push_back(g.representative);
-            multiplicity.push_back(g.multiplicity);
-        }
-        if (sym.hasDefault) {
-            procs.push_back(sym.defaultRep);
-            multiplicity.push_back(sym.defaultCount);
-        }
-    } else {
-        for (Int p = 0; p < opts_.processors; ++p)
-            procs.push_back(p);
-    }
-
-    // Each simulated processor's stats: an aggregated run charges its
-    // class table's representatives in place, perProc stays empty.
-    SimStats out;
-    out.processors = opts_.processors;
-    if (aggregate) {
-        out.classes.resize(procs.size());
-        size_t i = 0;
-        for (SymmetryPlan::Group &g : sym.groups) {
-            out.classes[i].multiplicity = g.multiplicity;
-            out.classes[i++].members = std::move(g.members);
-        }
-        if (sym.hasDefault) {
-            out.classes[i].multiplicity = sym.defaultCount;
-            out.classes[i].isDefault = true;
-        }
-        out.aggregated = true;
-    } else {
-        out.perProc.assign(procs.size(), ProcStats{});
-    }
-    auto stat = [&](size_t i) -> ProcStats & {
-        return aggregate ? out.classes[i].rep : out.perProc[i];
-    };
-
     // Fail-stop injection: the victim stops after killAfterSlices of
     // its outer-slice iterations (phase 1); its unstarted positions are
     // redistributed or restarted afterwards (phase 2).
@@ -2849,6 +2597,69 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
                           ? victim_total
                           : Int(f.killAfterSlices);
     }
+
+    // Symmetry-class aggregation: when the partition's structure can
+    // be bounded, simulate one representative per equivalence class
+    // instead of all P processors. Value-executing runs always take the
+    // direct path (every processor's stores must happen).
+    SymmetryPlan sym;
+    bool aggregate = false;
+    if (!storage &&
+        (opts_.symmetry == SymmetryMode::Force ||
+         (opts_.symmetry == SymmetryMode::Auto &&
+          opts_.processors > opts_.symmetryThreshold))) {
+        sym = planClasses(c, victim_total - victim_done);
+        aggregate = sym.usable;
+    }
+    // The simulated processors, and the slices of an aggregated run's
+    // representatives (or of the processors a run evaluates across),
+    // each computed once: the class checks, the evaluation across
+    // processors and phase 1 share them. A representative whose slice
+    // does not hold the trip count of its class's closed form (or a
+    // default one with work) means the symmetry argument does not
+    // apply: simulate directly rather than aggregate wrongly.
+    std::vector<Int> procs;
+    std::vector<OuterSlice> slices;
+    if (aggregate) {
+        procs.reserve(sym.classCount());
+        for (const SymmetryPlan::Group &g : sym.groups)
+            procs.push_back(g.representative);
+        if (sym.hasDefault)
+            procs.push_back(sym.defaultRep);
+        slices.reserve(procs.size());
+        for (size_t i = 0; i < procs.size() && aggregate; ++i) {
+            slices.push_back(outerSlice(c, procs[i]));
+            const Int trips = i < sym.groups.size() ? sym.groups[i].trips : 0;
+            aggregate = trips < 0 || slices[i].count() == trips;
+        }
+    }
+    if (!aggregate) {
+        procs.resize(size_t(opts_.processors));
+        std::iota(procs.begin(), procs.end(), Int(0));
+        slices.clear();
+    }
+
+    // Each simulated processor's stats: an aggregated run charges its
+    // class table's representatives in place, perProc stays empty.
+    SimStats out;
+    out.processors = opts_.processors;
+    if (aggregate) {
+        out.classes.resize(procs.size());
+        for (size_t i = 0; i < sym.groups.size(); ++i) {
+            out.classes[i].multiplicity = sym.groups[i].multiplicity;
+            out.classes[i].members = sym.groups[i].members;
+        }
+        if (sym.hasDefault) {
+            out.classes.back().multiplicity = sym.defaultCount;
+            out.classes.back().isDefault = true;
+        }
+        out.aggregated = true;
+    } else {
+        out.perProc.assign(procs.size(), ProcStats{});
+    }
+    auto stat = [&](size_t i) -> ProcStats & {
+        return aggregate ? out.classes[i].rep : out.perProc[i];
+    };
 
     // Trace-event buffers: one per simulated processor, filled inside
     // the (possibly host-parallel) walks and merged in processor order
@@ -2876,9 +2687,8 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
     };
 
     // Phase 1: every simulated processor walks its own slice (the victim
-    // only up to its point of death). `slices` holds the slices by index
-    // into procs once the evaluation across processors planned them.
-    std::vector<OuterSlice> slices;
+    // only up to its point of death), from `slices` where they are
+    // computed.
     auto phase1 = [&](size_t i, ir::ArrayStorage *st) {
         const Int p = procs[i];
         ProcStats &ps = stat(i);
@@ -2913,6 +2723,8 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
     std::vector<uint8_t> evaluated(procs.size(), 0);
     const size_t samples = c.acrossDegree + 1;
     if (c.across && procs.size() >= samples + 2) {
+        // A stretch spans at least samples + 1 processors.
+        stretches.reserve(procs.size() / (samples + 1));
         const Int survivors = opts_.processors - 1;
         auto walked_anyway = [&](Int p) {
             if (!kill)
@@ -2923,10 +2735,10 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
             return survivors > 0 && plan_.outerParallel &&
                    victim_done + si < victim_total;
         };
-        slices.resize(procs.size());
+        for (size_t i = slices.size(); i < procs.size(); ++i)
+            slices.push_back(outerSlice(c, procs[i]));
         std::vector<uint8_t> eligible(procs.size(), 0);
         for (size_t i = 0; i < procs.size(); ++i) {
-            slices[i] = outerSlice(c, procs[i]);
             const Int positions = slices[i].count();
             eligible[i] = positions > 0 && positions <= 2 &&
                           !walked_anyway(procs[i]);
@@ -2960,6 +2772,7 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
         }
     }
     std::vector<size_t> walk;
+    walk.reserve(procs.size());
     for (size_t i = 0; i < procs.size(); ++i)
         if (!evaluated[i])
             walk.push_back(i);
@@ -2989,7 +2802,9 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
     // zero, as the walk leaves it).
     const size_t n_arrays = c.dists.size();
     const size_t width = std::size(kStatFields) + n_arrays;
-    std::vector<uint64_t> states(samples * width), values;
+    Workspace &ws = workspace(); // this thread's walks are done
+    std::vector<uint64_t> &states = ws.states, &values = ws.values;
+    states.resize(samples * width);
     for (const ProcStretch &st : stretches) {
         for (size_t k = 0; k < samples; ++k) {
             const ProcStats &ps = stat(st.first + k);
@@ -3002,7 +2817,7 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
         values.resize((st.evalTo - st.evalFrom) * width);
         evaluateStretch(states.data(), samples, width,
                         st.evalFrom - st.first, st.evalTo - st.evalFrom,
-                        values.data());
+                        values.data(), ws.diffs);
         for (size_t i = st.evalFrom; i < st.evalTo; ++i) {
             ProcStats &ps = stat(i);
             ps.proc = procs[i];
@@ -3102,7 +2917,8 @@ Simulator::runWith(const ir::Bindings &binds, ir::ArrayStorage *storage,
             // size says how many processors this track stands for.
             // Direct runs emit exactly the historical byte stream.
             if (aggregate)
-                sum.arg("classSize", obs::jsonNum(multiplicity[i]));
+                sum.arg("classSize",
+                        obs::jsonNum(out.classes[i].multiplicity));
             sum.pid = opts_.tracePid;
             tr.add(std::move(sum));
             for (obs::TraceEvent &e : buffers[i]) {
@@ -3263,7 +3079,7 @@ simulateOwnership(const ir::Program &prog, const SimOptions &opts,
             finalizeProcTime(ps, rates);
             ProcClass pc;
             pc.multiplicity = 1;
-            pc.members.push_back(ProcRange{ps.proc, 1, 1});
+            pc.members = ProcRange{ps.proc, 1, 1};
             pc.rep = std::move(ps);
             out.classes.push_back(std::move(pc));
         }

@@ -306,18 +306,18 @@ class Simulator
     void planStretches(Compiled &c, bool countersOnly) const;
 
     /** Where bounds below level 0 read the outer variable: the outer
-     * values at which stretches are cut (Compiled::cuts) and the moves
-     * those bounds and their crossings must make, or false when the
-     * slices are walked. */
+     * values at which stretches are cut (Compiled::events) and the
+     * moves those bounds and their crossings must make, or false when
+     * the slices are walked. */
     bool planCuts(Compiled &c) const;
 
     /** The outer values at which the middle run's pieces can change,
      * and the slope of every bound and crossing that shapes them
-     * (Compiled::cuts, eventSlopes; three deep, unit lattice below
-     * level 0), or false. findEvents finds them; eventCuts, once per
-     * run. */
+     * (Compiled::events; three deep, unit lattice below level 0), or
+     * false. Planned once per run, in integers, by findPieceCuts
+     * (numa/piece_cuts.h): a few microseconds, however many events
+     * cross. */
     bool eventCuts(Compiled &c) const;
-    bool findEvents(Compiled &c) const;
 
     /** Decide whether processors may be charged by evaluation across
      * processors (Compiled::across), up to the per-run cuts. */
@@ -351,29 +351,17 @@ class Simulator
         Int start = 0, step = 1, hi = 0;
         bool clamp1 = false;      //!< also clamp loop level 1 (2D owner)
         Int clamp1Lo = 0, clamp1Hi = -1;
+        Int positions = 0; //!< see count()
 
-        /** Number of outer iterations in the slice, taken in 128 bits;
-         * throws OverflowError when it leaves Int. */
-        Int count() const
-        {
-            if (empty || step <= 0 || start > hi)
-                return 0;
-            Int span;
-            if (!__builtin_sub_overflow(hi, start, &span) &&
-                span / step < INT64_MAX)
-                return span / step + 1; // 64 bits suffice
-            return narrow128((Int128(hi) - start) / step + 1);
-        }
+        /** Number of outer iterations in the slice, taken in 128 bits
+         * when the slice is made (outerSlice throws OverflowError when
+         * it leaves Int). */
+        Int count() const { return positions; }
     };
 
     /** Processor p's slice of the distributed outer loop under the
      * plan's partition scheme (empty when p has no work). */
     OuterSlice outerSlice(const Compiled &c, Int p) const;
-
-    /** The step of every non-empty slice, in 128 bits: s * P round
-     * robin, lcm(s, P) owner-wrapped and s under the block schemes,
-     * where s is the outer lattice stride. */
-    Int128 sliceStep() const;
 
     /** Whether the positions fromIdx, fromIdx + idxStep, ... of the
      * slice are charged by stretches: the run allows it, some position
@@ -393,10 +381,13 @@ class Simulator
     bool acrossCuts(const Compiled &c, Int first, const OuterSlice &slice,
                     uint64_t count, std::vector<uint64_t> &cuts) const;
 
-    /** Plan symmetry classes for this run (see numa/symmetry.h);
-     * !usable when the structure cannot be bounded and the run must
-     * fall back to direct simulation. */
-    SymmetryPlan planClasses(const Compiled &c) const;
+    /** Plan symmetry classes for this run (see numa/symmetry.h), whose
+     * kill victim, if any, leaves victimRemaining positions of its
+     * slice unstarted: closed forms only, no slice is computed (run
+     * checks each class's trip count against its representative's
+     * slice); !usable when the structure cannot be bounded and the run
+     * must fall back to direct simulation. */
+    SymmetryPlan planClasses(const Compiled &c, Int victimRemaining) const;
 
     /**
      * Walk outer-slice positions fromIdx, fromIdx + idxStep, ... up to

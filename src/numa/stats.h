@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,6 +55,109 @@ mulCount(uint64_t a, uint64_t b)
     return r;
 }
 
+/**
+ * A processor's counters by array id (ProcStats::remoteByArray): empty
+ * until the first charge, then one per array of the program. Up to
+ * kInline counters live in place, so a processor's stats own no heap
+ * block unless the program has more arrays than that.
+ */
+class ArrayCounters
+{
+  public:
+    static constexpr size_t kInline = 4;
+    using value_type = uint64_t;
+    using iterator = uint64_t *;
+    using const_iterator = const uint64_t *;
+
+    ArrayCounters() = default;
+    ArrayCounters(const ArrayCounters &o) { assign(o.begin(), o.end()); }
+    ArrayCounters(ArrayCounters &&o) noexcept { take(o); }
+    ArrayCounters &
+    operator=(const ArrayCounters &o)
+    {
+        if (this != &o)
+            assign(o.begin(), o.end());
+        return *this;
+    }
+    ArrayCounters &
+    operator=(ArrayCounters &&o) noexcept
+    {
+        if (this != &o) {
+            clear();
+            take(o);
+        }
+        return *this;
+    }
+    ~ArrayCounters() { clear(); }
+
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    uint64_t *begin() { return size_ > kInline ? heap_ : inline_; }
+    uint64_t *end() { return begin() + size_; }
+    const uint64_t *begin() const { return size_ > kInline ? heap_ : inline_; }
+    const uint64_t *end() const { return begin() + size_; }
+    uint64_t &operator[](size_t i) { return begin()[i]; }
+    const uint64_t &operator[](size_t i) const { return begin()[i]; }
+
+    void
+    clear()
+    {
+        if (size_ > kInline)
+            std::allocator<uint64_t>().deallocate(heap_, size_);
+        size_ = 0;
+    }
+    /** n counters, each v. */
+    void
+    assign(size_t n, uint64_t v)
+    {
+        reserve(n);
+        std::fill(begin(), end(), v);
+    }
+    /** The counters [first, last), which must not lie in this one. */
+    void
+    assign(const uint64_t *first, const uint64_t *last)
+    {
+        reserve(size_t(last - first));
+        std::copy(first, last, begin());
+    }
+
+    bool
+    operator==(const ArrayCounters &o) const
+    {
+        return std::equal(begin(), end(), o.begin(), o.end());
+    }
+
+  private:
+    union
+    {
+        uint64_t inline_[kInline];
+        uint64_t *heap_;
+    };
+    size_t size_ = 0;
+
+    /** Size n, contents unspecified. */
+    void
+    reserve(size_t n)
+    {
+        if (n == size_)
+            return;
+        clear();
+        if (n > kInline)
+            heap_ = std::allocator<uint64_t>().allocate(n);
+        size_ = n;
+    }
+    void
+    take(ArrayCounters &o)
+    {
+        if (o.size_ > kInline)
+            heap_ = o.heap_;
+        else
+            std::copy(o.inline_, o.inline_ + o.size_, inline_);
+        size_ = o.size_;
+        o.size_ = 0;
+    }
+};
+
 /** Per-processor counters and simulated clock. */
 struct ProcStats
 {
@@ -80,7 +184,7 @@ struct ProcStats
     double time = 0.0;           //!< microseconds of simulated work
     /** Element-wise remote accesses broken down by array id (empty
      * until the first remote access; sized to the program's arrays). */
-    std::vector<uint64_t> remoteByArray;
+    ArrayCounters remoteByArray;
     /**
      * Per-compiled-reference breakdowns, indexed like
      * SimStats::refNames. Empty unless SimOptions::perReference: the
@@ -177,15 +281,18 @@ struct ProcRange
 /**
  * One equivalence class of processors with provably identical
  * ProcStats: a simulated representative, the class size, and the
- * membership. A default class owns every processor not claimed by any
- * other class (members left empty) -- typically the "no outer
- * iterations at all" class that makes P = 2^20 tractable.
+ * membership, one progression of processor ids (a singleton is the
+ * progression {rep.proc}). A default class owns every processor not
+ * claimed by any other class (members.count == 0) -- typically the "no
+ * outer iterations at all" class that makes P = 2^20 tractable. Nothing
+ * in a class but the representative's optional vectors lives on the
+ * heap.
  */
 struct ProcClass
 {
     ProcStats rep;
     uint64_t multiplicity = 1;
-    std::vector<ProcRange> members;
+    ProcRange members{0, 1, 0};
     bool isDefault = false;
 };
 
@@ -542,31 +649,31 @@ struct SimStats
         for (const ProcClass &c : classes) {
             if (c.isDefault)
                 continue;
-            for (const ProcRange &r : c.members)
-                for (Int i = 0; i < r.count; ++i) {
-                    Int p = r.memberAt(i, processors);
-                    out[size_t(p)] = c.rep;
-                    // A member's communication row is the
-                    // representative's translated by the member offset:
-                    // the translation-merge conditions make every
-                    // ownership residue shift exactly with the
-                    // processor id (see numa/symmetry.h), and
-                    // non-merged classes are singletons (offset 0).
-                    Int t = euclidMod(checkedSub(p, c.rep.proc),
-                                      processors);
-                    if (t != 0 && !out[size_t(p)].comm.empty()) {
-                        for (obs::CommEdge &e : out[size_t(p)].comm)
-                            e.owner = euclidMod(
-                                checkedAdd(e.owner, t), processors);
-                        std::sort(out[size_t(p)].comm.begin(),
-                                  out[size_t(p)].comm.end(),
-                                  [](const obs::CommEdge &a,
-                                     const obs::CommEdge &b) {
-                                      return a.owner < b.owner;
-                                  });
-                    }
-                    covered[size_t(p)] = 1;
+            const ProcRange &r = c.members;
+            for (Int i = 0; i < r.count; ++i) {
+                Int p = r.memberAt(i, processors);
+                out[size_t(p)] = c.rep;
+                // A member's communication row is the
+                // representative's translated by the member offset:
+                // the translation-merge conditions make every
+                // ownership residue shift exactly with the
+                // processor id (see numa/symmetry.h), and
+                // non-merged classes are singletons (offset 0).
+                Int t = euclidMod(checkedSub(p, c.rep.proc),
+                                  processors);
+                if (t != 0 && !out[size_t(p)].comm.empty()) {
+                    for (obs::CommEdge &e : out[size_t(p)].comm)
+                        e.owner = euclidMod(
+                            checkedAdd(e.owner, t), processors);
+                    std::sort(out[size_t(p)].comm.begin(),
+                              out[size_t(p)].comm.end(),
+                              [](const obs::CommEdge &a,
+                                 const obs::CommEdge &b) {
+                                  return a.owner < b.owner;
+                              });
                 }
+                covered[size_t(p)] = 1;
+            }
         }
         if (!dflt)
             for (Int p = 0; p < processors; ++p)

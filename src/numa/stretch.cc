@@ -32,16 +32,30 @@ differences(Int128 *d, size_t n)
             d[i] -= d[i - 1];
 }
 
-/** base + sum_k coeff[k] * d[k] as a counter: LimitError past 2^64 - 1,
- * InternalError below zero. An unset coefficient (past 128 bits) may
- * only meet a zero difference. */
+[[noreturn]] void
+overflow()
+{
+    anc::detail::throwLimit("simulator counter exceeds 2^64-1");
+}
+
+/** total as a counter: LimitError past 2^64 - 1, InternalError below
+ * zero. */
+uint64_t
+asCounter(Int128 total)
+{
+    if (total > Int128(UINT64_MAX))
+        overflow();
+    if (total < 0)
+        throw InternalError("stretch charge below zero");
+    return uint64_t(total);
+}
+
+/** base + sum_k coeff[k] * d[k] as a counter (asCounter). An unset
+ * coefficient (past 128 bits) may only meet a zero difference. */
 uint64_t
 sumTerms(Int128 base, const Int128 *d, const std::optional<Int128> *coeff,
          size_t n)
 {
-    auto overflow = [] {
-        anc::detail::throwLimit("simulator counter exceeds 2^64-1");
-    };
     Int128 total = base, term;
     for (size_t k = 0; k < n; ++k) {
         if (d[k] == 0)
@@ -55,11 +69,7 @@ sumTerms(Int128 base, const Int128 *d, const std::optional<Int128> *coeff,
         if (__builtin_add_overflow(total, term, &total))
             overflow();
     }
-    if (total > Int128(UINT64_MAX))
-        overflow();
-    if (total < 0)
-        throw InternalError("stretch charge below zero");
-    return uint64_t(total);
+    return asCounter(total);
 }
 
 } // namespace
@@ -90,7 +100,8 @@ extrapolateStretch(uint64_t *states, size_t samples, size_t width,
 
 void
 evaluateStretch(const uint64_t *states, size_t samples, size_t width,
-                uint64_t from, uint64_t count, uint64_t *out)
+                uint64_t from, uint64_t count, uint64_t *out,
+                std::vector<Int128> &diffs)
 {
     if (samples == 0 || samples > kMaxStretchDegree + 1)
         throw InternalError("stretch degree out of range");
@@ -101,20 +112,49 @@ evaluateStretch(const uint64_t *states, size_t samples, size_t width,
     }
     // The value at t is sum_k C(t, k) D^k: one difference table for
     // every point.
-    std::vector<Int128> diffs(samples * width);
+    diffs.resize(samples * width);
+    bool small = from + count - 1 < (uint64_t(1) << 31);
     for (size_t f = 0; f < width; ++f) {
         Int128 *d = &diffs[f * samples];
         for (size_t i = 0; i < samples; ++i)
             d[i] = states[i * width + f];
         differences(d, samples);
+        for (size_t k = 0; k < samples; ++k)
+            small = small && fitsInt(d[k]);
     }
     std::optional<Int128> coeff[kMaxStretchDegree + 1];
-    for (uint64_t i = 0; i < count; ++i) {
+    auto at = [&](uint64_t t) {
         for (size_t k = 0; k < samples; ++k)
-            coeff[k] = choose(from + i, k);
-        for (size_t f = 0; f < width; ++f)
-            out[i * width + f] =
-                sumTerms(0, &diffs[f * samples], coeff, samples);
+            coeff[k] = choose(t, k);
+    };
+    if (!small) {
+        for (uint64_t i = 0; i < count; ++i) {
+            at(from + i);
+            for (size_t f = 0; f < width; ++f)
+                out[i * width + f] =
+                    sumTerms(0, &diffs[f * samples], coeff, samples);
+        }
+        return;
+    }
+    // Every term of every point stays below 2^124 (t < 2^31, each
+    // difference within 64 bits), so no point's sum leaves 128 bits:
+    // step from point to point instead. With e_k(t) the k-th difference
+    // at t, e_k(t + 1) = e_k(t) + e_(k+1)(t), and e_k(from) is
+    // sum_m C(from, m) D^(k+m).
+    at(from);
+    for (size_t f = 0; f < width; ++f) {
+        Int128 *d = &diffs[f * samples];
+        for (size_t k = 0; k < samples; ++k)
+            for (size_t m = 1; k + m < samples; ++m)
+                d[k] += *coeff[m] * d[k + m];
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+        for (size_t f = 0; f < width; ++f) {
+            Int128 *d = &diffs[f * samples];
+            out[i * width + f] = asCounter(d[0]);
+            for (size_t k = 0; k + 1 < samples; ++k)
+                d[k] += d[k + 1];
+        }
     }
 }
 

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "ratmath/int_util.h"
+
 namespace anc::numa {
 
 /** Highest degree of a stretch's per-position change. */
@@ -63,10 +65,11 @@ void extrapolateStretch(uint64_t *states, size_t samples, size_t width,
  * `samples` consecutive points (samples = degree + 1), write to
  * out[i * width + f], i in [0, count), the state at point from + i of
  * the same polynomial, counted from the first sample. Throws like
- * extrapolateStretch.
+ * extrapolateStretch. `diffs` is scratch space, reused across calls.
  */
 void evaluateStretch(const uint64_t *states, size_t samples, size_t width,
-                     uint64_t from, uint64_t count, uint64_t *out);
+                     uint64_t from, uint64_t count, uint64_t *out,
+                     std::vector<Int128> &diffs);
 
 /**
  * Charge stretch s: walk(j) walks position j, save(to) writes the

@@ -132,10 +132,6 @@ planSymmetryClasses(const SymmetryInput &in)
     const Int n = in.outerEmpty ? 0 : in.outerCount;
     const bool merged = in.mergeable && !kill && n > 0;
 
-    auto probe = [&](Int p) -> Int {
-        return in.sliceCount ? in.sliceCount(p) : -1;
-    };
-
     if (merged) {
         // Residue-cycle closed form: position k belongs to residue
         // r_(k mod Q); residues in cycle order get ceil/floor(n/Q)
@@ -159,34 +155,18 @@ planSymmetryClasses(const SymmetryInput &in)
         auto add_group = [&](Int t_lo, Int t_hi, Int trips) {
             if (t_lo >= t_hi)
                 return;
-            SymmetryPlan::Group g;
-            g.representative =
-                residueAt(cycle_start, t_lo, cycle_step, P);
-            g.multiplicity = uint64_t(t_hi - t_lo);
-            g.members.push_back(ProcRange{
-                residueAt(cycle_start, t_lo, cycle_step, P),
-                cycle_step, t_hi - t_lo});
-            // Cross-check the closed-form trip count against the
-            // simulator's own slice computation; any mismatch means
-            // the symmetry argument does not apply -- bail out rather
-            // than aggregate wrongly.
-            Int probed = probe(g.representative);
-            if (probed >= 0 && probed != trips) {
-                out.groups.clear();
-                out.reason = "closed-form trip count mismatch";
-                return;
-            }
-            out.groups.push_back(std::move(g));
+            const Int rep = residueAt(cycle_start, t_lo, cycle_step, P);
+            out.groups.push_back({rep, uint64_t(t_hi - t_lo),
+                                  ProcRange{rep, cycle_step, t_hi - t_lo},
+                                  trips});
         };
         if (t_split == 0) {
             add_group(0, Q, c_low);
         } else {
             add_group(0, t_split, c_low + 1);
-            if (out.reason.empty() && c_low > 0)
+            if (c_low > 0)
                 add_group(t_split, Q, c_low);
         }
-        if (!out.reason.empty())
-            return out;
         Int covered = std::min(Q, n);
         if (c_low > 0)
             covered = Q;
@@ -202,37 +182,34 @@ planSymmetryClasses(const SymmetryInput &in)
                 // gcd with P exceeds 1 here, so start+1 differs mod g.
                 out.defaultRep = euclidMod(cycle_start + 1, P);
             }
-            if (probe(out.defaultRep) > 0) {
-                out.reason = "default representative has work";
-                return out;
-            }
         }
     } else {
         // Singleton classes for every processor whose behavior is not
-        // provably shared: non-empty slices, the kill victim, and the
-        // redistribution adopter range.
-        std::vector<Int> singles;
-        auto push_candidate = [&](Int p, bool force) {
-            if (p < 0 || p >= P)
-                return;
-            if (force || probe(p) != 0)
-                singles.push_back(p);
+        // provably shared: non-empty slices (with their trip counts),
+        // the kill victim, and the redistribution adopter range.
+        std::vector<std::pair<Int, Int>> singles; // (p, trips)
+        singles.reserve(size_t(std::min(P, n)));
+        auto push_candidate = [&](Int p, Int trips) {
+            if (p >= 0 && p < P)
+                singles.push_back({p, trips});
         };
         switch (in.scheme) {
           case PartitionScheme::RoundRobin:
+            // Processor p owns positions p, p + P, ...
             for (Int p = 0; p < std::min(P, n); ++p)
-                push_candidate(p, false);
+                push_candidate(p, (n - 1 - p) / P + 1);
             break;
           case PartitionScheme::OwnerWrapped: {
+            // The t-th residue of the cycle owns positions t, t + Q, ...
             Int g = gcdInt(euclidMod(in.outerStep, P), P);
             if (g == 0)
                 g = P;
-            Int Q = P / g;
-            for (Int t = 0; t < std::min(Q, n); ++t)
-                push_candidate(
-                    residueAt(euclidMod(in.outerStart, P), t,
-                              euclidMod(in.outerStep, P), P),
-                    false);
+            const Int Q = P / g, step = euclidMod(in.outerStep, P);
+            Int r = euclidMod(in.outerStart, P); // the t-th residue
+            for (Int t = 0; t < std::min(Q, n); ++t) {
+                push_candidate(r, (n - 1 - t) / Q + 1);
+                r = r >= P - step ? r - (P - step) : r + step;
+            }
             break;
           }
           case PartitionScheme::OwnerBlocked:
@@ -262,42 +239,60 @@ planSymmetryClasses(const SymmetryInput &in)
                 out.reason = "too many blocked boundary candidates";
                 return out;
             }
+            // Row r's positions: the lattice values in its block.
+            auto row = [&](Int r) {
+                const Int128 lo = std::max(Int128(v_lo), Int128(r) * bs);
+                const Int128 hi =
+                    r == rows - 1 ? v_hi
+                                  : std::min(Int128(v_hi),
+                                             (Int128(r) + 1) * bs - 1);
+                const Int128 step = in.outerStep;
+                Int128 first = (Int128(v_lo) - lo) % step;
+                first = lo + (first < 0 ? first + step : first);
+                if (first > hi)
+                    return;
+                const Int trips = Int((hi - first) / step + 1);
+                for (Int c = 0; c < cols; ++c)
+                    push_candidate(r * cols + c, trips);
+            };
             for (Int r = r_lo; r <= r_hi; ++r)
-                for (Int c = 0; c < cols; ++c)
-                    push_candidate(r * cols + c, false);
+                row(r);
             if (last_row && (rows - 1 < r_lo || rows - 1 > r_hi))
-                for (Int c = 0; c < cols; ++c)
-                    push_candidate((rows - 1) * cols + c, false);
+                row(rows - 1);
             break;
           }
         }
         if (kill) {
-            push_candidate(in.killVictim, true);
+            push_candidate(in.killVictim, -1);
             Int bound = std::min(P, in.killAdopterBound);
             for (Int p = 0; p < bound; ++p)
-                push_candidate(p, true);
+                push_candidate(p, -1);
         }
-        std::sort(singles.begin(), singles.end());
-        singles.erase(std::unique(singles.begin(), singles.end()),
+        // By id; of a processor listed twice, keep its trip count.
+        auto by_id = [](const auto &a, const auto &b) {
+            return a.first != b.first ? a.first < b.first
+                                      : a.second > b.second;
+        };
+        if (!std::is_sorted(singles.begin(), singles.end(), by_id))
+            std::sort(singles.begin(), singles.end(), by_id);
+        singles.erase(std::unique(singles.begin(), singles.end(),
+                                  [](const auto &a, const auto &b) {
+                                      return a.first == b.first;
+                                  }),
                       singles.end());
         if (singles.size() > in.maxClasses) {
             out.reason = "more singleton classes than the budget";
             return out;
         }
         out.groups.reserve(singles.size());
-        for (Int p : singles) {
-            SymmetryPlan::Group g;
-            g.representative = p;
-            g.multiplicity = 1;
-            g.members.push_back(ProcRange{p, 1, 1});
-            out.groups.push_back(std::move(g));
-        }
+        for (const auto &[p, trips] : singles)
+            out.groups.push_back({p, 1, ProcRange{p, 1, 1}, trips});
         out.defaultCount = uint64_t(P) - singles.size();
         if (out.defaultCount > 0) {
             out.hasDefault = true;
             Int rep = 0;
             size_t i = 0;
-            while (i < singles.size() && singles[i] == rep) {
+            while (i < singles.size() && singles[i].first == rep) {
                 ++rep;
                 ++i;
             }
@@ -319,9 +314,8 @@ planSymmetryClasses(const SymmetryInput &in)
         return out;
     }
     out.usable = true;
-    std::ostringstream os;
-    os << out.classCount() << " classes for P = " << P;
-    out.reason = os.str();
+    out.reason = std::to_string(out.classCount()) + " classes for P = " +
+                 std::to_string(P);
     return out;
 }
 

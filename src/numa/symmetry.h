@@ -10,7 +10,8 @@
  *
  *   1. analytically enumerates the processors whose outer slice is
  *      non-empty -- O(min(P, outer trip count)) of them, found without
- *      any O(P) loop (per-scheme closed forms over the outer lattice);
+ *      any O(P) loop (per-scheme closed forms over the outer lattice,
+ *      which also give each one's trip count);
  *   2. collapses every remaining processor into one *default class*
  *      (identical all-zero stats, possibly plus one redistribution
  *      sync when a fail-stop kill is armed);
@@ -32,7 +33,6 @@
 #ifndef ANC_NUMA_SYMMETRY_H
 #define ANC_NUMA_SYMMETRY_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -79,9 +79,6 @@ struct SymmetryInput
     /** Give up (fall back to direct simulation) past this many
      * classes. */
     uint64_t maxClasses = uint64_t(1) << 16;
-    /** Exact outer-slice trip count of one processor (0 when empty);
-     * used to probe candidates and cross-check the closed forms. */
-    std::function<Int(Int)> sliceCount;
 };
 
 /** The planned partition: explicit groups plus an optional default
@@ -95,10 +92,16 @@ struct SymmetryPlan
     {
         Int representative = 0;
         uint64_t multiplicity = 1;
-        std::vector<ProcRange> members;
+        ProcRange members;
+        /** The outer-slice trip count of every member, from the closed
+         * form; -1 for a kill's singletons, which may have none. The
+         * simulator checks it against the representative's slice and
+         * simulates directly on a mismatch. */
+        Int trips = -1;
     };
     std::vector<Group> groups;
 
+    /** The default class: processors whose slices are empty. */
     bool hasDefault = false;
     Int defaultRep = -1;
     uint64_t defaultCount = 0;

@@ -25,6 +25,7 @@
 #include "certificate_oracle.h"
 #include "dependence_oracle.h"
 #include "enumeration_oracle.h"
+#include "piece_cuts_oracle.h"
 #include "sim_walk_oracle.h"
 #include "executor_oracle.h"
 #include "ir/builder.h"
@@ -545,6 +546,10 @@ TEST(FuzzPipeline, TimeBoxedRandomSmoke)
         ir::Bindings binds{g.params, {}};
         EXPECT_FALSE(testutil::checkSourceRun(g.prog, binds, tag));
         EXPECT_FALSE(testutil::checkNestRun(g.prog, c.nest(), binds, tag));
+        // The integer piece-cut planner finds the rational one's cuts,
+        // slopes and declines on every three-deep nest.
+        EXPECT_EQ(oracle::pieceCutsDifferential(c.nest(), g.params), "")
+            << tag;
         // The simulator's stretch and per-position fast walks
         // (closed-form middle runs) complete wherever the naive walk
         // does, and then equal it, also on the symmetry-aggregated path

@@ -237,11 +237,12 @@ TEST(CommMatrixTest, FoldMatchesExpansionCellByCell)
         ASSERT_TRUE(folded.aggregated) << w.name;
 
         auto classOf = [&](int64_t proc) -> uint64_t {
-            for (size_t ci = 0; ci < s.classes.size(); ++ci)
-                for (const ProcRange &range : s.classes[ci].members)
-                    for (Int k = 0; k < range.count; ++k)
-                        if (range.memberAt(k, s.processors) == proc)
-                            return ci;
+            for (size_t ci = 0; ci < s.classes.size(); ++ci) {
+                const ProcRange &range = s.classes[ci].members;
+                for (Int k = 0; k < range.count; ++k)
+                    if (range.memberAt(k, s.processors) == proc)
+                        return ci;
+            }
             // The default class owns every unclaimed processor.
             for (size_t ci = 0; ci < s.classes.size(); ++ci)
                 if (s.classes[ci].isDefault)

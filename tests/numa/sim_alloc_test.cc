@@ -41,13 +41,15 @@ operator new(std::size_t size, const std::nothrow_t &) noexcept
     return std::malloc(size == 0 ? 1 : size);
 }
 
-void
+// Out of line, so that the compiler pairs a delete it inlines with the
+// operator new it sees, not with the malloc inside.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -56,36 +58,67 @@ operator delete(void *p, std::size_t) noexcept
 namespace anc::numa {
 namespace {
 
-/** Allocations made by one simulation of c at P processors. */
+/** Allocations made by one symmetry-aggregated simulation of c at
+ * P = 4096, freeing its result included; `classes` receives the
+ * result's class count. */
 uint64_t
-allocationsOf(const core::Compilation &c, Int procs, SimStats *out)
+allocationsOf(const core::Compilation &c, const ir::Bindings &binds,
+              size_t *classes)
 {
     SimOptions opts;
-    opts.processors = procs;
+    opts.processors = 4096;
     opts.hostThreads = 1;
     opts.symmetry = SymmetryMode::Force;
-    ir::Bindings binds{{400}, {}};
     uint64_t before = g_allocations.load();
-    *out = core::simulate(c, opts, binds);
+    {
+        SimStats s = core::simulate(c, opts, binds);
+        *classes = s.aggregated ? s.classes.size() : 0;
+    }
     return g_allocations.load() - before;
+}
+
+/** Expect c to allocate at most `bound` times at N = 400 (401 classes),
+ * fewer once the workspace is filled, and no more at N = 800 (801
+ * classes) than at N = 400. */
+void
+expectPerRun(const core::Compilation &c, IntVec params,
+             std::vector<double> scalars, uint64_t bound)
+{
+    size_t classes = 0;
+    params[0] = 400;
+    const ir::Bindings small{params, scalars};
+    const uint64_t first = allocationsOf(c, small, &classes);
+    EXPECT_EQ(classes, 401u);
+    EXPECT_LE(first, bound);
+    // A second run reuses the workspace: fewer allocations still.
+    const uint64_t again = allocationsOf(c, small, &classes);
+    EXPECT_LE(again, first);
+    // Twice the classes, once the workspace has grown to them.
+    params[0] = 800;
+    const ir::Bindings large{params, scalars};
+    allocationsOf(c, large, &classes);
+    EXPECT_LE(allocationsOf(c, large, &classes), again);
+    EXPECT_EQ(classes, 801u);
 }
 
 TEST(SimAllocations, AggregatedGemmAllocatesPerRunNotPerClass)
 {
-    // The normalized GEMM at N = 400 and P = 4096: 401 symmetry
-    // classes. With scratch buffers allocated per slice the run made
-    // 4505 allocations, about 11 per class; it must make at most a
-    // third of that, counting the workspace's first fill.
-    constexpr uint64_t kPerSliceScratch = 4505;
-    core::Compilation c = core::compile(ir::gallery::gemm());
-    SimStats s;
-    uint64_t first = allocationsOf(c, 4096, &s);
-    ASSERT_TRUE(s.aggregated);
-    EXPECT_EQ(s.classes.size(), 401u);
-    EXPECT_LE(first, kPerSliceScratch / 3);
-    // A second run reuses the workspace: fewer allocations still.
-    uint64_t again = allocationsOf(c, 4096, &s);
-    EXPECT_LE(again, first);
+    // The normalized GEMM at P = 4096, counted with its result freed:
+    // 4505 allocations at N = 400 while the walk's scratch buffers were
+    // allocated per slice, 528 while every class owned a members
+    // vector, 105 since.
+    expectPerRun(core::compile(ir::gallery::gemm()), {400}, {}, 120);
+}
+
+TEST(SimAllocations, AggregatedPlainSyr2kAllocatesPerRunNotPerClass)
+{
+    // The untransformed banded SYR2K (b = 100) at P = 4096: 1039
+    // allocations at N = 400 while every class owned a members vector
+    // and a heap block of remote counts per array, 196 since.
+    core::CompileOptions identity;
+    identity.identityTransform = true;
+    expectPerRun(core::compile(ir::gallery::syr2kBanded(), identity),
+                 {400, 100}, {1.0, 1.0}, 220);
 }
 
 } // namespace

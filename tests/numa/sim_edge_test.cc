@@ -112,6 +112,31 @@ TEST(StatsEdge, RemoteByArrayLazyAllocation)
     EXPECT_EQ(p.remoteByArray[2], 2u);
 }
 
+TEST(StatsEdge, RemoteByArrayPastTheInlineCounters)
+{
+    // More arrays than ArrayCounters keeps in place: the counters move to
+    // the heap, and copies and moves keep every value.
+    const size_t arrays = ArrayCounters::kInline + 2;
+    ProcStats p;
+    p.noteRemote(arrays - 1, arrays);
+    p.noteRemote(0, arrays);
+    ASSERT_EQ(p.remoteByArray.size(), arrays);
+    ProcStats copy = p;
+    EXPECT_EQ(copy.remoteByArray, p.remoteByArray);
+    EXPECT_EQ(copy.remoteByArray[arrays - 1], 1u);
+    ProcStats moved = std::move(copy);
+    EXPECT_EQ(moved.remoteByArray, p.remoteByArray);
+    EXPECT_TRUE(copy.remoteByArray.empty());
+    // Back in place: a program of fewer arrays.
+    const uint64_t few[] = {3, 0, 7};
+    moved.remoteByArray.assign(few, few + 3);
+    EXPECT_EQ(moved.remoteByArray.size(), 3u);
+    EXPECT_EQ(moved.remoteByArray[2], 7u);
+    EXPECT_FALSE(moved.remoteByArray == p.remoteByArray);
+    moved = p;
+    EXPECT_EQ(moved.remoteByArray, p.remoteByArray);
+}
+
 TEST(SimEdge, ReplicatedEverythingNeverRemote)
 {
     ir::Program p = ir::gallery::gemm();

@@ -81,7 +81,9 @@ statsDiff(const numa::SimStats &a, const numa::SimStats &b)
         std::string d = procDiff(x.rep, y.rep);
         if (d.empty() && (x.multiplicity != y.multiplicity ||
                           x.isDefault != y.isDefault ||
-                          x.members.size() != y.members.size()))
+                          x.members.first != y.members.first ||
+                          x.members.step != y.members.step ||
+                          x.members.count != y.members.count))
             d = "class shape";
         if (!d.empty())
             return "class " + std::to_string(i) + " " + d;

@@ -156,7 +156,7 @@ std::vector<uint64_t>
 pointState(const std::vector<std::array<Int, 3>> &coeffs, uint64_t t)
 {
     std::vector<uint64_t> out;
-    const Int x = Int(t);
+    const Int128 x = t;
     for (const auto &c : coeffs)
         out.push_back(uint64_t(c[0] + c[1] * x + c[2] * x * x));
     return out;
@@ -173,8 +173,9 @@ evaluated(const std::vector<std::array<Int, 3>> &coeffs, size_t degree,
         states.insert(states.end(), s.begin(), s.end());
     }
     std::vector<uint64_t> out(coeffs.size());
+    std::vector<Int128> diffs;
     evaluateStretch(states.data(), degree + 1, coeffs.size(), at, 1,
-                    out.data());
+                    out.data(), diffs);
     return out;
 }
 
@@ -194,14 +195,43 @@ TEST(StretchEvaluation, EqualsThePolynomialAtEveryPoint)
             std::vector<uint64_t> st = pointState(coeffs, t);
             states.insert(states.end(), st.begin(), st.end());
         }
+        std::vector<Int128> diffs;
         evaluateStretch(states.data(), degree + 1, coeffs.size(), 40, 5,
-                        run.data());
+                        run.data(), diffs);
         for (uint64_t i = 0; i < 5; ++i)
             EXPECT_EQ(std::vector<uint64_t>(
                           run.begin() + i * coeffs.size(),
                           run.begin() + (i + 1) * coeffs.size()),
                       pointState(coeffs, 40 + i))
                 << "degree " << degree << " at " << 40 + i;
+    }
+}
+
+TEST(StretchEvaluation, StepsAlongALongRun)
+{
+    // Points below 2^31 are stepped from one to the next, a run reaching
+    // past it is evaluated point by point: both are the polynomial.
+    for (size_t degree = 0; degree <= kMaxStretchDegree; ++degree) {
+        const std::vector<std::array<Int, 3>> coeffs = {
+            {5, degree >= 1 ? 7 : 0, degree >= 2 ? 3 : 0},
+            {Int(1) << 20, degree >= 1 ? 1 : 0, degree >= 2 ? 1 : 0}};
+        std::vector<uint64_t> states;
+        for (uint64_t t = 0; t <= degree; ++t) {
+            std::vector<uint64_t> st = pointState(coeffs, t);
+            states.insert(states.end(), st.begin(), st.end());
+        }
+        std::vector<Int128> diffs;
+        for (uint64_t from : {uint64_t(3), (uint64_t(1) << 31) - 500}) {
+            std::vector<uint64_t> run(1000 * coeffs.size());
+            evaluateStretch(states.data(), degree + 1, coeffs.size(), from,
+                            1000, run.data(), diffs);
+            for (uint64_t i = 0; i < 1000; ++i)
+                ASSERT_EQ(std::vector<uint64_t>(
+                              run.begin() + i * coeffs.size(),
+                              run.begin() + (i + 1) * coeffs.size()),
+                          pointState(coeffs, from + i))
+                    << "degree " << degree << " at " << from + i;
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compiler.h"
+#include "dsl/parser.h"
 #include "golden_inputs.h"
 #include "ir/gallery.h"
 #include "numa/simulator.h"
@@ -195,6 +196,35 @@ TEST(AcrossOracle, PaperGemmEvaluatesAtLargeP)
                 EXPECT_GT(t.evaluated, 240u) << what;
             }
         }
+    }
+}
+
+TEST(AcrossOracle, ATiltedOwnerPlaneWithFixedBoundsIsLinearInP)
+{
+    // No bound reads u or v, but Y is wrapped along v + w: processor p
+    // owns the plane w = -v + p + k * P, whose points within the inner
+    // range move with p (a clipped difference of linear functions), so
+    // the counters are linear in p between the cuts, not constant.
+    std::optional<ir::Program> prog =
+        dsl::parseProgramRecovering(R"(array X(79, 66) distribute wrapped(1)
+array Y(23, 36) distribute wrapped(1)
+for i0 = 0, 42
+  for i1 = 0, 22
+    for i2 = 0, 13
+      X[i0 + i1 - i2 + 13, -i0 - i1 + 64] = X[i0 + i1 - i2 + 14, -i0 - i1 + 64] + Y[i1, i1 + i2]
+)")
+            .program;
+    ASSERT_TRUE(prog);
+    core::Compilation c = core::compileResilient(*prog);
+    for (SymmetryMode sym : {SymmetryMode::Off, SymmetryMode::Force}) {
+        SimOptions opts;
+        opts.processors = 256;
+        opts.symmetry = sym;
+        oracle::WalkDifferential d = oracle::simWalkDifferential(
+            c.program, c.nest(), c.plan, opts, {{}, {}});
+        EXPECT_TRUE(d.naiveCompleted);
+        EXPECT_EQ(d.mismatch, "") << int(sym);
+        EXPECT_GT(d.evaluated, 20u) << int(sym);
     }
 }
 
